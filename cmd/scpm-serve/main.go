@@ -16,8 +16,8 @@
 // background, swapping the refreshed index in without blocking
 // concurrent reads; GET /version reports the data version versus the
 // served version. With -snapshot each published generation also
-// refreshes the snapshot and writes dataset sidecars so a restart
-// resumes the updated data; -no-updates serves a frozen index.
+// refreshes the snapshot, which embeds the graph, so a restart resumes
+// the updated data; -no-updates serves a frozen index.
 //
 // Usage:
 //
@@ -41,19 +41,20 @@
 // the manifest was sealed under (scpm-gateway -plan shares their
 // defaults); a mismatch fails loudly at boot.
 //
-// With -snapshot the index is loaded from the file when it exists;
-// otherwise the dataset is mined and the snapshot written there, so the
-// second boot skips mining entirely. New snapshots use the v3 format,
-// which embeds the graph alongside the index in an mmap-able layout:
-// a v3 boot needs no -attrs/-edges at all and restores both in
-// milliseconds by wrapping typed views over the mapped file.
+// With -snapshot the graph and index are restored from the file when
+// it exists; otherwise the dataset is mined and the snapshot written
+// there, so the second boot skips mining entirely. Snapshots use the v3
+// format, which embeds the graph alongside the index in an mmap-able
+// layout: a snapshot boot needs no -attrs/-edges at all and restores
+// both in milliseconds by wrapping typed views over the mapped file.
 // -snapshot-mode picks the strategy — mmap pages the file in lazily on
 // first touch, materialize reads it fully into memory up front, auto
 // (the default) maps when the platform supports it. Both modes serve
-// byte-identical responses. Old v2 (index-only) snapshots still load,
-// paired with the dataset files as before. Boot phase timings are
-// exported as scpm_boot_ms{phase=...} on /metrics, alongside
-// scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
+// byte-identical responses. A snapshot of the retired v2 (index-only)
+// format fails the boot with a "regenerate this snapshot" error: delete
+// it and boot from the dataset files to mine a fresh one. Boot phase
+// timings are exported as scpm_boot_ms{phase=...} on /metrics,
+// alongside scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
 // scpm_snapshot_resident_bytes.
 //
 // The process serves until SIGINT/SIGTERM, then shuts down gracefully
@@ -161,19 +162,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		v3 *scpm.SnapshotBoot
 	)
 	if *snapshot != "" {
-		switch v, err := scpm.SniffSnapshot(*snapshot); {
+		t0 := time.Now()
+		v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{Mode: mode})
+		switch {
 		case errors.Is(err, os.ErrNotExist):
-			// Fresh boot: mine below and write the first v3 snapshot.
+			// Fresh boot: mine below and write the first snapshot.
 		case err != nil:
-			fmt.Fprintln(stderr, "scpm-serve:", err)
-			return 2
-		case v == 3:
-			t0 := time.Now()
-			v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{Mode: mode})
-			if err != nil {
-				fmt.Fprintln(stderr, "scpm-serve:", err)
-				return 1
-			}
+			fmt.Fprintf(stderr, "scpm-serve: %s: %v\n", *snapshot, err)
+			return 1
+		default:
 			// Views over the mapping serve for the whole process
 			// lifetime; unmap only on the way out.
 			defer v3.Close()
@@ -195,22 +192,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			if *attrsPath != "" || *edgesPath != "" || *example != "" {
 				fmt.Fprintln(stdout, "scpm-serve: v3 snapshot embeds its graph; -attrs/-edges/-example ignored")
 			}
-			// v == 2 falls through: the index loads below via the v2
-			// loader, paired with the dataset files.
 		}
 	}
 	if g == nil {
 		t0 := time.Now()
-		var resumed bool
-		g, resumed, err = loadGraph(*attrsPath, *edgesPath, *example, *snapshot)
+		g, err = loadGraph(*attrsPath, *edgesPath, *example)
 		if err != nil {
 			fmt.Fprintln(stderr, "scpm-serve:", err)
 			return 2
 		}
 		bootMS.With("graph_load").Set(float64(time.Since(t0).Milliseconds()))
-		if resumed {
-			fmt.Fprintf(stdout, "scpm-serve: resumed updated dataset from %s.{attrs,edges}\n", *snapshot)
-		}
 	}
 
 	opts := []scpm.Option{
@@ -338,8 +329,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			// Write-behind: refresh the snapshot so a restart resumes
 			// the updated data. v3 embeds the graph, so no dataset
-			// sidecars are needed — even when this boot came from a v2
-			// snapshot, the refresh upgrades it to v3 in place.
+			// sidecars are needed.
 			if err := scpm.WriteSnapshot(snapshotPath, e.Graph, e.Index); err != nil {
 				fmt.Fprintln(stderr, "scpm-serve: snapshot write-behind:", err)
 				return
@@ -392,36 +382,21 @@ func parseShard(spec string) (k, n int, err error) {
 }
 
 // loadGraph resolves the dataset selection: two files, or a built-in
-// example. When a snapshot with live-update dataset sidecars exists
-// (written by the update path's write-behind), the sidecars win — they
-// are the updated data the snapshot was mined from; the second return
-// reports that resumption.
-func loadGraph(attrsPath, edgesPath, example, snapshot string) (*scpm.Graph, bool, error) {
+// example.
+func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
 	if example != "" && (attrsPath != "" || edgesPath != "") {
-		return nil, false, errors.New("-example cannot be combined with -attrs/-edges")
+		return nil, errors.New("-example cannot be combined with -attrs/-edges")
 	}
 	if example != "" && example != "paper" {
-		return nil, false, fmt.Errorf("unknown -example %q (want paper)", example)
+		return nil, fmt.Errorf("unknown -example %q (want paper)", example)
 	}
 	if example == "" && (attrsPath == "" || edgesPath == "") {
-		return nil, false, errors.New("-attrs and -edges are required (or use -example paper)")
-	}
-	if snapshot != "" {
-		if _, err := os.Stat(snapshot); err == nil {
-			g, err := readDatasetFiles(snapshot+".attrs", snapshot+".edges")
-			if err == nil {
-				return g, true, nil
-			}
-			if !errors.Is(err, os.ErrNotExist) {
-				return nil, false, fmt.Errorf("resuming updated dataset: %w", err)
-			}
-		}
+		return nil, errors.New("-attrs and -edges are required (or use -example paper)")
 	}
 	if example != "" {
-		return scpm.PaperExample(), false, nil
+		return scpm.PaperExample(), nil
 	}
-	g, err := readDatasetFiles(attrsPath, edgesPath)
-	return g, false, err
+	return readDatasetFiles(attrsPath, edgesPath)
 }
 
 // readDatasetFiles opens and parses one attribute/edge file pair.
@@ -439,18 +414,17 @@ func readDatasetFiles(attrsPath, edgesPath string) (*scpm.Graph, error) {
 	return scpm.ReadDataset(af, ef)
 }
 
-// buildIndex restores the snapshot when it exists, otherwise mines the
-// graph and (when a snapshot path is configured) persists the result
-// as a v3 snapshot for the next boot. It also returns the mining
-// result backing the index — reconstructed from the snapshot tables
+// buildIndex takes the index of the opened v3 snapshot when there is
+// one, otherwise mines the graph and (when a snapshot path is
+// configured) persists the result as a v3 snapshot for the next boot.
+// It also returns the mining result backing the index — reconstructed from the snapshot tables
 // when one was restored — which is what the live-update path re-mines
 // from. A boot mine streams its progress into mm, so /metrics shows it
 // advancing; phase wall times land on bootMS.
 func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.SnapshotBoot, snapshot string, stdout io.Writer, mm *obs.MiningMetrics, bootMS *obs.GaugeVec) (*scpm.Index, *scpm.Result, error) {
 	if v3 != nil {
-		// The graph and index both came out of the same v3 file, so the
-		// dataset-shape cross-check of the v2 path is true by
-		// construction.
+		// The graph and index both came out of the same v3 file, so they
+		// match by construction.
 		idx := v3.Index
 		mapped := "materialized"
 		if v3.OSMapped() {
@@ -464,33 +438,6 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 		// chain incrementally.
 		res := &scpm.Result{Sets: idx.Sets(), Patterns: idx.Patterns(), Stats: idx.MiningStats()}
 		return idx, res, nil
-	}
-	if snapshot != "" {
-		if f, err := os.Open(snapshot); err == nil {
-			defer f.Close()
-			idx, err := scpm.LoadIndex(f)
-			if err != nil {
-				return nil, nil, fmt.Errorf("loading snapshot %s: %w", snapshot, err)
-			}
-			// A snapshot from a different dataset would serve indexed
-			// answers about one graph while computing on-demand answers
-			// against another; refuse the pairing outright.
-			sv, se, sa := idx.DatasetShape()
-			if sv != g.NumVertices() || se != g.NumEdges() || sa != g.NumAttributes() {
-				return nil, nil, fmt.Errorf(
-					"snapshot %s was mined from a different dataset (|V|=%d |E|=%d |A|=%d, loaded graph has |V|=%d |E|=%d |A|=%d); delete it to re-mine",
-					snapshot, sv, se, sa, g.NumVertices(), g.NumEdges(), g.NumAttributes())
-			}
-			fmt.Fprintf(stdout, "scpm-serve: restored index from %s\n", snapshot)
-			fmt.Fprintln(stdout, "scpm-serve: indexed results reflect the snapshot's mining run; current mining flags apply to on-demand /epsilon only")
-			// A snapshot carries no search lattice, so the first update
-			// triggers a full (rather than incremental) remine; later
-			// ones chain incrementally.
-			res := &scpm.Result{Sets: idx.Sets(), Patterns: idx.Patterns(), Stats: idx.MiningStats()}
-			return idx, res, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, err
-		}
 	}
 	start := time.Now()
 	mm.Active.Set(1)

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	scpm "github.com/scpm/scpm"
 )
 
 // notifyingWriter forwards to an underlying buffer and signals each
@@ -188,86 +186,27 @@ func TestServeSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeSnapshotDatasetMismatch pairs a v2 (index-only) snapshot
-// mined from the paper example with a different dataset: the boot must
-// refuse instead of serving inconsistent answers. (A v3 snapshot embeds
-// its graph, so the mismatch is impossible there by construction; this
-// pins the v2 compat path.)
-func TestServeSnapshotDatasetMismatch(t *testing.T) {
+// TestServeV2SnapshotRegenerate boots a retired v2 (index-only)
+// snapshot: the boot must fail with the "regenerate this snapshot"
+// error rather than re-mine over the file or misreport it as corrupt.
+func TestServeV2SnapshotRegenerate(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("..", "..", "internal", "snapshot", "testdata", "quickstart-v2.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := filepath.Join(t.TempDir(), "paper.scpmidx")
-	writeV2Snapshot(t, snap)
-
-	// A different dataset: the example graph minus one edge.
-	dir := t.TempDir()
-	attrs, edges := filepath.Join(dir, "g.attrs"), filepath.Join(dir, "g.edges")
-	var ab, eb bytes.Buffer
-	if err := scpm.WriteDataset(scpm.PaperExample(), &ab, &eb); err != nil {
+	if err := os.WriteFile(snap, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(eb.String()), "\n")
-	if err := os.WriteFile(attrs, ab.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(edges, []byte(strings.Join(lines[:len(lines)-1], "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	var stdout, stderr bytes.Buffer
-	args := []string{"-attrs", attrs, "-edges", edges, "-snapshot", snap,
-		"-sigma", "3", "-gamma", "0.6", "-minsize", "4", "-eps", "0.5", "-k", "10"}
-	if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
-		t.Fatalf("mismatched snapshot boot: exit %d\nstderr: %s", code, stderr.String())
+	if code := run(context.Background(), append([]string{"-snapshot", snap}, paperArgs...), &stdout, &stderr); code != 1 {
+		t.Fatalf("v2 snapshot boot: exit %d\nstderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "different dataset") {
-		t.Fatalf("mismatch diagnosis missing:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), "regenerate this snapshot") {
+		t.Fatalf("regenerate diagnosis missing:\n%s", stderr.String())
 	}
-}
-
-// writeV2Snapshot mines the paper example in-process and saves a
-// legacy v2 (index-only) snapshot at path.
-func writeV2Snapshot(t *testing.T, path string) {
-	t.Helper()
-	m, err := scpm.NewMiner(
-		scpm.WithSigmaMin(3), scpm.WithGamma(0.6), scpm.WithMinSize(4),
-		scpm.WithEpsMin(0.5), scpm.WithTopK(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Mine(context.Background(), scpm.PaperExample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := scpm.NewIndex(res, scpm.PaperExample())
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServeV2SnapshotCompat boots a legacy v2 snapshot paired with its
-// matching dataset: the old loader still serves it.
-func TestServeV2SnapshotCompat(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "paper.scpmidx")
-	writeV2Snapshot(t, snap)
-	base, stdout, shutdown := startServe(t, append([]string{"-snapshot", snap}, paperArgs...)...)
-	if !strings.Contains(stdout.String(), "restored index from") {
-		t.Fatalf("v2 snapshot not restored:\n%s", stdout.String())
-	}
-	var health struct {
-		Sets int `json:"sets"`
-	}
-	getJSON(t, base+"/healthz", &health)
-	if health.Sets != 3 {
-		t.Fatalf("v2 healthz = %+v", health)
-	}
-	if code := shutdown(); code != 0 {
-		t.Fatalf("exit %d", code)
+	if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("v2 snapshot was modified (err=%v)", err)
 	}
 }
 

@@ -120,7 +120,9 @@ func (e *latticeEntry) estimate(n int) epsilon.Estimate {
 // the Merge of the consecutive ChangeSets) leading from that version
 // to g. Remine then walks the same search lattice a full Mine of g
 // would, but every attribute set disjoint from changes.DirtyAttrs is
-// replayed from the recorded lattice instead of re-searched: its ε,
+// carried over instead of re-searched — a single from the previous
+// run's level-1 verdict table, a larger set from its recorded
+// lattice: its ε,
 // covered counts and patterns are carried over by value, only the
 // δ-normalization is re-derived (the null model depends on the global
 // degree distribution, so δ can shift for every set after any edge
@@ -149,5 +151,5 @@ func Remine(ctx context.Context, g *graph.Graph, p Params, old *Result, changes 
 		return nil, fmt.Errorf("core: change set starts at graph version %d but the old result was mined at version %d (merge the intermediate ChangeSets)",
 			changes.FromVersion, old.lattice.version)
 	}
-	return mine(ctx, g, p, sink, old.lattice, changes)
+	return mine(ctx, g, p, sink, old, changes)
 }

@@ -13,8 +13,8 @@ import (
 // order. Stats counters are summed and the recorded lattices unioned.
 // When every shard of a disjoint, complete partition mined the same
 // graph with the same parameters, the merged output — sets, ε, δ,
-// patterns, stable ids, counter totals and the lattice a later Remine
-// consumes — is bit-identical to one Mine over the whole lattice; only
+// patterns, stable ids, counter totals and the lattice and level-1
+// table a later Remine consumes — is bit-identical to one Mine over the whole lattice; only
 // Stats.Duration (the slowest shard, the wall time of a perfectly
 // parallel run) and Stats.ReusedVerdicts (an accounting counter, not an
 // output property) differ.
@@ -112,14 +112,16 @@ func MergeResults(parts ...*Result) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		merged.lattice = lat
+		// Every shard holds the complete level-1 table of the one graph
+		// version, so any shard's table is the merged one.
+		merged.lattice, merged.level1 = lat, parts[0].level1
 	}
 	return merged, nil
 }
 
 // mergeLattices unions the per-shard lattices into one. Entries are
-// disjoint by the prefix ownership rule (muted evaluations are never
-// recorded), so the union is a plain map copy.
+// disjoint by the prefix ownership rule (a shard records only the sets
+// it owns), so the union is a plain map copy.
 func mergeLattices(parts []*Result) (*Lattice, error) {
 	version := parts[0].lattice.version
 	out := newLattice(version)

@@ -100,10 +100,11 @@ type Params struct {
 	// the attribute-set lattice: only the top-level Eclat subtrees whose
 	// root attribute the function claims — and the size-1 sets of those
 	// roots — are emitted, recorded into the lattice and counted in the
-	// stats. Non-owned frequent singles are still evaluated (their member
-	// sets, covered-set hand-downs and Theorem-4/5 survival verdicts feed
-	// the owned subtrees' right-sibling lists bit-identically to a
-	// single-process run) but contribute nothing to the output, so
+	// stats. The run still holds the level-1 verdict of every frequent
+	// single (their covered-set hand-downs and Theorem-4/5 survival
+	// verdicts feed the owned subtrees' right-sibling lists
+	// bit-identically to a single-process run), but the non-owned ones
+	// contribute nothing to the output, so
 	// MergeResults over a disjoint, complete family of owners reproduces
 	// the single-process run exactly. The function receives the graph
 	// being mined so ownership can be re-derived per graph version during
@@ -111,17 +112,17 @@ type Params struct {
 	// leave nil to mine the whole lattice.
 	ShardOwner func(g *graph.Graph, root int32) bool
 
-	// Level1Verdicts, when non-nil, injects sealed level-1 evaluations:
-	// every frequent single covered by a verdict is replayed —
-	// bit-identically, sibling lists, hand-downs, emission, recorded
-	// lattice and merged stats included — instead of searched, which is
-	// what lets a shard worker skip the level-1 work every shard would
-	// otherwise duplicate. Verdicts sealed at a different graph version
-	// are silently ignored (the run falls back to live evaluation, so
-	// live updates keep working); verdicts sealed under a different
-	// parameter fingerprint (Level1Fingerprint) fail the run loudly.
+	// Level1Verdicts, when non-nil, is the run's level-1 table: every
+	// frequent single it covers is replayed — bit-identically, sibling
+	// lists, hand-downs, emission, recorded lattice and merged stats
+	// included — instead of searched, which is what lets a shard worker
+	// skip the level-1 work every shard would otherwise duplicate. A
+	// table sealed at a different graph version fails the run with
+	// ErrStaleVerdicts, and one sealed under a different parameter
+	// fingerprint (Level1Fingerprint) fails it too; callers holding a
+	// table across live updates drop it once the graph moves on.
 	// internal/shard computes (ComputeLevel1) and ships these in the
-	// scpm-manifest/v2 format; leave nil to evaluate level 1 live.
+	// scpm-manifest/v2 format; leave nil to evaluate level 1 in the run.
 	Level1Verdicts *Level1Verdicts
 
 	// RecordLattice makes the run memoize every evaluated attribute set

@@ -450,3 +450,80 @@ func TestRemineChained(t *testing.T) {
 		})
 	}
 }
+
+// TestRemineShardedSearchesNothing pins that a shard's Remine does no
+// more work than its slice of the unsharded one: after a delta that
+// dirties no attribute, every level-1 verdict a shard holds — owned or
+// not — carries over, so each shard remines under a one-node search
+// budget, and the merged counters equal the unsharded Remine's.
+func TestRemineShardedSearchesNothing(t *testing.T) {
+	ctx := context.Background()
+	for mode, p := range remineParams() {
+		t.Run(mode, func(t *testing.T) {
+			g := remineGraph(t, 7)
+			var eu, ev int32 = -1, -1
+		pairSearch:
+			for u := int32(0); u < int32(g.NumVertices()); u++ {
+				for v := u + 1; v < int32(g.NumVertices()); v++ {
+					if !g.HasEdge(u, v) && len(g.VertexAttrs(u)) > 0 &&
+						sharedAttrs(g.VertexAttrs(u), g.VertexAttrs(v)) == 0 {
+						eu, ev = u, v
+						break pairSearch
+					}
+				}
+			}
+			if eu < 0 {
+				t.Fatal("no attribute-disjoint non-adjacent pair in the test graph")
+			}
+			d := g.NewDelta()
+			if err := d.AddEdge(g.VertexName(eu), g.VertexName(ev)); err != nil {
+				t.Fatal(err)
+			}
+			ng, cs, err := g.Apply(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cs.DirtyAttrs.Count(); n != 0 {
+				t.Fatalf("delta dirties %d attributes, want 0", n)
+			}
+
+			old, err := Mine(ctx, g, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := p
+			budget.SearchBudget = 1
+			want, err := Remine(ctx, ng, budget, old, cs, nil)
+			if err != nil {
+				t.Fatalf("unsharded remine: %v", err)
+			}
+
+			const n = 2
+			parts := make([]*Result, n)
+			for k := 0; k < n; k++ {
+				sp := p
+				sp.ShardOwner = parityOwner(k)
+				oldK, err := Mine(ctx, g, sp, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb := budget
+				sb.ShardOwner = sp.ShardOwner
+				if parts[k], err = Remine(ctx, ng, sb, oldK, cs, nil); err != nil {
+					t.Fatalf("shard %d/%d remine: %v", k, n, err)
+				}
+			}
+			merged, err := MergeResults(parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualResults(t, mode+" sharded remine", merged, want)
+			ms, ws := merged.Stats, want.Stats
+			ms.Duration, ws.Duration = 0, 0
+			ms.ReusedVerdicts, ws.ReusedVerdicts = 0, 0
+			if ms != ws {
+				t.Fatalf("merged shard stats diverge from the unsharded remine\ngot:  %+v\nwant: %+v", ms, ws)
+			}
+		})
+	}
+}

@@ -164,8 +164,8 @@ type Stats struct {
 	// computed — for a full Mine it equals SetsEvaluated; for a Remine
 	// the ReusedSets/RecomputedSets split is the incremental saving.
 	RecomputedSets int64
-	// ReusedVerdicts counts level-1 singles replayed from sealed
-	// verdicts (Params.Level1Verdicts) instead of searched. Such singles
+	// ReusedVerdicts counts level-1 singles replayed from an injected
+	// table (Params.Level1Verdicts) instead of searched. Such singles
 	// still count as evaluated — their sealed search-node bill is
 	// credited to SearchNodes — so every other counter stays
 	// bit-identical to a verdict-free run; like Duration, this counter
@@ -183,10 +183,12 @@ type Result struct {
 	Patterns []Pattern
 	Stats    Stats
 
-	// lattice memoizes every evaluated attribute set of the run when
-	// Params.RecordLattice is on; Remine consumes it to skip clean
+	// lattice memoizes every evaluated attribute set of the run, and
+	// level1 is the run's level-1 verdict table, when
+	// Params.RecordLattice is on; Remine consumes both to skip clean
 	// evaluations. nil otherwise.
 	lattice *Lattice
+	level1  *Level1Verdicts
 }
 
 // HasLattice reports whether the result carries the memoized search

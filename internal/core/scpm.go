@@ -41,135 +41,116 @@ func Mine(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Result, er
 	return mine(ctx, g, p, sink, nil, nil)
 }
 
-// mine is the shared walk behind Mine and Remine: when reuse and
-// changes are non-nil, evaluations of attribute sets disjoint from the
-// dirty attributes are replayed from the recorded lattice instead of
-// recomputed.
-func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, reuse *Lattice, changes *graph.ChangeSet) (*Result, error) {
-	if err := p.Validate(); err != nil {
+// mine is the shared walk behind Mine and Remine. A Remine passes the
+// previous result and the update leading from its graph to g: clean
+// level-1 verdicts are carried over from old's table, and clean sets
+// below level 1 are replayed from old's lattice instead of recomputed.
+func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result, changes *graph.ChangeSet) (*Result, error) {
+	m, err := newMiner(ctx, g, p, sink)
+	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	qcOpts := p.qcOptions()
-	qcOpts.Ctx = ctx
-	m := &miner{
-		g:        g,
-		p:        p,
-		qp:       p.QuasiCliqueParams(),
-		qcOpts:   qcOpts,
-		est:      p.estimator(qcOpts),
-		exactEst: epsilon.NewExact(p.QuasiCliqueParams(), qcOpts),
-		model:    p.model(g),
-		em:       newEmitter(sink, p.ProgressEvery, start),
-		reuse:    reuse,
-		changes:  changes,
-	}
-	if p.RecordLattice {
-		m.record = newLattice(g.Version())
-	}
-	if p.ShardOwner != nil {
-		m.owner = func(root int32) bool { return p.ShardOwner(g, root) }
-	}
-	// Sealed level-1 verdicts replay every single-attribute evaluation
-	// without touching the engine. A verdict set sealed at a different
-	// graph version is silently ignored (live updates fall back to the
-	// legacy path, which re-evaluates level 1); a verdict set sealed
-	// under different mining parameters is a configuration error and
-	// refuses loudly rather than replaying subtly wrong state.
-	if p.Level1Verdicts != nil && reuse == nil && p.Level1Verdicts.GraphVersion() == g.Version() {
-		if got, want := p.Level1Verdicts.ParamsKey(), p.Level1Fingerprint(); got != want {
+
+	// Level 1 (Algorithm 2 lines 3–15) comes from one table of verdicts,
+	// one per frequent single: an injected table answers for every
+	// single it covers, a Remine carries the previous run's verdicts of
+	// the singles the update left clean, and evaluateLevel1 fills the
+	// rest. A sharded run holds the same complete table as every other
+	// shard — the non-owned singles' hand-downs and survival verdicts
+	// feed the owned subtrees' sibling lists — but emits, records and
+	// counts only the singles it owns.
+	var prev *Level1Verdicts
+	src := verdictFresh
+	switch {
+	case p.Level1Verdicts != nil:
+		prev, src = p.Level1Verdicts, verdictSealed
+		if prev.GraphVersion() != g.Version() {
+			return nil, fmt.Errorf("%w (table at version %d, graph at version %d)", ErrStaleVerdicts, prev.GraphVersion(), g.Version())
+		}
+		if got, want := prev.ParamsKey(), p.Level1Fingerprint(); got != want {
 			return nil, fmt.Errorf("core: level-1 verdicts sealed under parameters %q, run uses %q", got, want)
 		}
-		m.verdicts = p.Level1Verdicts
+	case old != nil:
+		prev, src = old.level1, verdictCarried
 	}
-	// Theorem 5's pruning bound needs εexp(σmin) once.
-	m.expSigmaMin = m.model.Exp(p.SigmaMin)
-
-	// Level 1 (Algorithm 2 lines 3–15): evaluate every frequent
-	// attribute. These evaluations are independent, so they parallelize
-	// directly. A sharded run evaluates every single — the non-owned
-	// ones muted, because their hand-downs and survival verdicts feed
-	// the owned subtrees' sibling lists — but emits/records/counts only
-	// the owned slice.
+	if old != nil {
+		m.reuse, m.changes = old.lattice, changes
+	}
 	singles := m.frequentSingles()
-	level1 := make([]evalOutcome, len(singles))
-	runErr := m.forEach(ctx, len(singles), func(i int, tl *tally) error {
-		attrs := []int32{singles[i]}
-		muted := m.owner != nil && !m.owner(singles[i])
-		// Each level-1 evaluation gets its own certificate store, which
-		// then travels down its subtree (walked sequentially below), so
-		// certificate reuse never crosses a scheduling boundary.
-		store := m.newCertStore()
-		out, handled, err := m.replay(attrs, muted, store, tl)
-		if err != nil {
-			return err
+	table := make([]*Level1Verdict, len(singles))
+	reused := make([]bool, len(singles))
+	for i, a := range singles {
+		if src == verdictCarried && changes.Touches([]int32{a}) {
+			continue
 		}
-		if !handled && m.verdicts != nil {
-			out, handled, err = m.replayVerdict(singles[i], attrs, muted, store, tl)
-			if err != nil {
-				return err
-			}
-		}
-		if !handled {
-			members := g.AttrMembers(singles[i])
-			out, err = m.evaluate(attrs, members, members, muted, store, tl)
-			if err != nil {
-				return err
-			}
-		}
-		level1[i] = out
-		return nil
-	})
+		table[i] = prev.Lookup(a)
+		reused[i] = table[i] != nil
+	}
+	runErr := m.evaluateLevel1(ctx, singles, table)
 
+	// Replaying is cheap — a verdict reaches its outcome without a
+	// search — so it runs in id order on this goroutine, and also after
+	// a failed evaluateLevel1, which keeps the singles evaluated so far
+	// in the partial result.
 	res := &Result{}
-	var survivors []classItem
-	for _, out := range level1 {
-		m.collect(res, out)
-		if out.survive {
-			survivors = append(survivors, out.item)
+	level1 := make([]evalOutcome, len(table))
+	var tl tally
+	for i, v := range table {
+		if v == nil {
+			continue
 		}
+		how := verdictFresh
+		if reused[i] {
+			how = src
+		}
+		out, nv, err := m.replayVerdict(v, how, &tl)
+		if err != nil {
+			if runErr == nil {
+				runErr = err
+			}
+			break
+		}
+		level1[i], table[i] = out, nv
+		m.collect(res, out)
+	}
+	m.em.merge(&tl)
+	if p.RecordLattice {
+		res.lattice, res.level1 = m.record, m.verdictTable(table)
 	}
 	if runErr != nil {
-		res.lattice = m.record
 		return finalizeResult(res, m.em, runErr)
 	}
 
-	// Extension ordering: ascending support keeps intermediate tidsets
-	// small (standard Eclat heuristic); ids break ties for determinism.
-	sort.Slice(survivors, func(i, j int) bool {
-		si, sj := survivors[i].members.Count(), survivors[j].members.Count()
-		if si != sj {
-			return si < sj
+	// Extension order: ascending support keeps intermediate tidsets
+	// small (standard Eclat heuristic); ids break ties for determinism
+	// (singles ascend by id, and the sort is stable).
+	order := make([]int, len(singles))
+	support := make([]int, len(singles))
+	for i, a := range singles {
+		order[i], support[i] = i, g.AttrSupport(a)
+	}
+	sort.SliceStable(order, func(x, y int) bool { return support[order[x]] < support[order[y]] })
+	var survivors []classItem
+	for _, i := range order {
+		if level1[i].survive {
+			survivors = append(survivors, level1[i].item)
 		}
-		return survivors[i].attrs[0] < survivors[j].attrs[0]
-	})
+	}
 
 	// Promote the level-1 certificate discoveries to one global base:
-	// every single's private store is absorbed in extension order — the
+	// every verdict's certificates are absorbed in extension order — the
 	// same canonical order at any Parallelism and shard count, since
-	// every run evaluates (or verdict-replays) every frequent single —
-	// and each surviving subtree walks over a private copy-on-write
-	// layer. Subtree-local discoveries still never cross a scheduling
-	// boundary, so per-set search-node counts stay deterministic, while
-	// all subtrees now start from all siblings' certificates instead of
-	// only their own root's.
+	// every run holds the complete table — and each surviving subtree
+	// walks over a private copy-on-write layer. Subtree-local
+	// discoveries never cross a scheduling boundary, so per-set
+	// search-node counts stay deterministic, while every subtree starts
+	// from all siblings' certificates.
 	if !m.p.DisableCertSharing && len(survivors) > 0 {
-		order := make([]int, len(level1))
-		counts := make([]int, len(level1))
-		for i := range level1 {
-			order[i] = i
-			counts[i] = level1[i].item.members.Count()
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
-			if counts[ia] != counts[ib] {
-				return counts[ia] < counts[ib]
-			}
-			return level1[ia].item.attrs[0] < level1[ib].item.attrs[0]
-		})
 		global := epsilon.NewCertStore()
 		for _, i := range order {
-			global.Absorb(level1[i].item.certs)
+			if table[i] != nil {
+				global.Absorb(table[i].Certs)
+			}
 		}
 		for i := range survivors {
 			survivors[i].certs = epsilon.NewCertStoreFrom(global)
@@ -180,10 +161,10 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, reuse *Latti
 	// independent given its right-sibling list, so subtrees parallelize.
 	// A sharded run descends only the subtrees it owns; every attribute
 	// set below an owned root belongs to this shard by the prefix
-	// ownership rule, so everything in the subtree is unmuted.
+	// ownership rule.
 	buckets := make([]*Result, len(survivors))
 	runErr = m.forEach(ctx, len(survivors), func(i int, tl *tally) error {
-		if m.owner != nil && !m.owner(survivors[i].attrs[0]) {
+		if !m.owns(survivors[i].attrs[0]) {
 			return nil
 		}
 		buckets[i] = &Result{}
@@ -209,8 +190,36 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, reuse *Latti
 		res.Sets = append(res.Sets, b.Sets...)
 		res.Patterns = append(res.Patterns, b.Patterns...)
 	}
-	res.lattice = m.record
 	return finalizeResult(res, m.em, runErr)
+}
+
+// newMiner validates p and builds the run state of one mining run over
+// g.
+func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	qcOpts := p.qcOptions()
+	qcOpts.Ctx = ctx
+	m := &miner{
+		g:        g,
+		p:        p,
+		qp:       p.QuasiCliqueParams(),
+		qcOpts:   qcOpts,
+		est:      p.estimator(qcOpts),
+		exactEst: epsilon.NewExact(p.QuasiCliqueParams(), qcOpts),
+		model:    p.model(g),
+		em:       newEmitter(sink, p.ProgressEvery, time.Now()),
+	}
+	// Theorem 5's pruning bound needs εexp(σmin) once.
+	m.expSigmaMin = m.model.Exp(p.SigmaMin)
+	if p.RecordLattice {
+		m.record = newLattice(g.Version())
+	}
+	if p.ShardOwner != nil {
+		m.owner = func(root int32) bool { return p.ShardOwner(g, root) }
+	}
+	return m, nil
 }
 
 // finalizeResult puts a run's output in canonical order and stamps the
@@ -244,12 +253,6 @@ type miner struct {
 	// (Params.ShardOwner bound to the mined graph); nil owns everything.
 	owner func(root int32) bool
 
-	// verdicts, when non-nil, replays level-1 single-attribute
-	// evaluations from sealed state instead of searching
-	// (Params.Level1Verdicts, validated against the graph version and
-	// the parameter fingerprint).
-	verdicts *Level1Verdicts
-
 	// Incremental re-mining state: reuse is the previous run's lattice
 	// and changes the graph update it is valid across (both nil for a
 	// full mine); record, when non-nil, collects this run's lattice.
@@ -266,10 +269,11 @@ type classItem struct {
 	members *bitset.Set
 	covered *bitset.Set
 	// certs is the coverage certificate store shared by this item's
-	// whole subtree. It is created once per level-1 evaluation and
-	// handed down; the subtree is walked sequentially, so the store
-	// needs no locking and the per-set search-node counts stay
-	// independent of worker scheduling. Nil when sharing is disabled.
+	// whole subtree: a private layer over the run's global base, created
+	// once per surviving level-1 item and handed down. The subtree is
+	// walked sequentially, so the store needs no locking and the per-set
+	// search-node counts stay independent of worker scheduling. Nil at
+	// level 1 and when sharing is disabled.
 	certs *epsilon.CertStore
 }
 
@@ -286,6 +290,9 @@ type evalOutcome struct {
 func childAttrs(item, sib classItem) []int32 {
 	return append(append(make([]int32, 0, len(item.attrs)+1), item.attrs...), sib.attrs[len(sib.attrs)-1])
 }
+
+// owns reports whether this run owns the subtree rooted at root.
+func (m *miner) owns(root int32) bool { return m.owner == nil || m.owner(root) }
 
 // frequentSingles returns the attribute ids with support ≥ σmin,
 // ascending.
@@ -394,7 +401,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 		// bitset intersection plus a coverage search.
 		if m.reuse != nil {
 			attrs = childAttrs(item, sib)
-			res, handled, err = m.replay(attrs, false, item.certs, tl)
+			res, handled, err = m.replay(attrs, item.certs, tl)
 			if err != nil {
 				return err
 			}
@@ -414,7 +421,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 			if !m.p.DisableVertexPruning {
 				candidates = item.covered.Intersect(sib.covered)
 			}
-			res, err = m.evaluate(attrs, members, candidates, false, item.certs, tl)
+			res, err = m.evaluate(attrs, members, candidates, item.certs, tl)
 			if err != nil {
 				return err
 			}
@@ -443,22 +450,15 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 // estimate carries the covered-set hand-down and the |K_S| upper bound
 // the pruning rules below rely on, so Theorems 3–5 stay sound in both
 // modes.
-//
-// muted marks a non-owned level-1 evaluation of a sharded run: the item
-// (hand-down included) is computed bit-identically, but nothing is
-// emitted, recorded or counted — the owning shard does that exactly
-// once.
-func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, muted bool, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
 	est, err := m.est.EstimateWithCerts(m.g, attrs, members, candidates, certs)
 	if err != nil {
 		return evalOutcome{}, err
 	}
-	if !muted {
-		m.em.noteEvaluated()
-		tl.noteSearchNodes(est.Nodes)
-		tl.noteSampled(int64(est.SampledVertices))
-	}
-	return m.score(attrKey(attrs), attrs, members, members.Count(), est, nil, muted, certs, tl)
+	m.em.noteEvaluated()
+	tl.noteSearchNodes(est.Nodes)
+	tl.noteSampled(int64(est.SampledVertices))
+	return m.score(attrs, members, members.Count(), est, nil, m.recordEntry(attrKey(attrs)), certs, tl)
 }
 
 // newCertStore returns a fresh certificate store, or nil when sharing
@@ -471,14 +471,26 @@ func (m *miner) newCertStore() *epsilon.CertStore {
 	return epsilon.NewCertStore()
 }
 
-// replay serves one attribute set from the previous run's lattice when
-// the update provably left it unchanged: a set disjoint from the dirty
-// attributes has identical V(S) and G(S) in both graph versions, so
-// the memoized evaluation — member set included, which skips even the
-// Eclat tidset intersection — is the current one. Only the
-// δ-normalization (recomputed by score either way) can differ. handled
-// reports whether the cache answered.
-func (m *miner) replay(attrs []int32, muted bool, certs *epsilon.CertStore, tl *tally) (out evalOutcome, handled bool, err error) {
+// recordEntry returns the lattice entry, for score to fill, that
+// records the evaluation of the set with the given key in this run's
+// lattice, or nil when the run does not record one.
+func (m *miner) recordEntry(key string) *latticeEntry {
+	if m.record == nil {
+		return nil
+	}
+	rec := new(latticeEntry)
+	m.record.put(key, rec)
+	return rec
+}
+
+// replay serves one attribute set below level 1 from the previous run's
+// lattice when the update provably left it unchanged: a set disjoint
+// from the dirty attributes has identical V(S) and G(S) in both graph
+// versions, so the memoized evaluation — member set included, which
+// skips even the Eclat tidset intersection — is the current one. Only
+// the δ-normalization (recomputed by score either way) can differ.
+// handled reports whether the cache answered.
+func (m *miner) replay(attrs []int32, certs *epsilon.CertStore, tl *tally) (out evalOutcome, handled bool, err error) {
 	if m.reuse == nil || m.changes.Touches(attrs) {
 		return evalOutcome{}, false, nil
 	}
@@ -487,34 +499,26 @@ func (m *miner) replay(attrs []int32, muted bool, certs *epsilon.CertStore, tl *
 	if !ok {
 		return evalOutcome{}, false, nil
 	}
-	if !muted {
-		m.em.noteReused()
-	}
+	m.em.noteReused()
 	members := grownTo(ent.members, m.g.NumVertices())
-	out, err = m.score(key, attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, certs, tl)
+	out, err = m.score(attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, m.recordEntry(key), certs, tl)
 	return out, true, err
 }
 
 // score turns one ε estimate — freshly computed, or replayed from a
-// previous run's lattice (cached non-nil) — into the evaluation
-// outcome: survival under Theorems 4–5, emission against the output
-// thresholds, and pattern mining for qualifying sets. It also records
-// the evaluation into the run's lattice when recording is on.
-//
-// A muted call (non-owned level-1 single of a sharded run) produces the
-// same classItem — including the lazy exact hand-down refinement of
-// sampled mode, which siblings' children consume — but suppresses
-// emission, pattern mining, lattice recording and counter updates.
-func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached *latticeEntry, muted bool, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+// lattice entry or level-1 verdict (cached non-nil) — into the
+// evaluation outcome: survival under Theorems 4–5, emission against
+// the output thresholds, and pattern mining for qualifying sets. A
+// non-nil rec receives the evaluation as a lattice entry.
+func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached, rec *latticeEntry, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
 	eps := est.Epsilon
 	expEps := m.model.Exp(sigma)
 	delta := NormalizeDelta(eps, expEps)
 
 	out := evalOutcome{item: classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}}
 
-	var rec *latticeEntry
-	if m.record != nil && !muted {
-		rec = &latticeEntry{
+	if rec != nil {
+		*rec = latticeEntry{
 			members:         members,
 			sigma:           sigma,
 			eps:             eps,
@@ -525,7 +529,6 @@ func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int,
 			sampledVertices: est.SampledVertices,
 			handdown:        est.Handdown,
 		}
-		m.record.put(key, rec)
 	}
 
 	// Theorem 4 (ε) and Theorem 5 (δ) survival bounds: a superset S'
@@ -543,19 +546,17 @@ func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int,
 	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(attrs) >= m.p.minAttrs() {
 		sorted := append([]int32(nil), attrs...)
 		slices.Sort(sorted)
-		if !muted {
-			out.set = &AttributeSet{
-				Attrs:           sorted,
-				Names:           m.g.AttrSetNames(sorted),
-				Support:         sigma,
-				Epsilon:         eps,
-				ExpEps:          expEps,
-				Delta:           delta,
-				Covered:         est.Covered,
-				Estimated:       est.Estimated,
-				EpsilonErr:      est.ErrBound,
-				SampledVertices: est.SampledVertices,
-			}
+		out.set = &AttributeSet{
+			Attrs:           sorted,
+			Names:           m.g.AttrSetNames(sorted),
+			Support:         sigma,
+			Epsilon:         eps,
+			ExpEps:          expEps,
+			Delta:           delta,
+			Covered:         est.Covered,
+			Estimated:       est.Estimated,
+			EpsilonErr:      est.ErrBound,
+			SampledVertices: est.SampledVertices,
 		}
 		// Patterns are mined from K_S. An estimated evaluation does not
 		// know K_S, so it is computed lazily here — restricted to the
@@ -572,23 +573,21 @@ func (m *miner) score(key string, attrs []int32, members *bitset.Set, sigma int,
 					if err != nil {
 						return evalOutcome{}, err
 					}
-					if !muted {
-						tl.noteSearchNodes(exact.Nodes)
-					}
+					tl.noteSearchNodes(exact.Nodes)
 					base = exact.Handdown
 				}
 				// The exact K_S is in hand now — hand it down to the
 				// children instead of the looser sampled superset, just
-				// like exact mode would (Theorem 3). Muted evaluations
-				// refine too: a sibling's child in an owned subtree
-				// intersects this hand-down, so it must match the
-				// single-process one bit for bit.
+				// like exact mode would (Theorem 3). A shard refines the
+				// singles it does not own too: a sibling's child in an
+				// owned subtree intersects this hand-down, so it must
+				// match the single-process one bit for bit.
 				out.item.covered = base
 				if rec != nil {
 					rec.exact = base
 				}
 			}
-			if !base.IsEmpty() && !muted {
+			if !base.IsEmpty() {
 				if cached != nil && cached.hasPats {
 					out.pats = cached.pats
 				} else {

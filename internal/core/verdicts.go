@@ -2,23 +2,26 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
+	"errors"
 
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
 )
 
+// ErrStaleVerdicts is returned by Mine when Params.Level1Verdicts was
+// sealed at a different graph version than the graph being mined.
+var ErrStaleVerdicts = errors.New("core: level-1 verdicts sealed at a different graph version")
+
 // Level1Verdict seals one frequent single attribute's complete level-1
 // evaluation: everything a mining run derives from the coverage search
 // of {Attr} — the ε estimate, the Theorem-3 hand-down, the lazily
 // refined exact hand-down of sampled mode, the mined patterns, the
 // search-node bill and the coverage certificates the search discovered.
-// A run injecting the verdict (Params.Level1Verdicts) reproduces the
-// evaluation bit-identically — sibling lists, survival, emission,
-// recorded lattice entry and merged stats included — without running
-// any coverage search.
+// Every run reaches level 1 through verdicts, so a run handed a verdict
+// reproduces the evaluation bit-identically — sibling lists, survival,
+// emission, recorded lattice entry and merged stats included — without
+// running any coverage search.
 //
 // Member sets are NOT sealed: V({a}) is the graph's own attribute
 // posting (graph.AttrMembers), identical by construction, so sealing it
@@ -45,22 +48,26 @@ type Level1Verdict struct {
 	Patterns    []Pattern
 	HasPatterns bool
 	// Nodes is the total search-node bill of the sealed evaluation (the
-	// ε search plus the lazy exact refinement), credited to the replaying
-	// run's SearchNodes so merged shard stats still sum to the
+	// ε search plus the lazy exact refinement), credited to the run that
+	// owns the single so merged shard stats still sum to the
 	// single-process counters.
 	Nodes int64
 	// Certs are the coverage certificates the sealed searches captured,
-	// in discovery order. Replaying them rebuilds the identical global
-	// certificate store, keeping downstream search-node counts
-	// deterministic across shard counts.
-	Certs [][]int32
+	// in discovery order, as a frozen store (epsilon.CertStore.Frozen);
+	// nil when there are none. Absorbing every verdict's certificates in
+	// extension order builds the identical global certificate store,
+	// keeping downstream search-node counts deterministic across shard
+	// counts.
+	Certs *epsilon.CertStore
 }
 
-// Level1Verdicts is a sealed set of level-1 evaluations, keyed by
-// attribute id and pinned to the graph version and parameter
-// fingerprint it was computed under. ComputeLevel1 builds one;
-// internal/shard seals it into scpm-manifest/v2 and injects it into
-// shard workers via Params.Level1Verdicts.
+// Level1Verdicts is the level-1 table of one graph version: one verdict
+// per frequent single, keyed by attribute id and pinned to the graph
+// version and parameter fingerprint it was computed under. Every Mine
+// builds one (ComputeLevel1 runs the same code alone); a lattice-
+// recording run keeps it for Remine, which carries the clean verdicts
+// forward; internal/shard seals it into scpm-manifest/v2 and injects it
+// into shard workers via Params.Level1Verdicts.
 type Level1Verdicts struct {
 	graphVersion uint64
 	paramsKey    string
@@ -81,14 +88,20 @@ func NewLevel1Verdicts(graphVersion uint64, paramsKey string) *Level1Verdicts {
 // attribute.
 func (v *Level1Verdicts) Add(d *Level1Verdict) { v.byAttr[d.Attr] = d }
 
-// Lookup returns the verdict for an attribute, or nil.
-func (v *Level1Verdicts) Lookup(attr int32) *Level1Verdict { return v.byAttr[attr] }
+// Lookup returns the verdict for an attribute, or nil (also on a nil
+// table).
+func (v *Level1Verdicts) Lookup(attr int32) *Level1Verdict {
+	if v == nil {
+		return nil
+	}
+	return v.byAttr[attr]
+}
 
 // Len reports the number of sealed verdicts.
 func (v *Level1Verdicts) Len() int { return len(v.byAttr) }
 
-// GraphVersion is the data version the verdicts were computed at; a run
-// over any other version ignores them and evaluates level 1 itself.
+// GraphVersion is the data version the verdicts were computed at; Mine
+// refuses a table sealed at any other version with ErrStaleVerdicts.
 func (v *Level1Verdicts) GraphVersion() uint64 { return v.graphVersion }
 
 // ParamsKey is the Level1Fingerprint of the parameters the verdicts
@@ -96,100 +109,98 @@ func (v *Level1Verdicts) GraphVersion() uint64 { return v.graphVersion }
 func (v *Level1Verdicts) ParamsKey() string { return v.paramsKey }
 
 // ComputeLevel1 evaluates every frequent single attribute of g under p
-// — exactly as an unsharded Mine would, parallelized the same way — and
-// seals the outcomes as verdicts for injection into sharded runs. p is
-// the full mining parameter block of the runs that will consume the
-// verdicts; ShardOwner and Level1Verdicts are ignored.
+// — exactly as Mine does, parallelized the same way — and returns the
+// level-1 table for injection into sharded runs. p is the full mining
+// parameter block of the runs that will consume the verdicts;
+// ShardOwner, Level1Verdicts and RecordLattice are ignored.
 func ComputeLevel1(ctx context.Context, g *graph.Graph, p Params) (*Level1Verdicts, error) {
-	p.ShardOwner = nil
-	p.Level1Verdicts = nil
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	qcOpts := p.qcOptions()
-	qcOpts.Ctx = ctx
-	m := &miner{
-		g:        g,
-		p:        p,
-		qp:       p.QuasiCliqueParams(),
-		qcOpts:   qcOpts,
-		est:      p.estimator(qcOpts),
-		exactEst: epsilon.NewExact(p.QuasiCliqueParams(), qcOpts),
-		model:    p.model(g),
-		em:       newEmitter(nil, p.ProgressEvery, time.Now()),
-		// Recording is forced on: the lattice entry written by score IS
-		// the verdict body (recording never changes evaluation behavior,
-		// only captures it).
-		record: newLattice(g.Version()),
-	}
-	m.expSigmaMin = m.model.Exp(p.SigmaMin)
-
-	singles := m.frequentSingles()
-	stores := make([]*epsilon.CertStore, len(singles))
-	nodes := make([]int64, len(singles))
-	err := m.forEach(ctx, len(singles), func(i int, tl *tally) error {
-		attrs := []int32{singles[i]}
-		// A private tally isolates this single's node bill; the run-level
-		// tally is unused (the throwaway emitter's totals are discarded).
-		var local tally
-		stores[i] = m.newCertStore()
-		members := g.AttrMembers(singles[i])
-		if _, err := m.evaluate(attrs, members, members, false, stores[i], &local); err != nil {
-			return err
-		}
-		nodes[i] = local.nodes
-		return nil
-	})
+	p.ShardOwner, p.Level1Verdicts, p.RecordLattice = nil, nil, false
+	m, err := newMiner(ctx, g, p, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	out := NewLevel1Verdicts(g.Version(), p.Level1Fingerprint())
-	for i, a := range singles {
-		// The recorded lattice is read only after every worker finished.
-		ent, ok := m.record.get(attrKey([]int32{a}))
-		if !ok {
-			return nil, fmt.Errorf("core: level-1 evaluation of attribute %d left no record", a)
-		}
-		out.Add(&Level1Verdict{
-			Attr:            a,
-			Epsilon:         ent.eps,
-			Covered:         ent.covered,
-			KMass:           ent.kmass,
-			Estimated:       ent.estimated,
-			ErrBound:        ent.errBound,
-			SampledVertices: ent.sampledVertices,
-			Handdown:        ent.handdown,
-			Exact:           ent.exact,
-			Patterns:        ent.pats,
-			HasPatterns:     ent.hasPats,
-			Nodes:           nodes[i],
-			Certs:           stores[i].Certificates(),
-		})
+	singles := m.frequentSingles()
+	table := make([]*Level1Verdict, len(singles))
+	if err := m.evaluateLevel1(ctx, singles, table); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return m.verdictTable(table), nil
 }
 
-// replayVerdict serves one level-1 single from the injected sealed
-// verdicts: the member set comes from the graph's attribute posting,
-// the sealed estimate and pattern state route through score exactly
-// like a lattice replay, the sealed certificates rebuild the single's
-// private store (so the global merge sees the identical stream), and —
-// for owned singles — the sealed search-node bill is credited so merged
-// shard stats still sum to the single-process run's. handled is false
-// when no verdict covers the attribute; the caller then evaluates live.
-func (m *miner) replayVerdict(a int32, attrs []int32, muted bool, store *epsilon.CertStore, tl *tally) (evalOutcome, bool, error) {
-	v := m.verdicts.Lookup(a)
-	if v == nil {
-		return evalOutcome{}, false, nil
-	}
-	if store != nil {
-		for _, q := range v.Certs {
-			store.Add(q)
+// evaluateLevel1 fills every nil slot of table — indexed like singles,
+// the run's frequent singles — with a fresh verdict (Algorithm 2 lines
+// 3–15). These evaluations are independent, so they parallelize
+// directly; each gets its own certificate store, so no search depends
+// on worker scheduling. On error the slots evaluated so far stay
+// filled.
+func (m *miner) evaluateLevel1(ctx context.Context, singles []int32, table []*Level1Verdict) error {
+	return m.forEach(ctx, len(singles), func(i int, _ *tally) error {
+		if table[i] != nil {
+			return nil
 		}
+		a := singles[i]
+		attrs := []int32{a}
+		members := m.g.AttrMembers(a)
+		store := m.newCertStore()
+		// A private tally isolates this single's node bill; the owning
+		// run credits it when the verdict is replayed.
+		var local tally
+		est, err := m.est.EstimateWithCerts(m.g, attrs, members, members, store)
+		if err != nil {
+			return err
+		}
+		local.noteSearchNodes(est.Nodes)
+		var rec latticeEntry
+		if _, err := m.score(attrs, members, members.Count(), est, nil, &rec, store, &local); err != nil {
+			return err
+		}
+		table[i] = verdictOf(a, &rec, local.nodes, store.Frozen())
+		return nil
+	})
+}
+
+// verdictSource says where a run took a level-1 verdict from, which
+// decides how replaying it is counted.
+type verdictSource int
+
+const (
+	// verdictFresh was evaluated by this run: counted as evaluated.
+	verdictFresh verdictSource = iota
+	// verdictSealed came from Params.Level1Verdicts: counted as
+	// evaluated (with its sealed node bill) and as a reused verdict.
+	verdictSealed
+	// verdictCarried came from the previous run's table in a Remine:
+	// counted as a reused set.
+	verdictCarried
+)
+
+// replayVerdict is the one path from a level-1 verdict to the single's
+// outcome. The member set comes from the graph's attribute posting and
+// the verdict routes through score like a lattice replay, so no
+// coverage search runs unless the null model moved δ across a threshold
+// the verdict was not scored against. A single the run owns is
+// emitted, recorded and counted (as src says); any other single only
+// feeds the owned subtrees' right-sibling lists. The returned verdict
+// is v, completed with whatever score had to compute — the entry the
+// run's own table keeps.
+func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (evalOutcome, *Level1Verdict, error) {
+	attrs := []int32{v.Attr}
+	members := m.g.AttrMembers(v.Attr)
+	owned := m.owns(v.Attr)
+	switch {
+	case !owned:
+		tl = new(tally)
+	case src == verdictCarried:
+		m.em.noteReused()
+	default:
+		m.em.noteEvaluated()
+		if src == verdictSealed {
+			m.em.noteVerdictReplayed()
+		}
+		tl.noteSearchNodes(v.Nodes)
+		tl.noteSampled(int64(v.SampledVertices))
 	}
-	members := m.g.AttrMembers(a)
-	ent := &latticeEntry{
+	cached := &latticeEntry{
 		members:         members,
 		sigma:           members.Count(),
 		eps:             v.Epsilon,
@@ -203,12 +214,45 @@ func (m *miner) replayVerdict(a int32, attrs []int32, muted bool, store *epsilon
 		pats:            v.Patterns,
 		hasPats:         v.HasPatterns,
 	}
-	if !muted {
-		m.em.noteEvaluated()
-		m.em.noteVerdictReplayed()
-		tl.noteSearchNodes(v.Nodes)
-		tl.noteSampled(int64(v.SampledVertices))
+	var rec latticeEntry
+	out, err := m.score(attrs, members, cached.sigma, cached.estimate(m.g.NumVertices()), cached, &rec, nil, tl)
+	if err != nil {
+		return evalOutcome{}, nil, err
 	}
-	out, err := m.score(attrKey(attrs), attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, muted, store, tl)
-	return out, true, err
+	if !owned {
+		out.set, out.pats = nil, nil
+	} else if m.record != nil {
+		m.record.put(attrKey(attrs), &rec)
+	}
+	return out, verdictOf(v.Attr, &rec, v.Nodes, v.Certs), nil
+}
+
+// verdictOf seals one scored level-1 evaluation.
+func verdictOf(a int32, e *latticeEntry, nodes int64, certs *epsilon.CertStore) *Level1Verdict {
+	return &Level1Verdict{
+		Attr:            a,
+		Epsilon:         e.eps,
+		Covered:         e.covered,
+		KMass:           e.kmass,
+		Estimated:       e.estimated,
+		ErrBound:        e.errBound,
+		SampledVertices: e.sampledVertices,
+		Handdown:        e.handdown,
+		Exact:           e.exact,
+		Patterns:        e.pats,
+		HasPatterns:     e.hasPats,
+		Nodes:           nodes,
+		Certs:           certs,
+	}
+}
+
+// verdictTable collects the filled slots of a level-1 table.
+func (m *miner) verdictTable(table []*Level1Verdict) *Level1Verdicts {
+	out := NewLevel1Verdicts(m.g.Version(), m.p.Level1Fingerprint())
+	for _, v := range table {
+		if v != nil {
+			out.Add(v)
+		}
+	}
+	return out
 }

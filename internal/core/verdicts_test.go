@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -74,9 +75,9 @@ func TestLevel1VerdictReplay(t *testing.T) {
 
 // TestLevel1VerdictGuards pins the two injection guards: a parameter-
 // fingerprint mismatch fails loudly (silently mining the wrong numbers
-// is the one unacceptable outcome), while a graph-version mismatch —
-// the expected state after live updates — silently falls back to live
-// level-1 evaluation.
+// is the one unacceptable outcome), and so does a graph-version
+// mismatch, with the typed ErrStaleVerdicts — callers drop a stale
+// table before mining.
 func TestLevel1VerdictGuards(t *testing.T) {
 	ctx := context.Background()
 	base := remineParams()["exact"]
@@ -94,7 +95,7 @@ func TestLevel1VerdictGuards(t *testing.T) {
 		t.Fatalf("mismatched fingerprint not rejected (err=%v)", err)
 	}
 
-	// Graph-version mismatch: silent fallback, correct output.
+	// Graph-version mismatch: typed error.
 	d := g.NewDelta()
 	victim := g.VertexName(0)
 	if err := d.UnsetAttr(victim, "a0"); err != nil {
@@ -109,16 +110,7 @@ func TestLevel1VerdictGuards(t *testing.T) {
 	}
 	p = base
 	p.Level1Verdicts = verdicts
-	got, err := Mine(ctx, ng, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Mine(ctx, ng, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "stale verdicts", got, want)
-	if got.Stats.ReusedVerdicts != 0 {
-		t.Fatalf("stale verdicts were replayed %d times", got.Stats.ReusedVerdicts)
+	if _, err := Mine(ctx, ng, p, nil); !errors.Is(err, ErrStaleVerdicts) {
+		t.Fatalf("stale verdicts not rejected (err=%v)", err)
 	}
 }

@@ -162,6 +162,19 @@ func (c *CertStore) Absorb(o *CertStore) {
 	o.forEach(func(q []int32) { c.Add(q) })
 }
 
+// Frozen returns c's own certificates as a compact read-only store
+// that shares c's arena but drops its dedup table and scratch, so a
+// finished evaluation's discoveries can be kept cheaply. The result
+// serves Len, Absorb and Certificates; it must never be written to or
+// layered on with NewCertStoreFrom, and c must not be written again.
+// It is nil when c holds no certificate of its own.
+func (c *CertStore) Frozen() *CertStore {
+	if c == nil || len(c.ends) == 0 {
+		return nil
+	}
+	return &CertStore{arena: c.arena[:len(c.arena):len(c.arena)], ends: c.ends[:len(c.ends):len(c.ends)]}
+}
+
 // Certificates returns a copy of every stored certificate in canonical
 // order. The shard manifest seals level-1 certificates with it;
 // replaying the returned slices through Add in order rebuilds an

@@ -6,11 +6,10 @@
 // as a top-k ranking.
 //
 // The Index is self-contained: every name it serves (attribute names,
-// vertex labels) is resolved at build time, so a loaded snapshot can
-// answer every lookup without the originating graph. Derived structures
-// (trie, postings, id maps) are rebuilt deterministically from the
-// canonical set/pattern tables, which keeps the snapshot format small
-// and the Save→Load→Save cycle bit-identical.
+// vertex labels) is resolved at build time, so it answers every lookup
+// without consulting the originating graph. Derived structures (trie,
+// postings, id maps) are rebuilt deterministically from the canonical
+// set/pattern tables.
 package index
 
 import (
@@ -23,8 +22,9 @@ import (
 )
 
 // Index is an immutable, concurrently-queryable view of one mining
-// run's output. Build one with Build or Load; all methods are safe for
-// concurrent use.
+// run's output. Build one with Build, or assemble one from a v3
+// snapshot's tables with FromParts; all methods are safe for concurrent
+// use.
 type Index struct {
 	// Canonical tables, in Result order (sets by size then
 	// lexicographic attribute ids; patterns grouped per set). When
@@ -45,20 +45,20 @@ type Index struct {
 	// mining carries the run counters of the producing Result.
 	mining core.Stats
 	// dsVertices/dsEdges/dsAttributes record the shape of the graph the
-	// result was mined from, so a restored snapshot can be checked
-	// against the dataset it is served with.
+	// result was mined from, so the snapshot writer can refuse to pair
+	// the index with a different graph.
 	dsVertices   int
 	dsEdges      int
 	dsAttributes int
 
-	// Derived structures, rebuilt deterministically on Build and Load.
+	// Derived structures, rebuilt deterministically on Build.
 	setIDs    []string // setIDs[i] = sets[i].ID()
 	patIDs    []string // patIDs[i] = patterns[i].ID()
 	patSetIDs []string // patSetIDs[i] = patterns[i].SetID()
 
 	// Pointer-shaped lookup structures, built from the canonical tables
-	// by buildDerived. Build and Load pay for them up front; a lazily
-	// assembled index (FromParts without EagerDerived, the mmap boot
+	// by buildDerived. Build and eager assembly pay for them up front; a
+	// lazily assembled index (FromParts without EagerDerived, the mmap boot
 	// path) defers them to the first query that needs one, so opening a
 	// snapshot stays O(sections) instead of O(sets). Access only through
 	// derived().
@@ -96,8 +96,8 @@ func Build(res *core.Result, g *graph.Graph) *Index {
 }
 
 // freeze rebuilds every derived structure from the canonical tables.
-// It runs after Build copies a Result, after Load decodes a snapshot
-// and after Rebuild matches donor content; all paths converge here, so
+// It runs after Build copies a Result and after Rebuild matches donor
+// content; both paths converge here, so
 // every index answers queries identically however it was constructed.
 // Pre-filled (non-empty) id entries are kept — that is how Rebuild
 // carries interned ids over — and only missing ones are hashed.
@@ -211,8 +211,8 @@ func (x *Index) MiningStats() core.Stats { return x.mining }
 
 // DatasetShape returns the |V|, |E|, |A| of the graph the indexed
 // result was mined from — recorded at build time and carried through
-// snapshots, so a server can refuse to pair a restored index with the
-// wrong dataset.
+// snapshots, so the snapshot writer can refuse to pair the index with
+// the wrong graph.
 func (x *Index) DatasetShape() (vertices, edges, attributes int) {
 	return x.dsVertices, x.dsEdges, x.dsAttributes
 }

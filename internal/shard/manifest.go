@@ -12,6 +12,7 @@ import (
 
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/core"
+	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
 )
 
@@ -354,7 +355,7 @@ func (m *Manifest) SealLevel1(v *core.Level1Verdicts) error {
 		for _, p := range d.Patterns {
 			sv.Patterns = append(sv.Patterns, SealedPattern{Vertices: p.Vertices, MinDeg: p.MinDeg, Edges: p.Edges})
 		}
-		for _, c := range d.Certs {
+		for _, c := range d.Certs.Certificates() {
 			sv.Certs = append(sv.Certs, sealInts(c))
 		}
 		sealed.Verdicts[i] = sv
@@ -368,8 +369,9 @@ func (m *Manifest) SealLevel1(v *core.Level1Verdicts) error {
 // Level1Verdicts reconstructs the sealed verdicts for injection into
 // core.Params.Level1Verdicts. It returns (nil, nil) when the manifest
 // carries no seal (v1) or when g has moved past the sealed graph
-// version — live updates silently fall back to evaluating level 1,
-// matching core's own version guard. Bitsets are rebuilt at g's vertex
+// version, which core.Mine would refuse with core.ErrStaleVerdicts:
+// after live updates a run evaluates level 1 itself, or a Remine
+// carries it over from the previous result. Bitsets are rebuilt at g's vertex
 // capacity; pattern attribute identity is the root itself.
 func (m *Manifest) Level1Verdicts(g *graph.Graph) (*core.Level1Verdicts, error) {
 	if m.Level1 == nil || g.Version() != m.GraphVersion {
@@ -416,16 +418,15 @@ func (m *Manifest) Level1Verdicts(g *graph.Graph) (*core.Level1Verdicts, error) 
 				d.Patterns[j] = core.Pattern{Attrs: attrs, Names: names, Vertices: p.Vertices, MinDeg: p.MinDeg, Edges: p.Edges}
 			}
 		}
-		if len(s.Certs) > 0 {
-			d.Certs = make([][]int32, len(s.Certs))
-			for j, c := range s.Certs {
-				vs, err := unsealInts(c)
-				if err != nil {
-					return nil, fmt.Errorf("shard: root %q certificate %d: %w", sv.Attr, j, err)
-				}
-				d.Certs[j] = vs
+		certs := epsilon.NewCertStore()
+		for j, c := range s.Certs {
+			vs, err := unsealInts(c)
+			if err != nil {
+				return nil, fmt.Errorf("shard: root %q certificate %d: %w", sv.Attr, j, err)
 			}
+			certs.Add(vs)
 		}
+		d.Certs = certs.Frozen()
 		out.Add(d)
 	}
 	return out, nil

@@ -25,28 +25,28 @@
 //
 //   - Theorem 3 (vertex pruning) restricts the coverage search of a
 //     set S ∪ {a} to the covered sets handed down from its parents S
-//     and {a}. Both hand-downs originate inside the subtree being
-//     extended — S is an ancestor in the same subtree, and {a} is a
-//     level-1 evaluation every shard performs itself.
+//     and {a}. S is an ancestor in the same subtree; {a}'s hand-down is
+//     a level-1 verdict.
 //   - Theorems 4–5 (set pruning) drop an extension candidate based on
 //     that candidate's own ε and δ upper bounds, computed from its
-//     members and covered set — again level-1 state, or state local to
-//     the subtree.
+//     members and covered set — again a level-1 verdict, or state local
+//     to the subtree.
 //
-// So a shard that (a) evaluates ALL frequent singles — muted, see
-// below — and (b) walks only the subtrees it owns, makes exactly the
-// pruning decisions the single-process run makes inside those
-// subtrees. No information a non-owned subtree would have produced is
-// ever consumed. core.Params.ShardOwner implements the muted
-// evaluation: non-owned level-1 singles are fully evaluated (their
-// member sets, covered-set hand-downs and survival verdicts feed the
-// owned subtrees' right-sibling candidate lists bit-identically,
-// including the lazy exact hand-down refinement of sampled mode) but
-// are suppressed from the result, the recorded lattice and the stats
-// counters. The per-shard outputs are therefore disjoint slices of the
-// single-process output, and their stats counters sum to the
-// single-process counters exactly; TestShardMergeEquivalence asserts
-// both, in exact and sampled ε modes, across 1–4 shards.
+// Level 1 is one table: core.Level1Verdicts, one verdict per frequent
+// single, which is the same for every shard at one graph version —
+// computed in the run, injected from a sealed manifest
+// (core.Params.Level1Verdicts) or, in a Remine, carried over from the
+// previous result for the singles the update left clean. Every run
+// turns every verdict into its level-1 item, so the owned subtrees'
+// right-sibling lists — hand-downs, survival and the exact refinement
+// of sampled mode included — match the single-process run bit for bit.
+// core.Params.ShardOwner then restricts what the run keeps: only the
+// owned singles are emitted, recorded and counted, and only the owned
+// subtrees are walked. No information a non-owned subtree would have
+// produced is ever consumed, so the per-shard outputs are disjoint
+// slices of the single-process output and their stats counters sum to
+// the single-process counters exactly; TestShardMergeEquivalence
+// asserts both, in exact and sampled ε modes, across 1–4 shards.
 //
 // # Balance
 //

@@ -4,8 +4,7 @@
 // by mapping the file and wrapping typed views over it instead of
 // decoding (see docs/FILE_FORMATS.md for the byte-level spec).
 //
-// A v3 file is self-contained — unlike the v2 index-only format it
-// embeds the graph's CSR arenas, name tables and vertical index
+// A v3 file is self-contained: it embeds the graph's CSR arenas, name tables and vertical index
 // alongside the index tables, stable ids and inverted postings — and
 // every multi-byte value is little-endian at an 8-byte-aligned offset,
 // which is what makes zero-copy []uint64/[]int64/[]int32
@@ -35,8 +34,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 )
 
 const (
@@ -123,16 +120,16 @@ const (
 // of an FNV-1a 64 hash); the id sections are fixed-width records of it.
 const idLen = 16
 
-// Typed open failures. Callers branch on ErrV2Snapshot (fall back to
-// the v2 loader) and treat everything else as a bad file.
+// Typed open failures. ErrRegenerate marks a file this build reads no
+// more; everything else is a bad file.
 var (
 	// ErrNotSnapshot reports a file without the snapshot magic.
 	ErrNotSnapshot = errors.New("snapshot: not an scpm snapshot")
 	// ErrVersion reports a snapshot version this build cannot read.
 	ErrVersion = errors.New("snapshot: unsupported version")
-	// ErrV2Snapshot reports a valid v2 (index-only) snapshot: load it
-	// with index.Load and pair it with the dataset files instead.
-	ErrV2Snapshot = errors.New("snapshot: v2 index-only format")
+	// ErrRegenerate reports a snapshot of the retired v2 (index-only)
+	// format: mine the dataset again and write the snapshot anew.
+	ErrRegenerate = errors.New("snapshot: v2 index-only format is no longer readable; regenerate this snapshot")
 	// ErrTruncated reports a file shorter than its header claims.
 	ErrTruncated = errors.New("snapshot: truncated")
 	// ErrMisaligned reports a section at a non-8-byte-aligned offset or
@@ -148,37 +145,6 @@ var (
 	// decode path.
 	ErrBigEndian = errors.New("snapshot: big-endian hosts are unsupported")
 )
-
-// Sniff reads just the 8-byte magic of path and returns the snapshot
-// version (2 or 3). It distinguishes "old format" from "garbage"
-// without parsing anything else, so boot code can pick a loader.
-func Sniff(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, fmt.Errorf("%w: %d-byte file", ErrNotSnapshot, fileSize(f))
-	}
-	if string(head[:7]) != magic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrNotSnapshot, head[:7])
-	}
-	v := int(head[7])
-	if v != 2 && v != version {
-		return 0, fmt.Errorf("%w: version %d", ErrVersion, v)
-	}
-	return v, nil
-}
-
-func fileSize(f *os.File) int64 {
-	st, err := f.Stat()
-	if err != nil {
-		return -1
-	}
-	return st.Size()
-}
 
 // sectionNames maps kinds to spec names for error messages.
 var sectionNames = map[uint32]string{

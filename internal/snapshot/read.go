@@ -105,8 +105,7 @@ func (b *Boot) MappedBytes() int64 { return int64(b.mapping.Len()) }
 // invalid — only call it once nothing can reach them.
 func (b *Boot) Close() error { return b.mapping.Close() }
 
-// Open opens a v3 snapshot. A v2 file fails with ErrV2Snapshot so
-// callers can fall back to index.Load plus dataset files.
+// Open opens a v3 snapshot. A v2 file fails with ErrRegenerate.
 func Open(path string, opts Options) (*Boot, error) {
 	if !mmapio.LittleEndianHost() {
 		return nil, ErrBigEndian
@@ -191,7 +190,7 @@ func parse(data []byte, verifySections bool) (*fileParts, error) {
 	switch data[7] {
 	case version:
 	case 2:
-		return nil, ErrV2Snapshot
+		return nil, ErrRegenerate
 	default:
 		return nil, fmt.Errorf("%w: version %d", ErrVersion, data[7])
 	}
@@ -591,7 +590,7 @@ func attrNames(ids []int32, g *graph.Graph) []string {
 
 // postingMap rebuilds a posting map from its sorted key ids and bitset
 // arena. Keys must be strictly ascending — that is what makes the
-// Save→Load→Save cycle bit-identical.
+// Write→Open→Encode cycle bit-identical.
 func postingMap(keys []int32, arena []uint64, capacity int, what string, name func(int32) (string, error)) (map[string]*bitset.Set, error) {
 	sets, err := bitset.ViewsOver(capacity, len(keys), arena)
 	if err != nil {

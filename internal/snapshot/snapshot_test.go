@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,9 +17,20 @@ import (
 	"github.com/scpm/scpm/internal/snapshot"
 )
 
-// minedPair mines the paper example and returns the graph/index pair
-// every test round-trips.
+var update = flag.Bool("update", false, "rewrite testdata golden files")
+
+// minedPair mines the paper example (the quickstart configuration) and
+// returns the graph/index pair every test round-trips.
 func minedPair(t *testing.T) (*scpm.Graph, *scpm.Index) {
+	t.Helper()
+	g, res := mineQuickstart(t)
+	return g, scpm.NewIndex(res, g)
+}
+
+// mineQuickstart mines the paper example under the quickstart
+// configuration, with the wall-clock Stats.Duration pinned to 0 so the
+// encoded bytes are reproducible.
+func mineQuickstart(t *testing.T) (*scpm.Graph, *scpm.Result) {
 	t.Helper()
 	g := scpm.PaperExample()
 	m, err := scpm.NewMiner(
@@ -34,7 +47,45 @@ func minedPair(t *testing.T) (*scpm.Graph, *scpm.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, scpm.NewIndex(res, g)
+	res.Stats.Duration = 0
+	return g, res
+}
+
+// TestQuickstartGolden pins mined output end to end: the v3 snapshot of
+// the quickstart mine — graph, sets, ε, δ, patterns, stable ids and
+// every Stats counter — must match testdata/quickstart.scpmidx byte for
+// byte, and the golden must open to the same pair. A diff means either
+// the format or the mined output changed; regenerate with
+// `go test ./internal/snapshot -run Golden -update` only after a
+// deliberate change to one of them.
+func TestQuickstartGolden(t *testing.T) {
+	g, x := minedPair(t)
+	got, err := snapshot.Encode(g, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "quickstart.scpmidx")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("quickstart snapshot differs from golden (%d vs %d bytes)", len(got), len(want))
+	}
+	boot, err := snapshot.Open(golden, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer boot.Close()
+	checkPair(t, boot, g, x)
 }
 
 func writeV3(t *testing.T, g *scpm.Graph, x *scpm.Index) string {
@@ -122,6 +173,29 @@ func checkPair(t *testing.T, boot *snapshot.Boot, g *scpm.Graph, x *scpm.Index) 
 	}
 }
 
+// TestRoundTripCarriesEstimationAndInf covers set fields the quickstart
+// mine leaves at zero: an infinite δ and the sampled-ε estimation
+// columns must survive a write and an open.
+func TestRoundTripCarriesEstimationAndInf(t *testing.T) {
+	g, res := mineQuickstart(t)
+	res.Sets[0].Delta = math.Inf(1)
+	res.Sets[1].Estimated = true
+	res.Sets[1].EpsilonErr = 0.125
+	res.Sets[1].SampledVertices = 185
+	boot, err := snapshot.Open(writeV3(t, g, scpm.NewIndex(res, g)), snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer boot.Close()
+	sets := boot.Index.Sets()
+	if !math.IsInf(sets[0].Delta, 1) {
+		t.Fatal("+Inf delta lost")
+	}
+	if s := sets[1]; !s.Estimated || s.EpsilonErr != 0.125 || s.SampledVertices != 185 {
+		t.Fatalf("estimation fields lost: %+v", s)
+	}
+}
+
 func TestRoundTripBothModes(t *testing.T) {
 	g, x := minedPair(t)
 	path := writeV3(t, g, x)
@@ -176,37 +250,6 @@ func TestEncodeDeterministicAndRewriteStable(t *testing.T) {
 	}
 	if !bytes.Equal(a, c) {
 		t.Fatal("Encode after a load round-trip is not bit-identical")
-	}
-}
-
-func TestSniff(t *testing.T) {
-	g, x := minedPair(t)
-	path := writeV3(t, g, x)
-	if v, err := snapshot.Sniff(path); err != nil || v != 3 {
-		t.Fatalf("Sniff(v3) = %d, %v", v, err)
-	}
-
-	v2 := filepath.Join(t.TempDir(), "v2.scpmidx")
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := snapshot.Sniff(v2); err != nil || v != 2 {
-		t.Fatalf("Sniff(v2) = %d, %v", v, err)
-	}
-
-	junk := filepath.Join(t.TempDir(), "junk")
-	os.WriteFile(junk, []byte("not a snapshot at all"), 0o644)
-	if _, err := snapshot.Sniff(junk); !errors.Is(err, snapshot.ErrNotSnapshot) {
-		t.Fatalf("Sniff(junk) err = %v, want ErrNotSnapshot", err)
-	}
-	short := filepath.Join(t.TempDir(), "short")
-	os.WriteFile(short, []byte("SC"), 0o644)
-	if _, err := snapshot.Sniff(short); !errors.Is(err, snapshot.ErrNotSnapshot) {
-		t.Fatalf("Sniff(short) err = %v, want ErrNotSnapshot", err)
 	}
 }
 
@@ -353,27 +396,15 @@ func TestHostileVersionAndMagic(t *testing.T) {
 	}
 }
 
+// TestV2CompatSignal pins what a retired v2 (index-only) snapshot gets:
+// the typed ErrRegenerate, in both boot modes, never a misleading
+// "corrupt" or "not a snapshot".
 func TestV2CompatSignal(t *testing.T) {
-	_, x := minedPair(t)
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(t.TempDir(), "v2.scpmidx")
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snapshot.Open(v2, snapshot.Options{}); !errors.Is(err, snapshot.ErrV2Snapshot) {
-		t.Fatalf("v2 open err = %v, want ErrV2Snapshot", err)
-	}
-	// The compat path: the same file loads through the v2 loader.
-	f, err := os.Open(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := scpm.LoadIndex(f); err != nil {
-		t.Fatalf("v2 compat load: %v", err)
+	v2 := filepath.Join("testdata", "quickstart-v2.idx")
+	for _, mode := range []snapshot.Mode{snapshot.ModeMmap, snapshot.ModeMaterialize} {
+		if _, err := snapshot.Open(v2, snapshot.Options{Mode: mode}); !errors.Is(err, snapshot.ErrRegenerate) {
+			t.Fatalf("mode %v: v2 open err = %v, want ErrRegenerate", mode, err)
+		}
 	}
 }
 

@@ -351,8 +351,10 @@ func (m *Miner) run(ctx context.Context, g *Graph, sink Sink) (*Result, error) {
 // paramsFor resolves the run's parameter block for one concrete graph:
 // when a v2 manifest is attached and g still sits at the sealed graph
 // version, the sealed level-1 verdicts are reconstructed and injected.
-// Past the sealed version (live updates) the verdicts silently expire
-// and level 1 is evaluated live.
+// Past the sealed version (live updates) the seal is dropped here —
+// injecting it would fail the run with core.ErrStaleVerdicts — so Mine
+// evaluates level 1 itself and Remine carries it over from the
+// previous result's table.
 func (m *Miner) paramsFor(g *Graph) (core.Params, error) {
 	p := m.p
 	if m.manifest != nil && p.Level1Verdicts == nil {

@@ -2,7 +2,6 @@ package scpm
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -15,9 +14,9 @@ import (
 // Index is a read-optimized, concurrently-queryable view of one mining
 // run's output: stable-id lookups, an attribute-set trie
 // (exact/subset/superset), inverted postings (attribute → sets, vertex
-// → patterns), top-k rankings and a versioned binary snapshot format.
-// Build one with NewIndex, or restore one with LoadIndex; all methods
-// are safe for concurrent use.
+// → patterns) and top-k rankings. Build one with NewIndex, or restore
+// one together with its graph with OpenSnapshot; all methods are safe
+// for concurrent use.
 type Index = index.Index
 
 // IndexStats summarizes an Index's shape (set/pattern/attribute counts
@@ -28,11 +27,6 @@ type IndexStats = index.Stats
 // the result was mined from; it resolves pattern vertex ids to labels
 // so the index and its snapshots are self-contained.
 func NewIndex(res *Result, g *Graph) *Index { return index.Build(res, g) }
-
-// LoadIndex restores an Index from a snapshot written by Index.Save,
-// verifying its magic, version and checksum. The snapshot is
-// self-contained — no graph is needed to serve lookups from it.
-func LoadIndex(r io.Reader) (*Index, error) { return index.Load(r) }
 
 // LiveIndex is an atomically swappable handle on an immutable Index —
 // the copy-on-write primitive behind the live-update path. Readers

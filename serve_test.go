@@ -1,11 +1,11 @@
 package scpm
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -33,16 +33,17 @@ func TestFacadeIndexAndSnapshot(t *testing.T) {
 	if idx.NumSets() != len(res.Sets) || idx.NumPatterns() != len(res.Patterns) {
 		t.Fatalf("index shape: %d/%d", idx.NumSets(), idx.NumPatterns())
 	}
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "quickstart.scpmidx")
+	if err := WriteSnapshot(path, g, idx); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf)
+	boot, err := OpenSnapshot(path, SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer boot.Close()
 	for _, s := range res.Sets {
-		if _, ok := loaded.SetByID(s.ID()); !ok {
+		if _, ok := boot.Index.SetByID(s.ID()); !ok {
 			t.Fatalf("loaded index misses %s", s.ID())
 		}
 	}

@@ -28,9 +28,10 @@ const (
 // auto verification) is a sensible default.
 type SnapshotOptions = snapshot.Options
 
-// ErrV2Snapshot reports a valid v2 (index-only) snapshot; load it with
-// LoadIndex and pair it with the dataset files instead.
-var ErrV2Snapshot = snapshot.ErrV2Snapshot
+// ErrSnapshotRegenerate reports a snapshot of the retired v2
+// (index-only) format, which this build no longer reads: mine the
+// dataset again and write a fresh snapshot with WriteSnapshot.
+var ErrSnapshotRegenerate = snapshot.ErrRegenerate
 
 // WriteSnapshot atomically writes the v3 snapshot of a graph/index
 // pair: a self-contained, mmap-able file from which OpenSnapshot
@@ -41,16 +42,9 @@ func WriteSnapshot(path string, g *Graph, x *Index) error {
 }
 
 // OpenSnapshot restores the graph/index pair of a v3 snapshot written
-// by WriteSnapshot. A v2 file yields ErrV2Snapshot.
+// by WriteSnapshot. A v2 file yields ErrSnapshotRegenerate.
 func OpenSnapshot(path string, opts SnapshotOptions) (*SnapshotBoot, error) {
 	return snapshot.Open(path, opts)
-}
-
-// SniffSnapshot reads just the magic of a snapshot file and reports
-// its format version (2 or 3), so boot code can pick a loader without
-// parsing anything.
-func SniffSnapshot(path string) (int, error) {
-	return snapshot.Sniff(path)
 }
 
 // ParseSnapshotMode parses "auto", "mmap" or "materialize".
