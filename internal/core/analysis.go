@@ -21,7 +21,7 @@ func GlobalTopPatterns(pats []Pattern, n int) []Pattern {
 		if da != db {
 			return da > db
 		}
-		if c := compareAttrSlices(a.Attrs, b.Attrs); c != 0 {
+		if c := CompareAttrs(a.Attrs, b.Attrs); c != 0 {
 			return c < 0
 		}
 		return lessVertices(a.Vertices, b.Vertices)

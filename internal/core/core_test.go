@@ -452,6 +452,41 @@ func TestTopSetsRanking(t *testing.T) {
 	}
 }
 
+// TestRankingRule pins the shared σ/ε/δ rule beyond TopSets: parsing
+// of the rank parameter, the support tie-break, TopSets' canonical
+// tie-break, and the string round trip of δ that ranked gateway merges
+// rely on.
+func TestRankingRule(t *testing.T) {
+	for in, want := range map[string]Ranking{
+		"support": BySupport, "SIGMA": BySupport, "eps": ByEpsilon, "Epsilon": ByEpsilon, "delta": ByDelta,
+	} {
+		if got, ok := ParseRanking(in); !ok || got != want {
+			t.Errorf("ParseRanking(%q) = %v, %v; want %v", in, got, ok, want)
+		}
+	}
+	for _, in := range []string{"", "bogus"} {
+		if _, ok := ParseRanking(in); ok {
+			t.Errorf("ParseRanking(%q) accepted", in)
+		}
+	}
+	sets := []AttributeSet{
+		{Attrs: []int32{1, 2}, Names: []string{"b", "c"}, Support: 5, Epsilon: 0.5},
+		{Attrs: []int32{3}, Names: []string{"d"}, Support: 5, Epsilon: 0.5},
+		{Attrs: []int32{4}, Names: []string{"e"}, Support: 6, Epsilon: 0.5},
+	}
+	if ByEpsilon.Compare(&sets[2], &sets[1]) >= 0 || ByEpsilon.Compare(&sets[0], &sets[1]) != 0 {
+		t.Error("equal ε must rank by support, and tie on equal support")
+	}
+	if got := TopSets(sets, ByEpsilon, 3); got[0].Names[0] != "e" || got[1].Names[0] != "d" || got[2].Names[0] != "b" {
+		t.Errorf("TopSets must break full ties canonically (size first): %v", got)
+	}
+	for _, d := range []float64{math.Inf(1), 0, 1.25, 0.1} {
+		if got, err := ParseDelta(FormatDelta(d)); err != nil || got != d {
+			t.Errorf("ParseDelta(FormatDelta(%v)) = %v, %v", d, got, err)
+		}
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	g := graph.PaperExample()
 	res, err := mineBatch(g, paperParams())

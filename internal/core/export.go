@@ -175,3 +175,6 @@ func FormatDelta(d float64) string {
 	}
 	return strconv.FormatFloat(d, 'g', -1, 64)
 }
+
+// ParseDelta reverses FormatDelta ("inf" parses as +Inf).
+func ParseDelta(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

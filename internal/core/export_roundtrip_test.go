@@ -76,10 +76,7 @@ func sameExportedSet(a, b exportedSet) bool {
 
 func parseDelta(t *testing.T, s string) float64 {
 	t.Helper()
-	if s == "inf" {
-		return math.Inf(1)
-	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := ParseDelta(s)
 	if err != nil {
 		t.Fatalf("bad delta %q: %v", s, err)
 	}

@@ -67,7 +67,7 @@ func MergeResults(parts ...*Result) (*Result, error) {
 				best = i
 				continue
 			}
-			c := compareAttrSlices(part.Sets[heads[i]].Attrs, parts[best].Sets[heads[best]].Attrs)
+			c := CompareAttrs(part.Sets[heads[i]].Attrs, parts[best].Sets[heads[best]].Attrs)
 			if c == 0 {
 				return nil, fmt.Errorf("core: attribute set {%s} emitted by more than one shard (overlapping partition?)",
 					part.Sets[heads[i]].Key())
@@ -96,7 +96,7 @@ func MergeResults(parts ...*Result) (*Result, error) {
 			if heads[i] >= len(part.Patterns) {
 				continue
 			}
-			if best < 0 || compareAttrSlices(part.Patterns[heads[i]].Attrs, parts[best].Patterns[heads[best]].Attrs) < 0 {
+			if best < 0 || CompareAttrs(part.Patterns[heads[i]].Attrs, parts[best].Patterns[heads[best]].Attrs) < 0 {
 				best = i
 			}
 		}

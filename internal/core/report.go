@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -32,46 +32,55 @@ func (r Ranking) String() string {
 	}
 }
 
-// TopSets returns the n best attribute sets under the given ranking,
-// breaking ties by the other metrics and finally canonically. Infinite
-// δ values rank first under ByDelta (they arise when εexp underflows).
+// ParseRanking maps a rank parameter value — "support" or "sigma",
+// "epsilon" or "eps", "delta", in any case — to its Ranking.
+func ParseRanking(s string) (Ranking, bool) {
+	switch strings.ToLower(s) {
+	case "support", "sigma":
+		return BySupport, true
+	case "epsilon", "eps":
+		return ByEpsilon, true
+	case "delta":
+		return ByDelta, true
+	}
+	return 0, false
+}
+
+// Compare is the one σ/ε/δ ranking rule, shared by TopSets, the
+// server's ranked listings and the gateway's merge. It is negative
+// when a ranks before b: the ranked metric descending (an infinite δ,
+// which arises when εexp underflows, ranks first), then support
+// descending. Only Support, Epsilon and Delta are read. Sets it ties
+// rank in canonical order (CompareAttrs); a caller whose input is
+// already canonical may break ties by position instead, which skips
+// reading the attribute ids.
+func (r Ranking) Compare(a, b *AttributeSet) int {
+	c := 0
+	switch r {
+	case ByEpsilon:
+		c = cmp.Compare(b.Epsilon, a.Epsilon)
+	case ByDelta:
+		c = cmp.Compare(b.Delta, a.Delta)
+	}
+	if c == 0 {
+		c = cmp.Compare(b.Support, a.Support)
+	}
+	return c
+}
+
+// TopSets returns the n best attribute sets under the given ranking.
 func TopSets(sets []AttributeSet, r Ranking, n int) []AttributeSet {
 	out := append([]AttributeSet(nil), sets...)
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		switch r {
-		case BySupport:
-			if a.Support != b.Support {
-				return a.Support > b.Support
-			}
-		case ByEpsilon:
-			if a.Epsilon != b.Epsilon {
-				return a.Epsilon > b.Epsilon
-			}
-		case ByDelta:
-			if a.Delta != b.Delta {
-				return greaterWithInf(a.Delta, b.Delta)
-			}
+		if c := r.Compare(&out[i], &out[j]); c != 0 {
+			return c < 0
 		}
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		return lessAttrs(a.Attrs, b.Attrs)
+		return CompareAttrs(out[i].Attrs, out[j].Attrs) < 0
 	})
 	if len(out) > n {
 		out = out[:n]
 	}
 	return out
-}
-
-func greaterWithInf(a, b float64) bool {
-	if math.IsInf(a, 1) {
-		return !math.IsInf(b, 1)
-	}
-	if math.IsInf(b, 1) {
-		return false
-	}
-	return a > b
 }
 
 // FormatSetsTable renders attribute sets as an aligned text table with

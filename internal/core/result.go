@@ -248,11 +248,11 @@ func attrKey(attrs []int32) string {
 // sortResult puts sets and patterns in canonical order.
 func sortResult(r *Result) {
 	sort.Slice(r.Sets, func(i, j int) bool {
-		return lessAttrs(r.Sets[i].Attrs, r.Sets[j].Attrs)
+		return CompareAttrs(r.Sets[i].Attrs, r.Sets[j].Attrs) < 0
 	})
 	sort.Slice(r.Patterns, func(i, j int) bool {
 		a, b := r.Patterns[i], r.Patterns[j]
-		if c := compareAttrSlices(a.Attrs, b.Attrs); c != 0 {
+		if c := CompareAttrs(a.Attrs, b.Attrs); c != 0 {
 			return c < 0
 		}
 		if a.Size() != b.Size() {
@@ -266,9 +266,9 @@ func sortResult(r *Result) {
 	})
 }
 
-func lessAttrs(a, b []int32) bool { return compareAttrSlices(a, b) < 0 }
-
-func compareAttrSlices(a, b []int32) int {
+// CompareAttrs is the canonical attribute-set order: size first, then
+// elementwise ids — the order of Result.Sets and of the index.
+func CompareAttrs(a, b []int32) int {
 	if len(a) != len(b) {
 		return len(a) - len(b)
 	}

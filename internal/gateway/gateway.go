@@ -7,14 +7,16 @@
 // Routing follows the manifest's ownership rule. Queries whose answer
 // lives on exactly one shard (/epsilon, /sets/{id}) go to that shard
 // alone and are proxied verbatim; enumeration queries (/sets,
-// /patterns, /vertices/{v}) scatter to every shard and gather into the
-// canonical order, which is byte-identical to single-process output
-// because the partitions are disjoint slices of one canonically-sorted
-// result. Ranked queries merge per-shard top-k lists under the same
-// comparator the shards use. POST /updates forwards the NDJSON batch
-// to every shard; /version aggregates the per-shard versions into a
-// version vector and flags skew; /healthz reports per-shard
-// reachability.
+// /patterns, /vertices/{v}) scatter to every shard and merge the raw
+// shard elements: the gateway decodes only each element's merge key
+// (attribute names, and σ/ε/δ when ranked) and orders the elements
+// canonically or under core's one ranking rule, the order the shards
+// themselves use. The output is byte-identical to single-process
+// output because the partitions are disjoint slices of one sorted
+// result and the elements pass through unchanged. POST /updates
+// forwards the NDJSON batch to every shard; /version aggregates the
+// per-shard versions into a version vector and flags skew; /healthz
+// reports per-shard reachability.
 //
 // A slow or dead replica degrades, not fails, scatter queries: after
 // one bounded retry (Config.RetryBackoff) its slice is dropped from
@@ -38,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/server"
 	"github.com/scpm/scpm/internal/shard"
@@ -136,8 +139,8 @@ func New(cfg Config) (*Gateway, error) {
 	if gw.backoff == 0 {
 		gw.backoff = DefaultRetryBackoff
 	}
-	for _, r := range cfg.Manifest.Roots {
-		gw.attrID[r.Attr] = r.ID
+	for id, name := range cfg.Manifest.AttrNames {
+		gw.attrID[name] = int32(id)
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -147,9 +150,9 @@ func New(cfg Config) (*Gateway, error) {
 	gw.mux.HandleFunc("GET /healthz", gw.handleHealthz)
 	gw.mux.HandleFunc("GET /readyz", gw.handleReadyz)
 	gw.mux.HandleFunc("GET /stats", gw.handleStats)
-	gw.mux.HandleFunc("GET /sets", gw.handleSets)
+	gw.mux.HandleFunc("GET /sets", gw.handleList("sets", "k", true))
 	gw.mux.HandleFunc("GET /sets/{id}", gw.handleSetByID)
-	gw.mux.HandleFunc("GET /patterns", gw.handlePatterns)
+	gw.mux.HandleFunc("GET /patterns", gw.handleList("patterns", "limit", false))
 	gw.mux.HandleFunc("GET /vertices/{v}", gw.handleVertex)
 	gw.mux.HandleFunc("GET /epsilon", gw.handleEpsilon)
 	gw.mux.HandleFunc("GET /version", gw.handleVersion)
@@ -310,9 +313,11 @@ func relay(w http.ResponseWriter, r shardResp) {
 	w.Write(r.body) //nolint:errcheck // client gone; nothing to do
 }
 
-// attrIDs maps a DTO's attribute names through the manifest to ids for
-// canonical ordering. Names outside the manifest (grown by live
-// updates past the plan) sort after all planned ids, by name.
+// attrIDs maps attribute names to their ids in the manifest's
+// attribute table — the ids a single-process server orders by. A name
+// outside the table, first created by a live update after the plan,
+// maps to MaxInt32: it sorts after every planned id, and elements tied
+// on such names keep the order the shards sent them in.
 func (gw *Gateway) attrIDs(names []string) []int32 {
 	out := make([]int32, len(names))
 	for i, n := range names {
@@ -325,20 +330,6 @@ func (gw *Gateway) attrIDs(names []string) []int32 {
 	return out
 }
 
-// compareAttrs is the canonical attribute-set order: size first, then
-// elementwise ids — the same order core.sortResult and the index use.
-func compareAttrs(a, b []int32) int {
-	if len(a) != len(b) {
-		return len(a) - len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return int(a[i]) - int(b[i])
-		}
-	}
-	return 0
-}
-
 // writeJSON writes one JSON document exactly like the shard servers
 // do (indent 2, sorted map keys), so merged responses stay
 // byte-identical to single-process ones.
@@ -348,17 +339,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-// writeNDJSON streams items one JSON object per line.
-func writeNDJSON(w http.ResponseWriter, n int, item func(i int) any) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := 0; i < n; i++ {
-		if err := enc.Encode(item(i)); err != nil {
-			return
-		}
-	}
 }
 
 // writeErr writes the JSON error envelope {"error": msg}.
@@ -374,120 +354,126 @@ func wantNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// shardQuery renders the query to forward to shards: the client's
-// query minus the format selector (the gateway always gathers JSON and
-// re-encodes in the client's requested format).
-func shardQuery(r *http.Request) string {
-	q := r.URL.Query()
-	q.Del("format")
-	if enc := q.Encode(); enc != "" {
-		return "?" + enc
-	}
-	return ""
+// element is one raw set or pattern from a shard answer, with the
+// merge key decoded from it.
+type element struct {
+	raw json.RawMessage
+	// key holds the planned attribute ids and, for a ranked merge, the
+	// σ/ε/δ the ranking compares.
+	key core.AttributeSet
+	// set is the owning set's id (patterns only).
+	set string
 }
 
-// handleSets scatters GET /sets and merges the per-shard slices into
-// canonical (or ranked) order.
-func (gw *Gateway) handleSets(w http.ResponseWriter, r *http.Request) {
-	resps := gw.scatter(r.Context(), http.MethodGet, "/sets"+shardQuery(r), nil)
-	served, down, clientErr := partition(resps)
-	if clientErr != nil {
-		relay(w, *clientErr)
-		return
+// decodeKey reads the merge key of one raw shard element; ranked also
+// reads δ, which the ranking compares.
+func (gw *Gateway) decodeKey(raw []byte, ranked bool) (element, error) {
+	var k struct {
+		Attrs   []string `json:"attrs"`
+		Set     string   `json:"set"`
+		Support int      `json:"support"`
+		Epsilon float64  `json:"epsilon"`
+		Delta   string   `json:"delta"`
 	}
-	if len(served) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "no shard answered /sets")
-		return
+	if err := json.Unmarshal(raw, &k); err != nil {
+		return element{}, err
 	}
-
-	type keyed struct {
-		dto server.SetDTO
-		ids []int32
-	}
-	var all []keyed
-	for _, resp := range served {
-		var payload struct {
-			Sets []server.SetDTO `json:"sets"`
+	e := element{raw: raw, set: k.Set, key: core.AttributeSet{
+		Attrs:   gw.attrIDs(k.Attrs),
+		Support: k.Support,
+		Epsilon: k.Epsilon,
+	}}
+	if ranked {
+		d, err := core.ParseDelta(k.Delta)
+		if err != nil {
+			return element{}, err
 		}
-		if err := json.Unmarshal(resp.body, &payload); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /sets payload: %v", resp.shard, err))
+		e.key.Delta = d
+	}
+	return e, nil
+}
+
+// merge orders the shards' elements into one answer — under rank when
+// non-nil, then canonically — and cuts it to the first limit (0 keeps
+// all). Each shard cut its own answer the same way under the same
+// order, so their union holds the global first limit. The sort is
+// stable: the patterns of one set, all sent by the set's owning shard,
+// keep that shard's order.
+func merge(elems []element, rank *core.Ranking, limit int) []element {
+	sort.SliceStable(elems, func(i, j int) bool {
+		a, b := &elems[i].key, &elems[j].key
+		if rank != nil {
+			if c := rank.Compare(a, b); c != 0 {
+				return c < 0
+			}
+		}
+		return core.CompareAttrs(a.Attrs, b.Attrs) < 0
+	})
+	if limit > 0 && len(elems) > limit {
+		elems = elems[:limit]
+	}
+	return elems
+}
+
+// raws lists the elements' raw JSON — never nil, so an empty answer
+// encodes as [] like a shard's.
+func raws(elems []element) []json.RawMessage {
+	out := make([]json.RawMessage, len(elems))
+	for i, e := range elems {
+		out[i] = e.raw
+	}
+	return out
+}
+
+// handleList serves GET /sets (field "sets", cut by k, rankable) and
+// GET /patterns (field "patterns", cut by limit). It asks every shard
+// for its compact NDJSON answer, merges the lines, and answers an
+// NDJSON client with them verbatim, a JSON client with them wrapped
+// as {field: [...], "total": n} and indented like a shard's own JSON.
+func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		var rank *core.Ranking
+		if rk, ok := core.ParseRanking(q.Get("rank")); ok && rankable {
+			rank = &rk
+		}
+		limit, _ := strconv.Atoi(q.Get(limitParam))
+		q.Set("format", "ndjson")
+		resps := gw.scatter(r.Context(), http.MethodGet, "/"+field+"?"+q.Encode(), nil)
+		served, down, clientErr := partition(resps)
+		if clientErr != nil {
+			relay(w, *clientErr)
 			return
 		}
-		for _, dto := range payload.Sets {
-			all = append(all, keyed{dto: dto, ids: gw.attrIDs(dto.Attrs)})
-		}
-	}
-
-	if rank := r.URL.Query().Get("rank"); rank != "" {
-		cmp, ok := rankingComparator(rank)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", rank))
+		if len(served) == 0 {
+			writeErr(w, http.StatusServiceUnavailable, "no shard answered /"+field)
 			return
 		}
-		sort.SliceStable(all, func(i, j int) bool {
-			if c := cmp(all[i].dto, all[j].dto); c != 0 {
-				return c > 0
+		var elems []element
+		for _, resp := range served {
+			for line := range bytes.Lines(resp.body) {
+				e, err := gw.decodeKey(bytes.TrimSuffix(line, []byte("\n")), rank != nil)
+				if err != nil {
+					writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /%s element: %v", resp.shard, field, err))
+					return
+				}
+				elems = append(elems, e)
 			}
-			if all[i].dto.Support != all[j].dto.Support {
-				return all[i].dto.Support > all[j].dto.Support
-			}
-			return compareAttrs(all[i].ids, all[j].ids) < 0
-		})
-	} else {
-		sort.SliceStable(all, func(i, j int) bool {
-			return compareAttrs(all[i].ids, all[j].ids) < 0
-		})
-	}
-	if k, err := strconv.Atoi(r.URL.Query().Get("k")); err == nil && k > 0 && len(all) > k {
-		all = all[:k]
-	}
-
-	gw.degrade(w, down)
-	if wantNDJSON(r) {
-		writeNDJSON(w, len(all), func(i int) any { return all[i].dto })
-		return
-	}
-	out := make([]server.SetDTO, len(all))
-	for i := range all {
-		out[i] = all[i].dto
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sets": out, "total": len(out)})
-}
-
-// rankingComparator maps the rank parameter to a three-way comparator
-// mirroring the shards' own ranking (higher is better).
-func rankingComparator(rank string) (func(a, b server.SetDTO) int, bool) {
-	cmpF := func(x, y float64) int {
-		switch {
-		case x > y:
-			return 1
-		case x < y:
-			return -1
-		default:
-			return 0
 		}
+		elems = merge(elems, rank, limit)
+		gw.degrade(w, down)
+		if wantNDJSON(r) {
+			var buf bytes.Buffer
+			for _, e := range elems {
+				buf.Write(e.raw)
+				buf.WriteByte('\n')
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing to do
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{field: raws(elems), "total": len(elems)})
 	}
-	switch strings.ToLower(rank) {
-	case "support", "sigma":
-		return func(a, b server.SetDTO) int { return a.Support - b.Support }, true
-	case "epsilon", "eps":
-		return func(a, b server.SetDTO) int { return cmpF(a.Epsilon, b.Epsilon) }, true
-	case "delta":
-		return func(a, b server.SetDTO) int { return cmpF(parseDelta(a.Delta), parseDelta(b.Delta)) }, true
-	}
-	return nil, false
-}
-
-// parseDelta decodes the string-encoded δ ("inf" or a decimal).
-func parseDelta(s string) float64 {
-	if s == "inf" {
-		return math.Inf(1)
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // handleSetByID scatters GET /sets/{id}: the owning shard answers 200
@@ -523,56 +509,6 @@ func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusBadGateway, "no shard produced a usable /sets/{id} answer")
 }
 
-// handlePatterns scatters GET /patterns and merges slices canonically.
-func (gw *Gateway) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	resps := gw.scatter(r.Context(), http.MethodGet, "/patterns"+shardQuery(r), nil)
-	served, down, clientErr := partition(resps)
-	if clientErr != nil {
-		relay(w, *clientErr)
-		return
-	}
-	if len(served) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "no shard answered /patterns")
-		return
-	}
-	type keyed struct {
-		dto server.PatternDTO
-		ids []int32
-	}
-	var all []keyed
-	for _, resp := range served {
-		var payload struct {
-			Patterns []server.PatternDTO `json:"patterns"`
-		}
-		if err := json.Unmarshal(resp.body, &payload); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /patterns payload: %v", resp.shard, err))
-			return
-		}
-		for _, dto := range payload.Patterns {
-			all = append(all, keyed{dto: dto, ids: gw.attrIDs(dto.Attrs)})
-		}
-	}
-	// Patterns of one attribute set all live on the owning shard and
-	// arrive pre-sorted (size desc, density desc); a stable merge on
-	// the canonical set order alone reproduces the global order.
-	sort.SliceStable(all, func(i, j int) bool {
-		return compareAttrs(all[i].ids, all[j].ids) < 0
-	})
-	if limit, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	gw.degrade(w, down)
-	if wantNDJSON(r) {
-		writeNDJSON(w, len(all), func(i int) any { return all[i].dto })
-		return
-	}
-	out := make([]server.PatternDTO, len(all))
-	for i := range all {
-		out[i] = all[i].dto
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"patterns": out, "total": len(out)})
-}
-
 // handleVertex scatters GET /vertices/{v} and merges the per-shard
 // pattern lists; a vertex is known if any shard knows it.
 func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -595,43 +531,37 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadGateway, "no shard produced a usable /vertices answer")
 		return
 	}
-	type keyed struct {
-		dto server.PatternDTO
-		ids []int32
-	}
-	var all []keyed
+	var elems []element
 	for _, resp := range served {
 		var payload struct {
-			Patterns []server.PatternDTO `json:"patterns"`
+			Patterns []json.RawMessage `json:"patterns"`
 		}
 		if err := json.Unmarshal(resp.body, &payload); err != nil {
 			writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices payload: %v", resp.shard, err))
 			return
 		}
-		for _, dto := range payload.Patterns {
-			all = append(all, keyed{dto: dto, ids: gw.attrIDs(dto.Attrs)})
+		for _, raw := range payload.Patterns {
+			e, err := gw.decodeKey(raw, false)
+			if err != nil {
+				writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices pattern: %v", resp.shard, err))
+				return
+			}
+			elems = append(elems, e)
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		return compareAttrs(all[i].ids, all[j].ids) < 0
-	})
-	pats := make([]server.PatternDTO, len(all))
-	var setIDs []string
+	elems = merge(elems, nil, 0)
+	setIDs := []string{}
 	seen := make(map[string]bool)
-	for i := range all {
-		pats[i] = all[i].dto
-		if id := pats[i].Set; !seen[id] {
-			seen[id] = true
-			setIDs = append(setIDs, id)
+	for _, e := range elems {
+		if !seen[e.set] {
+			seen[e.set] = true
+			setIDs = append(setIDs, e.set)
 		}
-	}
-	if setIDs == nil {
-		setIDs = []string{}
 	}
 	gw.degrade(w, down)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"vertex":   label,
-		"patterns": pats,
+		"patterns": raws(elems),
 		"sets":     setIDs,
 	})
 }
@@ -639,36 +569,19 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 // handleEpsilon routes GET /epsilon to the single shard owning the
 // queried attribute set and relays its answer verbatim.
 func (gw *Gateway) handleEpsilon(w http.ResponseWriter, r *http.Request) {
-	names := parseAttrList(r.URL.Query()["attrs"])
+	names := server.ParseAttrList(r.URL.Query()["attrs"])
 	if len(names) == 0 {
 		writeErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
 		return
 	}
 	owner := gw.man.Route(names)
-	resp := gw.fetch(r.Context(), owner, http.MethodGet, "/epsilon"+shardQuery(r), nil)
+	resp := gw.fetch(r.Context(), owner, http.MethodGet, "/epsilon?"+r.URL.RawQuery, nil)
 	if resp.err != nil {
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("owning shard %d is unreachable: %v", owner, resp.err))
 		return
 	}
 	relay(w, resp)
-}
-
-// parseAttrList splits repeated and comma-separated attrs parameters
-// into a deduplicated name list, mirroring the shard servers.
-func parseAttrList(vals []string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, v := range vals {
-		for _, name := range strings.Split(v, ",") {
-			name = strings.TrimSpace(name)
-			if name != "" && !seen[name] {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
-	}
-	return out
 }
 
 // handleStats scatters GET /stats and reports the per-shard documents

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,8 +21,9 @@ import (
 )
 
 // testGraph builds the randomized attributed graph the shard
-// equivalence tests use.
-func testGraph(t *testing.T, seed int64) *graph.Graph {
+// equivalence tests use. firstAttrs, when given, are added to vertex
+// v0 ahead of its random attributes, so they are interned first.
+func testGraph(t *testing.T, seed int64, firstAttrs ...string) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n = 160
@@ -29,6 +31,9 @@ func testGraph(t *testing.T, seed int64) *graph.Graph {
 	b := graph.NewBuilder()
 	for v := 0; v < n; v++ {
 		var attrs []string
+		if v == 0 {
+			attrs = append(attrs, firstAttrs...)
+		}
 		for a := 0; a < numAttrs; a++ {
 			if rng.Float64() < 0.55 {
 				attrs = append(attrs, fmt.Sprintf("a%d", a))
@@ -110,8 +115,13 @@ func bootServer(t *testing.T, g *graph.Graph, p core.Params) *httptest.Server {
 // replicas.
 func bootCluster(t *testing.T, seed int64, n int) (gw, single *httptest.Server, man *shard.Manifest, replicas []*httptest.Server) {
 	t.Helper()
+	return bootClusterOn(t, testGraph(t, seed), n)
+}
+
+// bootClusterOn is bootCluster over a given graph.
+func bootClusterOn(t *testing.T, g *graph.Graph, n int) (gw, single *httptest.Server, man *shard.Manifest, replicas []*httptest.Server) {
+	t.Helper()
 	p := testParams()
-	g := testGraph(t, seed)
 	man, err := shard.BuildManifest(g, p.SigmaMin, n, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +176,7 @@ func requireSame(t *testing.T, gw, single *httptest.Server, path string) {
 // test: every merged or routed read answers byte-for-byte what one
 // un-sharded server answers.
 func TestGatewayMatchesSingleProcess(t *testing.T) {
-	gw, single, man, _ := bootCluster(t, 41, 2)
+	gw, single, man, replicas := bootCluster(t, 41, 2)
 
 	paths := []string{
 		"/sets",
@@ -217,10 +227,75 @@ func TestGatewayMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
+	// The benchmark's merge classes: contains and limit cuts, and
+	// vertex lookups over patterns from both shards, from none, and
+	// for an unknown vertex.
+	root := man.Roots[len(man.Roots)-1].Attr
+	for _, p := range []string{
+		"/sets?contains=" + root + "&k=20",
+		"/sets?contains=" + root + "&format=ndjson",
+		"/patterns?limit=3",
+	} {
+		requireSame(t, gw, single, p)
+	}
+	onShard := make([]map[string]bool, len(replicas))
+	for k, ts := range replicas {
+		onShard[k] = patternVertices(t, ts.URL)
+	}
+	both := ""
+	for v := range onShard[0] {
+		if onShard[1][v] && (both == "" || v < both) {
+			both = v
+		}
+	}
+	if both == "" {
+		t.Fatal("no vertex has patterns on both shards")
+	}
+	requireSame(t, gw, single, "/patterns?vertex="+both)
+	requireSame(t, gw, single, "/vertices/"+both)
+	none := ""
+	for v := 0; none == "" && v < 160; v++ {
+		if l := fmt.Sprintf("v%d", v); !onShard[0][l] && !onShard[1][l] {
+			none = l
+		}
+	}
+	if none == "" {
+		t.Fatal("every vertex has patterns")
+	}
+	if status, _, body := get(t, single.URL, "/vertices/"+none); status != http.StatusOK ||
+		!strings.Contains(body, `"patterns": []`) || !strings.Contains(body, `"sets": []`) {
+		t.Fatalf("/vertices/%s on reference server: %d %s, want 200 with empty lists", none, status, body)
+	}
+	requireSame(t, gw, single, "/vertices/"+none)
+	if status, _, _ := get(t, single.URL, "/vertices/no-such-vertex"); status != http.StatusNotFound {
+		t.Fatalf("/vertices/no-such-vertex on reference server: %d, want 404", status)
+	}
+	requireSame(t, gw, single, "/vertices/no-such-vertex")
+
 	// Errors relay too.
 	requireSame(t, gw, single, "/epsilon")
 	requireSame(t, gw, single, "/sets?rank=bogus")
 	requireSame(t, gw, single, "/sets/no-such-id")
+}
+
+// patternVertices collects the vertex labels of every pattern a
+// server lists.
+func patternVertices(t *testing.T, base string) map[string]bool {
+	t.Helper()
+	_, _, body := get(t, base, "/patterns?format=ndjson")
+	out := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		var p struct {
+			Vertices []string `json:"vertices"`
+		}
+		if err := json.Unmarshal([]byte(line), &p); err != nil {
+			t.Fatalf("%s/patterns line %q: %v", base, line, err)
+		}
+		for _, v := range p.Vertices {
+			out[v] = true
+		}
+	}
+	return out
 }
 
 // extract pulls the quoted values following each occurrence of marker.
@@ -445,6 +520,108 @@ func TestGatewayUpdateRoundTrip(t *testing.T) {
 		_, _, body := get(t, ts.URL, "/version")
 		if !strings.Contains(body, `"remines": 1`) || strings.Contains(body, `"served_version": 1,`) {
 			t.Fatalf("shard %d did not remine and bump its served version: %s", k, body)
+		}
+	}
+}
+
+// TestGatewayOrderAfterUpdate sends one update that makes frequent an
+// attribute the plan interned first but saw below σ. The merged
+// listings must order its new sets by its planned id, as the
+// single-process server does, not after every other set.
+func TestGatewayOrderAfterUpdate(t *testing.T) {
+	gw, single, _, replicas := bootClusterOn(t, testGraph(t, 41, "rare"), 2)
+
+	const n = 25
+	var ops strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&ops, `{"op":"add_vertex","vertex":"r%d","attrs":["rare","a1"]}`+"\n", i)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			fmt.Fprintf(&ops, `{"op":"add_edge","u":"r%d","v":"r%d"}`+"\n", i, j)
+		}
+	}
+	for _, base := range []string{gw.URL, single.URL} {
+		resp, err := http.Post(base+"/updates", "application/x-ndjson", strings.NewReader(ops.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s/updates: %d (%s)", base, resp.StatusCode, b)
+		}
+	}
+	for _, ts := range append(replicas, single) {
+		waitRemined(t, ts.URL)
+	}
+	if _, _, body := get(t, single.URL, "/sets"); !strings.Contains(body, `"rare"`) {
+		t.Fatalf("the update left rare infrequent:\n%s", body)
+	}
+	for _, p := range []string{"/sets", "/sets?format=ndjson", "/patterns"} {
+		requireSame(t, gw, single, p)
+	}
+}
+
+// waitRemined polls a server's /version until a remine has published
+// its data head.
+func waitRemined(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		_, _, body := get(t, base, "/version")
+		var v struct {
+			Served     uint64 `json:"served_version"`
+			Data       uint64 `json:"data_version"`
+			Remines    int64  `json:"remines"`
+			InProgress bool   `json:"remine_in_progress"`
+		}
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			t.Fatalf("%s/version: %v", base, err)
+		}
+		if v.Remines > 0 && v.Served == v.Data && !v.InProgress {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s did not remine: %s", base, body)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestGatewayMalformedShardBody puts a shard answering 200 with a body
+// that is neither NDJSON nor JSON behind the gateway. Every merged
+// endpoint must answer 502 with the error envelope and nothing of a
+// merged body.
+func TestGatewayMalformedShardBody(t *testing.T) {
+	p := testParams()
+	g := testGraph(t, 41)
+	man, err := shard.BuildManifest(g, p.SigmaMin, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := bootServer(t, g, shard.Params(p, 0, 2))
+	for _, body := range []string{"not json{", `{"attrs": ["a0"], "support": `} {
+		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, body+"\n") //nolint:errcheck
+		}))
+		t.Cleanup(bad.Close)
+		h, err := New(Config{Manifest: man, Shards: []string{good.URL, bad.URL}, RetryBackoff: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		for _, path := range []string{
+			"/sets", "/sets?format=ndjson", "/sets?rank=delta&k=5",
+			"/patterns", "/patterns?format=ndjson", "/vertices/v1",
+		} {
+			status, _, got := get(t, ts.URL, path)
+			var env map[string]string
+			if status != http.StatusBadGateway || json.Unmarshal([]byte(got), &env) != nil ||
+				len(env) != 1 || env["error"] == "" {
+				t.Fatalf("GET %s with shard body %q: %d %s, want 502 with only the error envelope", path, body, status, got)
+			}
 		}
 	}
 }

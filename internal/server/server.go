@@ -22,8 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -361,9 +361,9 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// SetDTO is the JSON shape of one attribute set, matching the batch
+// setDTO is the JSON shape of one attribute set, matching the batch
 // export schema (ids shared, delta string-encoded so +Inf survives).
-type SetDTO struct {
+type setDTO struct {
 	ID              string   `json:"id"`
 	Attrs           []string `json:"attrs"`
 	Support         int      `json:"support"`
@@ -377,8 +377,8 @@ type SetDTO struct {
 	Patterns        int      `json:"patterns"`
 }
 
-// PatternDTO is the JSON shape of one pattern; vertices are labels.
-type PatternDTO struct {
+// patternDTO is the JSON shape of one pattern; vertices are labels.
+type patternDTO struct {
 	ID          string   `json:"id"`
 	Set         string   `json:"set"`
 	Attrs       []string `json:"attrs"`
@@ -406,12 +406,10 @@ type EpsilonAnswer struct {
 	Source          string   `json:"source"`
 }
 
-// SetDTOOf renders set i of the index as its response DTO. Exported
-// (with the DTO types) so the scatter-gather gateway re-encodes merged
-// responses with exactly the field set and order a shard serves.
-func SetDTOOf(idx *index.Index, i int) SetDTO {
+// setDTOOf renders set i of the index as its response DTO.
+func setDTOOf(idx *index.Index, i int) setDTO {
 	set := idx.Sets()[i]
-	return SetDTO{
+	return setDTO{
 		ID:              idx.SetID(i),
 		Attrs:           set.Names,
 		Support:         set.Support,
@@ -426,10 +424,10 @@ func SetDTOOf(idx *index.Index, i int) SetDTO {
 	}
 }
 
-// PatternDTOOf renders pattern i of the index as its response DTO.
-func PatternDTOOf(idx *index.Index, i int) PatternDTO {
+// patternDTOOf renders pattern i of the index as its response DTO.
+func patternDTOOf(idx *index.Index, i int) patternDTO {
 	p := idx.Patterns()[i]
-	return PatternDTO{
+	return patternDTO{
 		ID:          idx.PatternID(i),
 		Set:         idx.PatternSetID(i),
 		Attrs:       p.Names,
@@ -473,9 +471,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseAttrList splits repeated and comma-separated attrs parameters
-// into a deduplicated name list.
-func parseAttrList(vals []string) []string {
+// ParseAttrList splits repeated and comma-separated attrs parameters
+// into a deduplicated name list. The gateway routes /epsilon with it,
+// so routing and the shard always read the same names.
+func ParseAttrList(vals []string) []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, v := range vals {
@@ -493,9 +492,9 @@ func parseAttrList(vals []string) []string {
 func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	idx := s.gen.Load().idx
 	q := r.URL.Query()
-	exact := parseAttrList(q["attrs"])
-	contains := parseAttrList(q["contains"])
-	within := parseAttrList(q["within"])
+	exact := ParseAttrList(q["attrs"])
+	contains := ParseAttrList(q["contains"])
+	within := ParseAttrList(q["within"])
 	filters := 0
 	for _, f := range [][]string{exact, contains, within} {
 		if len(f) > 0 {
@@ -549,12 +548,14 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	idxs = kept
 
 	if rank := q.Get("rank"); rank != "" {
-		ranking, ok := parseRanking(rank)
+		ranking, ok := core.ParseRanking(rank)
 		if !ok {
 			writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", rank))
 			return
 		}
-		sortByRanking(idx.Sets(), idxs, ranking)
+		// idxs ascend in canonical order, so the stable sort breaks
+		// ranking ties canonically.
+		slices.SortStableFunc(idxs, func(a, b int) int { return ranking.Compare(&sets[a], &sets[b]) })
 	}
 	k, err := intParam(q, "k", 0)
 	if err != nil {
@@ -566,12 +567,12 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if wantNDJSON(r) {
-		writeNDJSON(w, len(idxs), func(i int) any { return SetDTOOf(idx, idxs[i]) })
+		writeNDJSON(w, len(idxs), func(i int) any { return setDTOOf(idx, idxs[i]) })
 		return
 	}
-	out := make([]SetDTO, len(idxs))
+	out := make([]setDTO, len(idxs))
 	for i, si := range idxs {
-		out[i] = SetDTOOf(idx, si)
+		out[i] = setDTOOf(idx, si)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sets": out, "total": len(out)})
 }
@@ -585,12 +586,12 @@ func (s *Server) handleSetByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pats := idx.PatternsOfSetByIndex(si)
-	out := make([]PatternDTO, len(pats))
+	out := make([]patternDTO, len(pats))
 	for i, pi := range pats {
-		out[i] = PatternDTOOf(idx, int(pi))
+		out[i] = patternDTOOf(idx, int(pi))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"set":      SetDTOOf(idx, si),
+		"set":      setDTOOf(idx, si),
 		"patterns": out,
 	})
 }
@@ -636,12 +637,12 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		idxs = idxs[:limit]
 	}
 	if wantNDJSON(r) {
-		writeNDJSON(w, len(idxs), func(i int) any { return PatternDTOOf(idx, idxs[i]) })
+		writeNDJSON(w, len(idxs), func(i int) any { return patternDTOOf(idx, idxs[i]) })
 		return
 	}
-	out := make([]PatternDTO, len(idxs))
+	out := make([]patternDTO, len(idxs))
 	for i, pi := range idxs {
-		out[i] = PatternDTOOf(idx, pi)
+		out[i] = patternDTOOf(idx, pi)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"patterns": out, "total": len(out)})
 }
@@ -658,11 +659,11 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pis := gen.idx.PatternsWithVertex(label)
-	pats := make([]PatternDTO, len(pis))
+	pats := make([]patternDTO, len(pis))
 	setIDs := make([]string, 0, len(pis))
 	seen := make(map[string]bool)
 	for i, pi := range pis {
-		pats[i] = PatternDTOOf(gen.idx, pi)
+		pats[i] = patternDTOOf(gen.idx, pi)
 		if id := pats[i].Set; !seen[id] {
 			seen[id] = true
 			setIDs = append(setIDs, id)
@@ -677,7 +678,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 	gen := s.gen.Load()
-	names := parseAttrList(r.URL.Query()["attrs"])
+	names := ParseAttrList(r.URL.Query()["attrs"])
 	if len(names) == 0 {
 		writeErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
 		return
@@ -794,51 +795,6 @@ func attrKey(attrs []int32) string {
 		fmt.Fprintf(&sb, "%d,", a)
 	}
 	return sb.String()
-}
-
-// parseRanking maps the rank parameter to a core.Ranking.
-func parseRanking(s string) (core.Ranking, bool) {
-	switch strings.ToLower(s) {
-	case "support", "sigma":
-		return core.BySupport, true
-	case "epsilon", "eps":
-		return core.ByEpsilon, true
-	case "delta":
-		return core.ByDelta, true
-	}
-	return 0, false
-}
-
-// sortByRanking orders set indices by the ranking with the TopSets
-// tie-breaks (support, then canonical attribute order).
-func sortByRanking(sets []core.AttributeSet, idxs []int, r core.Ranking) {
-	sort.SliceStable(idxs, func(a, b int) bool {
-		x, y := sets[idxs[a]], sets[idxs[b]]
-		switch r {
-		case core.BySupport:
-			if x.Support != y.Support {
-				return x.Support > y.Support
-			}
-		case core.ByEpsilon:
-			if x.Epsilon != y.Epsilon {
-				return x.Epsilon > y.Epsilon
-			}
-		case core.ByDelta:
-			if x.Delta != y.Delta {
-				if math.IsInf(x.Delta, 1) {
-					return true
-				}
-				if math.IsInf(y.Delta, 1) {
-					return false
-				}
-				return x.Delta > y.Delta
-			}
-		}
-		if x.Support != y.Support {
-			return x.Support > y.Support
-		}
-		return idxs[a] < idxs[b]
-	})
 }
 
 // intParam parses an optional non-negative integer query parameter.

@@ -92,14 +92,14 @@ func TestUpdatesLifecycle(t *testing.T) {
 
 	// Record the pre-update state of an {A}-set and the {B}-set.
 	var before struct {
-		Sets []SetDTO `json:"sets"`
+		Sets []setDTO `json:"sets"`
 	}
 	get(t, s, "/sets?attrs=A", http.StatusOK, &before)
 	if len(before.Sets) != 1 {
 		t.Fatalf("the paper example should serve set {A}: %+v", before.Sets)
 	}
 	var beforeB struct {
-		Sets []SetDTO `json:"sets"`
+		Sets []setDTO `json:"sets"`
 	}
 	get(t, s, "/sets?attrs=B", http.StatusOK, &beforeB)
 	if len(beforeB.Sets) != 1 {
@@ -138,7 +138,7 @@ func TestUpdatesLifecycle(t *testing.T) {
 
 	// The changed set is re-served with its new support…
 	var after struct {
-		Sets []SetDTO `json:"sets"`
+		Sets []setDTO `json:"sets"`
 	}
 	get(t, s, "/sets?attrs=A", http.StatusOK, &after)
 	if len(after.Sets) != 1 || after.Sets[0].Support != before.Sets[0].Support+1 {
@@ -152,7 +152,7 @@ func TestUpdatesLifecycle(t *testing.T) {
 	// only the δ-normalization may move, since the null model sees the
 	// new global degree distribution.
 	var afterB struct {
-		Sets []SetDTO `json:"sets"`
+		Sets []setDTO `json:"sets"`
 	}
 	get(t, s, "/sets?attrs=B", http.StatusOK, &afterB)
 	gotB, wantB := afterB.Sets[0], beforeB.Sets[0]

@@ -55,6 +55,10 @@ type Manifest struct {
 	Vertices   int `json:"vertices"`
 	Edges      int `json:"edges"`
 	Attributes int `json:"attributes"`
+	// AttrNames is the planned graph's attribute table: every name in
+	// id order, Attributes long. The gateway orders merged answers by
+	// these ids, as a single-process server orders them.
+	AttrNames []string `json:"attr_names"`
 	// GraphVersion is the data version the plan was derived at.
 	GraphVersion uint64 `json:"graph_version"`
 	// Roots lists every frequent single in extension order (rank
@@ -142,7 +146,11 @@ func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manife
 		Edges:        g.NumEdges(),
 		Attributes:   g.NumAttributes(),
 		GraphVersion: g.Version(),
+		AttrNames:    make([]string, g.NumAttributes()),
 		Snapshots:    snapshots,
+	}
+	for a := range m.AttrNames {
+		m.AttrNames[a] = g.AttrName(int32(a))
 	}
 	for rank, r := range rankedRoots(g, sigmaMin) {
 		m.Roots = append(m.Roots, RootAssignment{
@@ -163,9 +171,9 @@ func (m *Manifest) Seal() {
 	m.Checksum = m.digest()
 }
 
-// Verify checks the format marker, the checksum and — for v2 — the
-// shape of the sealed level-1 payload. Both v1 (plan only) and v2
-// (plan + sealed verdicts) manifests pass.
+// Verify checks the format marker, the checksum, the attribute table
+// and — for v2 — the shape of the sealed level-1 payload. Both v1
+// (plan only) and v2 (plan + sealed verdicts) manifests pass.
 func (m *Manifest) Verify() error {
 	switch m.Format {
 	case ManifestFormatV1:
@@ -187,6 +195,9 @@ func (m *Manifest) Verify() error {
 	}
 	if m.Shards < 1 {
 		return fmt.Errorf("shard: manifest declares %d shards", m.Shards)
+	}
+	if len(m.AttrNames) != m.Attributes {
+		return fmt.Errorf("shard: manifest lists %d attribute names for %d attributes; re-plan it with scpm-gateway -plan", len(m.AttrNames), m.Attributes)
 	}
 	if m.Snapshots != nil && len(m.Snapshots) != m.Shards {
 		return fmt.Errorf("shard: manifest lists %d snapshots for %d shards", len(m.Snapshots), m.Shards)
@@ -263,17 +274,6 @@ func (m *Manifest) Rank(attr string) int {
 		}
 	}
 	return -1
-}
-
-// AttrID maps an attribute name to its id in the planned graph;
-// ok is false for attributes that are not frequent roots.
-func (m *Manifest) AttrID(attr string) (int32, bool) {
-	for _, r := range m.Roots {
-		if r.Attr == attr {
-			return r.ID, true
-		}
-	}
-	return 0, false
 }
 
 // Route returns the shard owning the attribute set named by attrs: the

@@ -340,3 +340,31 @@ func TestManifestErrors(t *testing.T) {
 		t.Error("Verify accepted a bogus format marker")
 	}
 }
+
+// TestManifestAttrTable asserts the manifest carries the planned
+// graph's whole attribute table in id order, and that Verify refuses a
+// manifest without it (one written before the table existed) or with
+// one of the wrong length, telling the operator to re-plan.
+func TestManifestAttrTable(t *testing.T) {
+	g := testGraph(t, 1238)
+	m, err := BuildManifest(g, 20, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.AttrNames) != g.NumAttributes() {
+		t.Fatalf("manifest lists %d attribute names, graph has %d", len(m.AttrNames), g.NumAttributes())
+	}
+	for a, name := range m.AttrNames {
+		if g.AttrName(int32(a)) != name {
+			t.Fatalf("attr_names[%d] = %q, graph names it %q", a, name, g.AttrName(int32(a)))
+		}
+	}
+	for _, names := range [][]string{nil, m.AttrNames[1:]} {
+		bad := *m
+		bad.AttrNames = names
+		bad.Seal()
+		if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), "re-plan") {
+			t.Errorf("Verify with %d of %d attribute names: err=%v, want a re-plan error", len(names), m.Attributes, err)
+		}
+	}
+}
