@@ -37,9 +37,11 @@ import (
 // replayed-verdict count in reused_verdicts — so speedups reflect
 // shards on separate machines rather than goroutines contending for
 // one CPU; v8 added the optional boot section written by -exp boot
-// (v3 snapshot cold-boot wall and heap for materialize vs mmap mode,
-// contents cross-checked).
-const benchSchema = "scpm-bench/v8"
+// (v3 snapshot cold-boot wall and heap, contents cross-checked); v9
+// renamed its materialize_ms/materialize_heap_bytes columns to
+// full_boot_ms/full_boot_heap_bytes, the full boot through the same
+// decode path as the lazy one.
+const benchSchema = "scpm-bench/v9"
 
 // benchRun is one (dataset, scale, estimator mode) measurement.
 type benchRun struct {

@@ -15,13 +15,15 @@ import (
 	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/experiments"
 	"github.com/scpm/scpm/internal/mmapio"
+	"github.com/scpm/scpm/internal/snapshot"
 )
 
-// bootRun is one dataset's cold-boot comparison: the same v3 snapshot
-// opened in materialize mode (full read, full per-section checksums,
-// eager name tables) versus mmap mode (page-mapped views, table
-// checksum only, lazy names). Both modes serve byte-identical
-// responses; the columns quantify what the lazy path saves.
+// bootRun is one dataset's cold-boot comparison on the same v3
+// snapshot, both through snapshot.Open: a full boot (every section
+// checksum verified, then the row tables, id maps, trie and a vertex
+// label touched, so nothing is left for the first query) versus the
+// lazy default boot (mapped views, table checksum only). Both load
+// the same contents; the columns quantify what the lazy path defers.
 type bootRun struct {
 	Dataset       string  `json:"dataset"`
 	Scale         float64 `json:"scale"`
@@ -29,25 +31,25 @@ type bootRun struct {
 	Sets          int     `json:"sets"`
 	Patterns      int     `json:"patterns"`
 
-	// MaterializeMS / MmapMS are best-of-repeats wall times of
-	// OpenSnapshot in each mode; Speedup is their ratio.
-	MaterializeMS float64 `json:"materialize_ms"`
-	MmapMS        float64 `json:"mmap_ms"`
-	Speedup       float64 `json:"speedup"`
+	// FullBootMS / MmapMS are best-of-repeats wall times of the full
+	// and the lazy boot; Speedup is their ratio.
+	FullBootMS float64 `json:"full_boot_ms"`
+	MmapMS     float64 `json:"mmap_ms"`
+	Speedup    float64 `json:"speedup"`
 
-	// MmapOSMapped reports whether mmap mode got a real OS mapping (on
-	// platforms without one it falls back to a heap read and the
-	// speedup only reflects the skipped checksums and eager tables).
+	// MmapOSMapped reports whether the boots got a real OS mapping (on
+	// platforms without one Open falls back to a heap read and the
+	// speedup only reflects the skipped checksums and deferred tables).
 	MmapOSMapped bool `json:"mmap_os_mapped"`
 
 	// Heap deltas (HeapAlloc after − before, post-GC) of holding one
-	// boot open: materialize pays the whole file, mmap only the
-	// assembled views' spine.
-	MaterializeHeapBytes uint64 `json:"materialize_heap_bytes"`
-	MmapHeapBytes        uint64 `json:"mmap_heap_bytes"`
+	// boot open: the full boot holds every row table and lookup
+	// structure, the lazy one only the assembled views' spine.
+	FullBootHeapBytes uint64 `json:"full_boot_heap_bytes"`
+	MmapHeapBytes     uint64 `json:"mmap_heap_bytes"`
 	// MmapResidentBytes is the snapshot's faulted-in resident size
-	// right after an mmap boot, from /proc/self/smaps (0 when
-	// unavailable).
+	// right after the lazy boot, before the full boot maps the file,
+	// from /proc/self/smaps (0 when unavailable).
 	MmapResidentBytes int64 `json:"mmap_resident_bytes,omitempty"`
 
 	// Verified reports that the two boots' contents were cross-checked
@@ -63,8 +65,8 @@ type bootReport struct {
 }
 
 // runBootBench mines each dataset, writes its v3 snapshot, then times
-// cold boots in materialize and mmap mode (best of repeats, contents
-// cross-checked), writing BENCH_boot.json.
+// full and lazy cold boots (best of repeats, contents cross-checked),
+// writing BENCH_boot.json.
 func runBootBench(ctx context.Context, datasets string, scale float64, repeats int, outDir string, stdout io.Writer) error {
 	if repeats < 1 {
 		repeats = 1
@@ -95,9 +97,9 @@ func runBootBench(ctx context.Context, datasets string, scale float64, repeats i
 			return fmt.Errorf("boot %s: %w", name, err)
 		}
 		report.Boot.Runs = append(report.Boot.Runs, r)
-		fmt.Fprintf(stdout, "boot %s snapshot=%dB materialize=%8.3fms mmap=%8.3fms speedup=%6.1fx heap %d→%d B resident=%dB mapped=%v\n",
-			r.Dataset, r.SnapshotBytes, r.MaterializeMS, r.MmapMS, r.Speedup,
-			r.MaterializeHeapBytes, r.MmapHeapBytes, r.MmapResidentBytes, r.MmapOSMapped)
+		fmt.Fprintf(stdout, "boot %s snapshot=%dB full=%8.3fms mmap=%8.3fms speedup=%6.1fx heap %d→%d B resident=%dB mapped=%v\n",
+			r.Dataset, r.SnapshotBytes, r.FullBootMS, r.MmapMS, r.Speedup,
+			r.FullBootHeapBytes, r.MmapHeapBytes, r.MmapResidentBytes, r.MmapOSMapped)
 	}
 	path := filepath.Join(outDir, "BENCH_boot.json")
 	if err := writeBenchReport(path, report); err != nil {
@@ -107,8 +109,8 @@ func runBootBench(ctx context.Context, datasets string, scale float64, repeats i
 	return nil
 }
 
-// bootOne mines one dataset, writes its v3 snapshot and measures both
-// boot modes against it.
+// bootOne mines one dataset, writes its v3 snapshot and measures the
+// full and the lazy boot against it.
 func bootOne(ctx context.Context, name string, scale float64, repeats int, tmp string) (bootRun, error) {
 	d, err := experiments.Load(name, scale)
 	if err != nil {
@@ -128,13 +130,13 @@ func bootOne(ctx context.Context, name string, scale float64, repeats int, tmp s
 		return bootRun{}, err
 	}
 
-	// Best-of-repeats wall per mode; the last boot of each mode is kept
+	// Best-of-repeats wall per boot; one more boot of each kind is kept
 	// open for the cross-check and the heap/resident columns.
-	openBest := func(mode scpm.SnapshotMode) (float64, *scpm.SnapshotBoot, uint64, error) {
+	openBest := func(boot func(string) (*snapshot.Boot, error)) (float64, *snapshot.Boot, uint64, error) {
 		best := math.MaxFloat64
 		for i := 0; i < repeats; i++ {
 			start := time.Now()
-			b, err := scpm.OpenSnapshot(path, scpm.SnapshotOptions{Mode: mode})
+			b, err := boot(path)
 			ms := float64(time.Since(start).Nanoseconds()) / 1e6
 			if err != nil {
 				return 0, nil, 0, err
@@ -150,7 +152,7 @@ func bootOne(ctx context.Context, name string, scale float64, repeats int, tmp s
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		b, err := scpm.OpenSnapshot(path, scpm.SnapshotOptions{Mode: mode})
+		b, err := boot(path)
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -163,41 +165,67 @@ func bootOne(ctx context.Context, name string, scale float64, repeats int, tmp s
 		return best, b, heap, nil
 	}
 
-	matMS, matBoot, matHeap, err := openBest(scpm.SnapshotMaterialize)
-	if err != nil {
-		return bootRun{}, err
-	}
-	defer matBoot.Close()
-	mmapMS, mmapBoot, mmapHeap, err := openBest(scpm.SnapshotMmap)
+	mmapMS, mmapBoot, mmapHeap, err := openBest(bootLazy)
 	if err != nil {
 		return bootRun{}, err
 	}
 	defer mmapBoot.Close()
-	if err := sameBoot(matBoot, mmapBoot); err != nil {
-		return bootRun{}, fmt.Errorf("mmap boot diverged from materialize: %w", err)
-	}
+	// Read before the full boot maps the same file: the count covers
+	// every mapping of it.
 	var resident int64
 	if n, ok := mmapio.ResidentBytes(filepath.Base(path)); ok {
 		resident = n
 	}
+	fullMS, fullBoot, fullHeap, err := openBest(bootFull)
+	if err != nil {
+		return bootRun{}, err
+	}
+	defer fullBoot.Close()
+	if err := sameBoot(fullBoot, mmapBoot); err != nil {
+		return bootRun{}, fmt.Errorf("lazy boot diverged from full boot: %w", err)
+	}
 	return bootRun{
-		Dataset:              name,
-		Scale:                scale,
-		SnapshotBytes:        st.Size(),
-		Sets:                 len(mmapBoot.Index.Sets()),
-		Patterns:             len(mmapBoot.Index.Patterns()),
-		MaterializeMS:        matMS,
-		MmapMS:               mmapMS,
-		Speedup:              matMS / mmapMS,
-		MmapOSMapped:         mmapBoot.OSMapped(),
-		MaterializeHeapBytes: matHeap,
-		MmapHeapBytes:        mmapHeap,
-		MmapResidentBytes:    resident,
-		Verified:             true,
+		Dataset:           name,
+		Scale:             scale,
+		SnapshotBytes:     st.Size(),
+		Sets:              len(mmapBoot.Index.Sets()),
+		Patterns:          len(mmapBoot.Index.Patterns()),
+		FullBootMS:        fullMS,
+		MmapMS:            mmapMS,
+		Speedup:           fullMS / mmapMS,
+		MmapOSMapped:      mmapBoot.OSMapped(),
+		FullBootHeapBytes: fullHeap,
+		MmapHeapBytes:     mmapHeap,
+		MmapResidentBytes: resident,
+		Verified:          true,
 	}, nil
 }
 
-// sameBoot cross-checks the two modes' loaded contents so a divergence
+// bootLazy is the default boot: mapped views, table checksum only,
+// row tables and lookup structures deferred to first use.
+func bootLazy(path string) (*snapshot.Boot, error) {
+	return snapshot.Open(path, snapshot.Options{})
+}
+
+// bootFull is the fully-resident boot through the same Open: every
+// section checksum verified, then the row tables (Sets), the id maps
+// and trie (one SetIndexByID lookup) and a vertex label built or
+// touched, so the first query pays nothing.
+func bootFull(path string) (*snapshot.Boot, error) {
+	b, err := snapshot.Open(path, snapshot.Options{Verify: snapshot.VerifyFull})
+	if err != nil {
+		return nil, err
+	}
+	if sets := b.Index.Sets(); len(sets) > 0 {
+		b.Index.SetIndexByID(b.Index.SetID(0))
+	}
+	if b.Graph.NumVertices() > 0 {
+		b.Graph.VertexName(0)
+	}
+	return b, nil
+}
+
+// sameBoot cross-checks the two boots' loaded contents so a divergence
 // can never publish a timing: graph shape, set/pattern counts, stable
 // ids and ε values must all agree.
 func sameBoot(a, b *scpm.SnapshotBoot) error {

@@ -32,10 +32,12 @@
 //     scatter-gather gateway's throughput fronting two replicas versus
 //     a direct server, into BENCH_shard.json;
 //   - "boot" measures the v3 snapshot cold-boot path: each dataset
-//     (-boot-datasets) is mined, written as a v3 snapshot and opened in
-//     materialize versus mmap mode (best of -repeats, loaded contents
-//     cross-checked), recording wall, heap and resident bytes per mode
-//     into BENCH_boot.json;
+//     (-boot-datasets) is mined, written as a v3 snapshot and booted
+//     twice through the one snapshot.Open path — a full boot (every
+//     section checksum, row tables, id maps and trie built) versus the
+//     lazy default boot (best of -repeats, loaded contents
+//     cross-checked) — recording wall, heap and resident bytes per
+//     boot into BENCH_boot.json;
 //   - "bench" mines the synthetic datasets at several scales — once per
 //     ε-estimator mode (exact and sampled) — and writes one
 //     BENCH_<dataset>.json per dataset with wall time, search nodes,

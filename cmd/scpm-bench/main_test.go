@@ -284,8 +284,8 @@ func TestBenchShard(t *testing.T) {
 }
 
 // TestBenchBoot runs the boot experiment on one small dataset and
-// validates the report shape: both modes timed, contents cross-checked
-// and mmap never slower than a full materialized load.
+// validates the report shape: both boots timed, contents cross-checked
+// and the lazy boot never slower than a full one.
 func TestBenchBoot(t *testing.T) {
 	dir := t.TempDir()
 	code, out, errOut := runBench(t, "-exp", "boot", "-out", dir,
@@ -314,14 +314,14 @@ func TestBenchBoot(t *testing.T) {
 	if run.Dataset != "dense" || run.SnapshotBytes == 0 || run.Sets == 0 || !run.Verified {
 		t.Fatalf("run: %+v", run)
 	}
-	if run.MaterializeMS <= 0 || run.MmapMS <= 0 {
+	if run.FullBootMS <= 0 || run.MmapMS <= 0 {
 		t.Fatalf("non-positive boot walls: %+v", run)
 	}
-	// The lazy path skips the full read, the per-section checksums and
-	// every O(sets) table build — being slower than a materialized load
-	// means the deferral regressed outright.
+	// The lazy path skips the per-section checksums and every O(sets)
+	// table build — being slower than a full boot means the deferral
+	// regressed outright.
 	if run.Speedup <= 1.0 {
-		t.Fatalf("mmap boot slower than materialize: %+v", run)
+		t.Fatalf("lazy boot slower than full boot: %+v", run)
 	}
 }
 

@@ -46,15 +46,15 @@
 // there, so the second boot skips mining entirely. Snapshots use the v3
 // format, which embeds the graph alongside the index in an mmap-able
 // layout: a snapshot boot needs no -attrs/-edges at all and restores
-// both in milliseconds by wrapping typed views over the mapped file.
-// -snapshot-mode picks the strategy — mmap pages the file in lazily on
-// first touch, materialize reads it fully into memory up front, auto
-// (the default) maps when the platform supports it. Both modes serve
-// byte-identical responses. A snapshot of the retired v2 (index-only)
-// format fails the boot with a "regenerate this snapshot" error: delete
-// it and boot from the dataset files to mine a fresh one. Boot phase
-// timings are exported as scpm_boot_ms{phase=...} on /metrics,
-// alongside scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
+// both in milliseconds by wrapping typed views over the mapped file,
+// which pages in lazily on first touch (platforms without mmap read it
+// onto the heap instead). A snapshot boot serves byte-identical
+// responses to the mining boot that wrote the snapshot. A snapshot of
+// the retired v2 (index-only) format fails the boot with a "regenerate
+// this snapshot" error: delete it and boot from the dataset files to
+// mine a fresh one. Boot phase timings are exported as
+// scpm_boot_ms{phase=...} on /metrics, alongside
+// scpm_snapshot_mapped_bytes and (on Linux, mapped boots)
 // scpm_snapshot_resident_bytes.
 //
 // The process serves until SIGINT/SIGTERM, then shuts down gracefully
@@ -101,7 +101,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		edgesPath = fs.String("edges", "", "edge list file")
 		example   = fs.String("example", "", `serve a built-in dataset instead of files ("paper": the 11-vertex worked example)`)
 		snapshot  = fs.String("snapshot", "", "snapshot path: loaded when present, written (v3, graph included) after mining otherwise")
-		snapMode  = fs.String("snapshot-mode", "auto", "v3 snapshot boot strategy: mmap (page in lazily), materialize (read fully into memory) or auto")
 		addr      = fs.String("addr", ":8080", "listen address")
 		metrics   = fs.String("metrics-addr", "", "additional listen address serving only /metrics and /debug/pprof (the main listener serves them too)")
 		cacheSize = fs.Int("cache", server.DefaultCacheSize, "epsilon cache capacity (entries)")
@@ -133,12 +132,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	mode, err := scpm.ParseSnapshotMode(*snapMode)
-	if err != nil {
-		fmt.Fprintln(stderr, "scpm-serve:", err)
-		return 2
-	}
-
 	// One registry for the whole process: boot phase timings, boot
 	// mining, the server's request/cache/remine instruments and the
 	// runtime gauges all land on it, served from the main listener and
@@ -158,12 +151,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	bootStart := time.Now()
 	var (
-		g  *scpm.Graph
-		v3 *scpm.SnapshotBoot
+		g   *scpm.Graph
+		v3  *scpm.SnapshotBoot
+		err error
 	)
 	if *snapshot != "" {
 		t0 := time.Now()
-		v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{Mode: mode})
+		v3, err = scpm.OpenSnapshot(*snapshot, scpm.SnapshotOptions{})
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			// Fresh boot: mine below and write the first snapshot.
@@ -176,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			defer v3.Close()
 			bootMS.With("open_snapshot").Set(float64(time.Since(t0).Milliseconds()))
 			reg.Gauge("scpm_snapshot_mapped_bytes",
-				"Bytes of the v3 snapshot mapped or materialized at boot.").Set(float64(v3.MappedBytes()))
+				"Bytes of the v3 snapshot region opened at boot (OS-mapped, or read onto the heap where mmap is unavailable).").Set(float64(v3.MappedBytes()))
 			if base := filepath.Base(*snapshot); v3.OSMapped() {
 				reg.GaugeFunc("scpm_snapshot_resident_bytes",
 					"Resident (faulted-in) bytes of the mapped snapshot, from /proc/self/smaps; -1 when unreadable.",
@@ -426,7 +420,7 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 		// The graph and index both came out of the same v3 file, so they
 		// match by construction.
 		idx := v3.Index
-		mapped := "materialized"
+		mapped := "heap-read"
 		if v3.OSMapped() {
 			mapped = "mapped"
 		}

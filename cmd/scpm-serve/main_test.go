@@ -210,28 +210,26 @@ func TestServeV2SnapshotRegenerate(t *testing.T) {
 	}
 }
 
-// TestServeSnapshotModes boots one v3 snapshot in both explicit modes
-// — no dataset flags at all — and requires every response byte to
-// match: mmap and materialize must be observationally identical.
-func TestServeSnapshotModes(t *testing.T) {
+// TestServeSnapshotMatchesMinedBoot boots the paper example twice,
+// both frozen: first mining it (which writes the snapshot), then from
+// that snapshot alone, with no dataset flags. The same request
+// sequence must get byte-identical bodies from both boots — /stats
+// too, since the snapshot carries the writing run's mining counters.
+func TestServeSnapshotMatchesMinedBoot(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "paper.scpmidx")
-	_, _, shutdown := startServe(t, append([]string{"-snapshot", snap}, paperArgs...)...)
-	if code := shutdown(); code != 0 {
-		t.Fatalf("mining boot exit %d", code)
-	}
 
 	// The same query sequence per boot; /epsilon?attrs=C twice checks
-	// the computed and the cached answer both match across modes.
+	// the computed and the cached answer both match across boots.
 	paths := []string{
 		"/sets?rank=epsilon", "/sets?attrs=A", "/patterns", "/healthz",
 		"/epsilon?attrs=A,B", "/epsilon?attrs=C", "/epsilon?attrs=C",
 		"/vertices/1", "/stats",
 	}
-	fetch := func(mode string) []string {
-		base, stdout, shutdown := startServe(t, "-snapshot", snap, "-snapshot-mode", mode, "-no-updates")
+	fetch := func(boot string, args ...string) []string {
+		base, stdout, shutdown := startServe(t, append([]string{"-snapshot", snap, "-no-updates"}, args...)...)
 		defer shutdown()
-		if !strings.Contains(stdout.String(), "restored graph+index from v3 snapshot") {
-			t.Fatalf("mode %s did not boot from the snapshot:\n%s", mode, stdout.String())
+		if restored := strings.Contains(stdout.String(), "restored graph+index from v3 snapshot"); restored != (boot == "snapshot") {
+			t.Fatalf("%s boot: restored from snapshot = %v:\n%s", boot, restored, stdout.String())
 		}
 		bodies := make([]string, len(paths))
 		for i, p := range paths {
@@ -245,18 +243,18 @@ func TestServeSnapshotModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("mode %s: GET %s = %d: %s", mode, p, resp.StatusCode, b)
+				t.Fatalf("%s boot: GET %s = %d: %s", boot, p, resp.StatusCode, b)
 			}
 			bodies[i] = string(b)
 		}
 		return bodies
 	}
 
-	mmap := fetch("mmap")
-	mat := fetch("materialize")
+	mined := fetch("mining", paperArgs...)
+	restored := fetch("snapshot")
 	for i, p := range paths {
-		if mmap[i] != mat[i] {
-			t.Fatalf("GET %s differs between modes:\nmmap:        %s\nmaterialize: %s", p, mmap[i], mat[i])
+		if mined[i] != restored[i] {
+			t.Fatalf("GET %s differs between boots:\nmined:    %s\nsnapshot: %s", p, mined[i], restored[i])
 		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 // Parts is the raw material of a Graph: the CSR arenas, name tables
 // and vertical index in their final in-memory representation. The v3
 // snapshot loader assembles one from typed views over the mapped file
-// (zero copies) or from heap copies of the same sections, and
-// FromParts turns it into a Graph after validating the structural
-// invariants a Builder would have guaranteed.
+// (zero copies), and FromParts turns it into a Graph after validating
+// the structural invariants a Builder would have guaranteed.
 type Parts struct {
 	// Adjacency CSR: AdjOff has len NumVertices+1 and brackets sorted
 	// neighbor ranges in AdjArena.
@@ -29,12 +28,10 @@ type Parts struct {
 	NumEdges    int
 	Version     uint64
 
-	// Vertex labels, exactly one of two shapes: an eager VertexNames
-	// table (heap-owned; label→id map built eagerly too), or a
-	// NameBlob + NameOffs pair served lazily as zero-copy views.
-	VertexNames []string
-	NameBlob    []byte
-	NameOffs    []int64
+	// Vertex labels: NameBlob holds them back to back, delimited by
+	// NameOffs (len NumVertices+1), served lazily as zero-copy views.
+	NameBlob []byte
+	NameOffs []int64
 
 	// Members is the vertical index: Members[a] holds the vertices
 	// carrying attribute a, each of capacity NumVertices.
@@ -66,12 +63,7 @@ func FromParts(p Parts) (*Graph, error) {
 	if int64(len(p.AdjArena)) != 2*int64(p.NumEdges) {
 		return nil, fmt.Errorf("graph: adjacency arena has %d entries, want 2·|E| = %d", len(p.AdjArena), 2*p.NumEdges)
 	}
-	eager := p.VertexNames != nil
-	if eager {
-		if len(p.VertexNames) != n {
-			return nil, fmt.Errorf("graph: %d vertex names for %d vertices", len(p.VertexNames), n)
-		}
-	} else if err := checkOffsets("vertex-name", p.NameOffs, n, len(p.NameBlob)); err != nil {
+	if err := checkOffsets("vertex-name", p.NameOffs, n, len(p.NameBlob)); err != nil {
 		return nil, err
 	}
 	if len(p.Members) != len(p.AttrNames) {
@@ -96,22 +88,14 @@ func FromParts(p Parts) (*Graph, error) {
 		attrNames:   p.AttrNames,
 		attrIndex:   make(map[string]int32, len(p.AttrNames)),
 		numVertices: n,
+		nameBlob:    p.NameBlob,
+		nameOffs:    p.NameOffs,
 		numEdges:    p.NumEdges,
 		attrMembers: p.Members,
 		version:     p.Version,
 	}
 	for a, name := range p.AttrNames {
 		g.attrIndex[name] = int32(a)
-	}
-	if eager {
-		g.vertexNames = p.VertexNames
-		g.nameIndex = make(map[string]int32, n)
-		for v, name := range p.VertexNames {
-			g.nameIndex[name] = int32(v)
-		}
-	} else {
-		g.nameBlob = p.NameBlob
-		g.nameOffs = p.NameOffs
 	}
 	return g, nil
 }

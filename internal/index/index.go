@@ -57,11 +57,10 @@ type Index struct {
 	patSetIDs []string // patSetIDs[i] = patterns[i].SetID()
 
 	// Pointer-shaped lookup structures, built from the canonical tables
-	// by buildDerived. Build and eager assembly pay for them up front; a
-	// lazily assembled index (FromParts without EagerDerived, the mmap boot
-	// path) defers them to the first query that needs one, so opening a
-	// snapshot stays O(sections) instead of O(sets). Access only through
-	// derived().
+	// by buildDerived. Build pays for them up front; an index assembled
+	// by FromParts (the snapshot boot path) defers them to the first
+	// query that needs one, so opening a snapshot stays O(sections)
+	// instead of O(sets). Access only through derived().
 	derivedOnce sync.Once
 	byID        map[string]int32 // set id → sets index
 	patByID     map[string]int32 // pattern id → patterns index
@@ -153,7 +152,7 @@ func (x *Index) freeze() {
 }
 
 // derived builds the pointer-shaped lookup structures (id maps, trie,
-// per-set pattern lists) exactly once. Build and Load call it eagerly;
+// per-set pattern lists) exactly once. Build and Rebuild call it eagerly;
 // a lazily assembled index pays on the first lookup that needs one.
 // Safe for concurrent use — callers may race on a cold index and block
 // behind one build.

@@ -8,61 +8,41 @@ import (
 )
 
 // Parts is the raw material of an Index with its expensive derived
-// state precomputed: the canonical tables plus the stable ids and
-// inverted postings that freeze would otherwise re-hash and re-scan on
-// every load. The v3 snapshot stores all of it verbatim, so a boot
-// skips the id hashing (FNV over every set and pattern) and the
-// posting construction (a pass over every set name and pattern
-// vertex); only the pointer-shaped remainder — trie, id maps, patsOf —
-// is rebuilt, eagerly or on first lookup per EagerDerived.
+// state precomputed: the stable ids and inverted postings that freeze
+// would otherwise re-hash and re-scan on every load. The v3 snapshot
+// stores all of it verbatim, so a boot skips the id hashing (FNV over
+// every set and pattern) and the posting construction (a pass over
+// every set name and pattern vertex). The row tables arrive through
+// the deferred Rows callback, and the pointer-shaped remainder — trie,
+// id maps, patsOf — is built on the first lookup that needs it, so
+// assembly stays O(postings), not O(sets).
 type Parts struct {
-	Sets     []core.AttributeSet
-	Patterns []core.Pattern
-	// PatVerts[i] holds the resolved vertex labels of Patterns[i].
-	PatVerts [][]string
-	Mining   core.Stats
+	Mining core.Stats
 	// Dataset shape of the producing graph (DatasetShape).
 	DSVertices   int
 	DSEdges      int
 	DSAttributes int
 
-	// Precomputed stable ids, aligned with Sets/Patterns. Every entry
-	// must be non-empty — FromParts trusts them instead of re-hashing
-	// (the snapshot checksum vouches for their integrity).
-	SetIDs    []string
-	PatIDs    []string
-	PatSetIDs []string
-
 	// Precomputed inverted postings: attribute name → set indices
-	// (capacity len(Sets)) and vertex label → pattern indices
-	// (capacity len(Patterns)).
+	// (capacity NSets) and vertex label → pattern indices (capacity
+	// NPatterns).
 	AttrPost map[string]*bitset.Set
 	VertPost map[string]*bitset.Set
 
-	// EagerDerived builds the pointer-shaped lookup structures (id
-	// maps, attribute-set trie, per-set pattern lists) before FromParts
-	// returns — O(sets + patterns) map inserts and trie nodes. When
-	// false they are built once on the first lookup that needs them,
-	// which is what keeps an mmap boot at O(sections): materialize mode
-	// pays here, mmap mode pays on first query.
-	EagerDerived bool
-
-	// Rows, when non-nil, defers the canonical row tables themselves:
-	// Sets, Patterns, PatVerts and the id tables above may be nil, and
-	// Rows is invoked exactly once, on the first access to any of them,
-	// to produce the lot. The callback must be infallible — the caller
-	// validates the underlying bytes before constructing the index —
-	// and NSets/NPatterns must carry the table sizes so postings can be
-	// capacity-checked without hydrating. This is the second half of
-	// the lazy mmap boot: not even the O(sets) row fill (struct
-	// assembly, name resolution, id string headers) runs at open time.
+	// Rows produces the canonical row tables; it is invoked exactly
+	// once, on the first access to any of them. The callback must be
+	// infallible — the caller validates the underlying bytes before
+	// constructing the index — and its output must be aligned, fully
+	// populated (every id non-empty) and sized NSets/NPatterns, the
+	// table sizes that let postings be capacity-checked without
+	// hydrating.
 	Rows             func() Rows
 	NSets, NPatterns int
 }
 
-// Rows is the canonical row-table bundle produced by a deferred
-// Parts.Rows callback: everything FromParts would otherwise take from
-// the eager fields, aligned and fully populated.
+// Rows is the canonical row-table bundle produced by Parts.Rows.
+// PatVerts[i] holds the resolved vertex labels of Patterns[i]; the id
+// tables are aligned with Sets and Patterns.
 type Rows struct {
 	Sets      []core.AttributeSet
 	Patterns  []core.Pattern
@@ -73,71 +53,30 @@ type Rows struct {
 }
 
 // FromParts assembles an Index from precomputed tables, validating
-// alignment and posting capacities. Slices and sets are used by
-// reference — views over a read-only mapping must outlive the index.
+// posting capacities. Slices and sets are used by reference — views
+// over a read-only mapping must outlive the index.
 func FromParts(p Parts) (*Index, error) {
-	nS, nP := len(p.Sets), len(p.Patterns)
-	if p.Rows != nil {
-		nS, nP = p.NSets, p.NPatterns
-	} else {
-		if len(p.PatVerts) != nP {
-			return nil, fmt.Errorf("index: %d vertex-label rows for %d patterns", len(p.PatVerts), nP)
-		}
-		if len(p.SetIDs) != nS {
-			return nil, fmt.Errorf("index: %d set ids for %d sets", len(p.SetIDs), nS)
-		}
-		if len(p.PatIDs) != nP || len(p.PatSetIDs) != nP {
-			return nil, fmt.Errorf("index: %d/%d pattern ids for %d patterns", len(p.PatIDs), len(p.PatSetIDs), nP)
-		}
-
-		// The id tables must be fully populated — FromParts trusts them
-		// instead of re-hashing, and the lazy derived build has no error
-		// path, so holes are rejected here (a length check is not
-		// enough: the check is O(n) pointer loads, no hashing). A
-		// deferred Rows callback vouches for its own output instead.
-		for i, id := range p.SetIDs {
-			if id == "" {
-				return nil, fmt.Errorf("index: empty id for set %d", i)
-			}
-		}
-		for i := range p.PatIDs {
-			if p.PatIDs[i] == "" || p.PatSetIDs[i] == "" {
-				return nil, fmt.Errorf("index: empty id for pattern %d", i)
-			}
-		}
-	}
 	for name, post := range p.AttrPost {
-		if post.Len() != nS {
-			return nil, fmt.Errorf("index: attribute posting %q has capacity %d, want %d", name, post.Len(), nS)
+		if post.Len() != p.NSets {
+			return nil, fmt.Errorf("index: attribute posting %q has capacity %d, want %d", name, post.Len(), p.NSets)
 		}
 	}
 	for label, post := range p.VertPost {
-		if post.Len() != nP {
-			return nil, fmt.Errorf("index: vertex posting %q has capacity %d, want %d", label, post.Len(), nP)
+		if post.Len() != p.NPatterns {
+			return nil, fmt.Errorf("index: vertex posting %q has capacity %d, want %d", label, post.Len(), p.NPatterns)
 		}
 	}
-
-	x := &Index{
-		sets:         p.Sets,
-		patterns:     p.Patterns,
-		patVerts:     p.PatVerts,
+	return &Index{
 		mining:       p.Mining,
 		dsVertices:   p.DSVertices,
 		dsEdges:      p.DSEdges,
 		dsAttributes: p.DSAttributes,
-		setIDs:       p.SetIDs,
-		patIDs:       p.PatIDs,
-		patSetIDs:    p.PatSetIDs,
 		attrPost:     p.AttrPost,
 		vertPost:     p.VertPost,
-		nSets:        nS,
-		nPatterns:    nP,
+		nSets:        p.NSets,
+		nPatterns:    p.NPatterns,
 		hydrate:      p.Rows,
-	}
-	if p.EagerDerived {
-		x.derived()
-	}
-	return x, nil
+	}, nil
 }
 
 // PostingTables exposes the index's inverted postings by reference —

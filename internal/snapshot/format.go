@@ -25,9 +25,8 @@
 // Every section's expected length is derivable from the meta section's
 // counts, so structural validation is exact and runs before any
 // payload byte is trusted. The table CRC is always verified on open;
-// per-section CRCs are verified on the materialize path (which reads
-// every byte anyway) and on demand for mapped boots, where a full
-// verify would fault the whole file in and defeat lazy paging.
+// per-section CRCs only on request (VerifyFull), since a full verify
+// would fault the whole mapped file in and defeat lazy paging.
 package snapshot
 
 import (

@@ -13,60 +13,23 @@ import (
 	"github.com/scpm/scpm/internal/mmapio"
 )
 
-// Mode selects how Open turns the file region into live structures.
+// Mode is the vestige of a retired boot-mode switch: Open has one
+// decode path and ignores Options.Mode. It stays only because the
+// benchmark module (perfbench) still names ModeMmap.
 type Mode int
 
-const (
-	// ModeAuto resolves to ModeMmap (its heap fallback keeps it
-	// portable), the millisecond-boot default.
-	ModeAuto Mode = iota
-	// ModeMmap maps the file (OS mapping when supported, aligned heap
-	// read elsewhere) and builds graph and index as zero-copy views
-	// over the region: boot cost is O(offset tables), untouched data
-	// pages in on demand, and vertex-label structures are lazy.
-	ModeMmap
-	// ModeMaterialize reads the file onto the heap, verifies every
-	// section checksum and builds eager name tables and indexes — the
-	// no-page-fault, no-file-dependency boot (costing a full read).
-	ModeMaterialize
-)
-
-// String returns the -snapshot-mode spelling of m.
-func (m Mode) String() string {
-	switch m {
-	case ModeMmap:
-		return "mmap"
-	case ModeMaterialize:
-		return "materialize"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMode parses a -snapshot-mode flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "auto", "":
-		return ModeAuto, nil
-	case "mmap":
-		return ModeMmap, nil
-	case "materialize":
-		return ModeMaterialize, nil
-	}
-	return ModeAuto, fmt.Errorf("snapshot: unknown mode %q (want auto, mmap or materialize)", s)
-}
+// ModeMmap is the only Mode; see Mode.
+const ModeMmap Mode = 0
 
 // Verify selects how much of the file Open checksums.
 type Verify int
 
 const (
-	// VerifyAuto: full verification for ModeMaterialize (it reads
-	// every byte anyway), table-only for ModeMmap (a full pass would
-	// fault the whole file in and defeat lazy paging).
-	VerifyAuto Verify = iota
-	// VerifyTable checks the header and section-table CRC plus all
-	// structural invariants, but not section payload CRCs.
-	VerifyTable
+	// VerifyTable, the zero value, checks the header and section-table
+	// CRC plus all structural invariants, but not section payload CRCs:
+	// a full pass would fault the whole mapped file in and defeat lazy
+	// paging.
+	VerifyTable Verify = iota
 	// VerifyFull additionally checks every section CRC and runs the
 	// per-element graph scans.
 	VerifyFull
@@ -74,6 +37,7 @@ const (
 
 // Options configures Open.
 type Options struct {
+	// Mode is ignored; see Mode.
 	Mode   Mode
 	Verify Verify
 }
@@ -88,14 +52,10 @@ type Boot struct {
 	Index *index.Index
 
 	mapping *mmapio.Mapping
-	mode    Mode
 }
 
-// Mode returns the resolved boot mode (ModeMmap or ModeMaterialize).
-func (b *Boot) Mode() Mode { return b.mode }
-
 // OSMapped reports whether the backing region is a true OS file
-// mapping (false for the heap fallback and for materialized boots).
+// mapping (false for the heap fallback).
 func (b *Boot) OSMapped() bool { return b.mapping.Mapped() }
 
 // MappedBytes returns the size of the backing region.
@@ -105,28 +65,21 @@ func (b *Boot) MappedBytes() int64 { return int64(b.mapping.Len()) }
 // invalid — only call it once nothing can reach them.
 func (b *Boot) Close() error { return b.mapping.Close() }
 
-// Open opens a v3 snapshot. A v2 file fails with ErrRegenerate.
+// Open opens a v3 snapshot. The file is mapped (an OS mapping where
+// supported, an aligned heap read elsewhere) and the graph and index
+// are built as views over it: boot cost is O(offset tables), data
+// pages in on first touch, and row tables, vertex-label lookups and
+// query structures are built on first use. opts.Verify decides only
+// how much is checksummed. A v2 file fails with ErrRegenerate.
 func Open(path string, opts Options) (*Boot, error) {
 	if !mmapio.LittleEndianHost() {
 		return nil, ErrBigEndian
 	}
-	mode := opts.Mode
-	if mode == ModeAuto {
-		mode = ModeMmap
-	}
-	var (
-		m   *mmapio.Mapping
-		err error
-	)
-	if mode == ModeMaterialize {
-		m, err = mmapio.OpenHeap(path)
-	} else {
-		m, err = mmapio.Open(path)
-	}
+	m, err := mmapio.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	boot, err := assemble(m, mode, opts.Verify)
+	boot, err := assemble(m, opts.Verify)
 	if err != nil {
 		m.Close() // no partial mapping leaks on failed opens
 		return nil, err
@@ -134,21 +87,21 @@ func Open(path string, opts Options) (*Boot, error) {
 	return boot, nil
 }
 
-func assemble(m *mmapio.Mapping, mode Mode, verify Verify) (*Boot, error) {
-	full := verify == VerifyFull || (verify == VerifyAuto && mode == ModeMaterialize)
+func assemble(m *mmapio.Mapping, verify Verify) (*Boot, error) {
+	full := verify == VerifyFull
 	fp, err := parse(m.Data(), full)
 	if err != nil {
 		return nil, err
 	}
-	g, err := buildGraph(fp, mode, full)
+	g, err := buildGraph(fp, full)
 	if err != nil {
 		return nil, err
 	}
-	x, err := buildIndex(fp, g, mode)
+	x, err := buildIndex(fp, g)
 	if err != nil {
 		return nil, err
 	}
-	return &Boot{Graph: g, Index: x, mapping: m, mode: mode}, nil
+	return &Boot{Graph: g, Index: x, mapping: m}, nil
 }
 
 // fileParts holds one typed view per section, all aliasing the region.
@@ -370,10 +323,7 @@ func checkOffsets(what string, offs []int64, size int) error {
 	return nil
 }
 
-func buildGraph(fp *fileParts, mode Mode, full bool) (*graph.Graph, error) {
-	if err := checkOffsets("vertex-name", fp.vnameOffs, len(fp.vnameBlob)); err != nil {
-		return nil, err
-	}
+func buildGraph(fp *fileParts, full bool) (*graph.Graph, error) {
 	if err := checkOffsets("attr-name", fp.anameOffs, len(fp.anameBlob)); err != nil {
 		return nil, err
 	}
@@ -390,7 +340,7 @@ func buildGraph(fp *fileParts, mode Mode, full bool) (*graph.Graph, error) {
 		attrNames[a] = mmapio.ViewString(fp.anameBlob[fp.anameOffs[a]:fp.anameOffs[a+1]])
 	}
 
-	gp := graph.Parts{
+	g, err := graph.FromParts(graph.Parts{
 		AdjOff:           fp.adjOff,
 		AdjArena:         fp.adjArena,
 		AttrOff:          fp.attrOff,
@@ -399,34 +349,22 @@ func buildGraph(fp *fileParts, mode Mode, full bool) (*graph.Graph, error) {
 		NumVertices:      fp.nV,
 		NumEdges:         fp.nE,
 		Version:          fp.meta[metaGraphVersion],
+		NameBlob:         fp.vnameBlob,
+		NameOffs:         fp.vnameOffs,
 		Members:          members,
 		ValidateElements: full,
-	}
-	if mode == ModeMaterialize {
-		// Eager labels and label index: the boot pays O(|V|) up front
-		// and never lazily builds anything afterwards.
-		names := make([]string, fp.nV)
-		for v := range names {
-			names[v] = mmapio.ViewString(fp.vnameBlob[fp.vnameOffs[v]:fp.vnameOffs[v+1]])
-		}
-		gp.VertexNames = names
-	} else {
-		gp.NameBlob = fp.vnameBlob
-		gp.NameOffs = fp.vnameOffs
-	}
-	g, err := graph.FromParts(gp)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return g, nil
 }
 
-// buildIndex assembles the index from the carved views. In materialize
-// mode the pointer-shaped lookup structures (id maps, trie, per-set
-// pattern lists) are built before returning; in mmap mode they are
-// deferred to the first lookup that needs one, keeping the open path
-// free of any O(sets) map or trie construction.
-func buildIndex(fp *fileParts, g *graph.Graph, mode Mode) (*index.Index, error) {
+// buildIndex assembles the index from the carved views. The row
+// tables and the pointer-shaped lookup structures (id maps, trie,
+// per-set pattern lists) are deferred to the first access that needs
+// them, keeping the open path free of any O(sets) construction.
+func buildIndex(fp *fileParts, g *graph.Graph) (*index.Index, error) {
 	if err := checkOffsets("set-attr", fp.setAttrOff, len(fp.setAttrs)); err != nil {
 		return nil, err
 	}
@@ -453,8 +391,8 @@ func buildIndex(fp *fileParts, g *graph.Graph, mode Mode) (*index.Index, error) 
 	// fill materializes the canonical row tables: name arenas resolved
 	// through the graph exactly once (the per-set/pattern slices alias
 	// them), struct rows over the numeric views, id strings over the
-	// fixed-width id records. It is the O(sets) part of an index boot;
-	// materialize mode runs it here, mmap mode on first row access.
+	// fixed-width id records. It is the O(sets) part of an index boot
+	// and runs on first row access.
 	fill := func() index.Rows {
 		setNames := attrNames(fp.setAttrs, g)
 		patNames := attrNames(fp.patAttrs, g)
@@ -534,6 +472,9 @@ func buildIndex(fp *fileParts, g *graph.Graph, mode Mode) (*index.Index, error) 
 		DSAttributes: fp.nA,
 		AttrPost:     attrPost,
 		VertPost:     vertPost,
+		Rows:         fill,
+		NSets:        fp.nS,
+		NPatterns:    fp.nP,
 		Mining: core.Stats{
 			SetsEvaluated:   int64(st[metaSetsEvaluated]),
 			SetsEmitted:     int64(st[metaSetsEmitted]),
@@ -545,20 +486,6 @@ func buildIndex(fp *fileParts, g *graph.Graph, mode Mode) (*index.Index, error) 
 			ReusedVerdicts:  int64(st[metaReusedVerdicts]),
 			Duration:        time.Duration(st[metaDuration]),
 		},
-	}
-	if mode == ModeMaterialize {
-		r := fill()
-		parts.Sets = r.Sets
-		parts.Patterns = r.Patterns
-		parts.PatVerts = r.PatVerts
-		parts.SetIDs = r.SetIDs
-		parts.PatIDs = r.PatIDs
-		parts.PatSetIDs = r.PatSetIDs
-		parts.EagerDerived = true
-	} else {
-		parts.Rows = fill
-		parts.NSets = fp.nS
-		parts.NPatterns = fp.nP
 	}
 	x, err := index.FromParts(parts)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/mmapio"
 	"github.com/scpm/scpm/internal/snapshot"
 )
 
@@ -196,30 +197,71 @@ func TestRoundTripCarriesEstimationAndInf(t *testing.T) {
 	}
 }
 
+// verifyLevels are the two Open verification levels every round-trip
+// and hostile-file test runs at.
+var verifyLevels = []snapshot.Verify{snapshot.VerifyTable, snapshot.VerifyFull}
+
 func TestRoundTripBothModes(t *testing.T) {
 	g, x := minedPair(t)
 	path := writeV3(t, g, x)
-	for _, mode := range []snapshot.Mode{snapshot.ModeMmap, snapshot.ModeMaterialize, snapshot.ModeAuto} {
-		boot, err := snapshot.Open(path, snapshot.Options{Mode: mode})
+	for _, verify := range verifyLevels {
+		boot, err := snapshot.Open(path, snapshot.Options{Verify: verify})
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("verify %v: %v", verify, err)
 		}
 		checkPair(t, boot, g, x)
 		if err := boot.Close(); err != nil {
-			t.Fatalf("mode %v close: %v", mode, err)
+			t.Fatalf("verify %v close: %v", verify, err)
 		}
 	}
 }
 
+// TestFullVerifyOnMmap checksums every section of an OS-mapped file
+// (where the host supports mapping) and checks the pair still matches.
 func TestFullVerifyOnMmap(t *testing.T) {
 	g, x := minedPair(t)
 	path := writeV3(t, g, x)
-	boot, err := snapshot.Open(path, snapshot.Options{Mode: snapshot.ModeMmap, Verify: snapshot.VerifyFull})
+	boot, err := snapshot.Open(path, snapshot.Options{Verify: snapshot.VerifyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer boot.Close()
+	if boot.OSMapped() != mmapio.Supported() {
+		t.Fatalf("OSMapped = %v, want %v", boot.OSMapped(), mmapio.Supported())
+	}
 	checkPair(t, boot, g, x)
+}
+
+// TestHeapFallbackRoundTrip opens the file through the heap-read
+// region Open falls back to where mmap is unavailable, so that path
+// runs on every host: the pair must match and re-encode bit-identically.
+func TestHeapFallbackRoundTrip(t *testing.T) {
+	g, x := minedPair(t)
+	want, err := snapshot.Encode(g, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeV3(t, g, x)
+	for _, verify := range verifyLevels {
+		boot, err := snapshot.OpenHeap(path, verify)
+		if err != nil {
+			t.Fatalf("verify %v: %v", verify, err)
+		}
+		if boot.OSMapped() {
+			t.Fatal("heap boot reports an OS mapping")
+		}
+		checkPair(t, boot, g, x)
+		got, err := snapshot.Encode(boot.Graph, boot.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("verify %v: Encode after a heap boot is not bit-identical", verify)
+		}
+		if err := boot.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestEncodeDeterministicAndRewriteStable(t *testing.T) {
@@ -267,20 +309,41 @@ func patch(t *testing.T, src string, fn func([]byte) []byte) string {
 	return out
 }
 
+const headerSize, entrySize, numKinds = 32, 24, 25
+
 // fixTableCRC recomputes the header/table checksum after a deliberate
 // table mutation, so the test reaches the deeper validation layer.
 func fixTableCRC(data []byte) {
-	const headerSize, entrySize, numKinds = 32, 24, 25
 	crc := crc32.NewIEEE()
 	crc.Write(data[:24])
 	crc.Write(data[headerSize : headerSize+numKinds*entrySize])
 	binary.LittleEndian.PutUint32(data[24:28], crc.Sum32())
 }
 
-func openBoth(path string, verify snapshot.Verify) []error {
+// reseal recomputes every in-bounds section checksum and then the
+// table checksum, so a mutated payload reaches structural validation
+// at both verification levels instead of failing its CRC.
+func reseal(data []byte) {
+	if len(data) < headerSize+numKinds*entrySize {
+		return
+	}
+	for i := 0; i < numKinds; i++ {
+		base := headerSize + i*entrySize
+		off := binary.LittleEndian.Uint64(data[base+8:])
+		n := binary.LittleEndian.Uint64(data[base+16:])
+		if off <= uint64(len(data)) && n <= uint64(len(data))-off {
+			binary.LittleEndian.PutUint32(data[base+4:], crc32.ChecksumIEEE(data[off:off+n]))
+		}
+	}
+	fixTableCRC(data)
+}
+
+// openBoth opens path at both verification levels and returns each
+// level's error.
+func openBoth(path string) []error {
 	var errs []error
-	for _, mode := range []snapshot.Mode{snapshot.ModeMmap, snapshot.ModeMaterialize} {
-		boot, err := snapshot.Open(path, snapshot.Options{Mode: mode, Verify: verify})
+	for _, verify := range verifyLevels {
+		boot, err := snapshot.Open(path, snapshot.Options{Verify: verify})
 		if err == nil {
 			boot.Close()
 		}
@@ -295,7 +358,7 @@ func TestHostileTruncated(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	for _, keep := range []int{4, 31, 200, len(data) / 2, len(data) - 1} {
 		cut := patch(t, path, func(b []byte) []byte { return b[:keep] })
-		for _, err := range openBoth(cut, snapshot.VerifyAuto) {
+		for _, err := range openBoth(cut) {
 			if err == nil {
 				t.Fatalf("truncated to %d bytes: open succeeded", keep)
 			}
@@ -317,7 +380,7 @@ func TestHostileMisalignedSectionOffset(t *testing.T) {
 		fixTableCRC(b)
 		return b
 	})
-	for _, err := range openBoth(bad, snapshot.VerifyAuto) {
+	for _, err := range openBoth(bad) {
 		if !errors.Is(err, snapshot.ErrMisaligned) {
 			t.Fatalf("err = %v, want ErrMisaligned", err)
 		}
@@ -336,16 +399,13 @@ func TestHostileFlippedSectionChecksum(t *testing.T) {
 		b[off] ^= 0x40
 		return b
 	})
-	boot, err := snapshot.Open(bad, snapshot.Options{Mode: snapshot.ModeMaterialize})
+	boot, err := snapshot.Open(bad, snapshot.Options{Verify: snapshot.VerifyFull})
 	if err == nil {
 		boot.Close()
-		t.Fatal("materialize open of a corrupted section succeeded")
+		t.Fatal("full-verify open of a corrupted section succeeded")
 	}
 	if !errors.Is(err, snapshot.ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
-	}
-	if _, err := snapshot.Open(bad, snapshot.Options{Mode: snapshot.ModeMmap, Verify: snapshot.VerifyFull}); !errors.Is(err, snapshot.ErrChecksum) {
-		t.Fatalf("mmap full-verify err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -356,7 +416,7 @@ func TestHostileFlippedTableByte(t *testing.T) {
 		b[40] ^= 1 // inside the section table, CRC left stale
 		return b
 	})
-	for _, err := range openBoth(bad, snapshot.VerifyAuto) {
+	for _, err := range openBoth(bad) {
 		if !errors.Is(err, snapshot.ErrChecksum) {
 			t.Fatalf("err = %v, want ErrChecksum", err)
 		}
@@ -372,11 +432,12 @@ func TestHostileCorruptCounts(t *testing.T) {
 		base := 32 + 0*24
 		off := binary.LittleEndian.Uint64(b[base+8 : base+16])
 		binary.LittleEndian.PutUint64(b[off:off+8], 1<<40)
+		reseal(b)
 		return b
 	})
-	// Table-only verify must still reject it structurally (before any
-	// count-sized allocation), without relying on the section CRC.
-	for _, err := range openBoth(bad, snapshot.VerifyTable) {
+	// With the checksums resealed, both verification levels must
+	// reject it structurally, before any count-sized allocation.
+	for _, err := range openBoth(bad) {
 		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
@@ -397,13 +458,12 @@ func TestHostileVersionAndMagic(t *testing.T) {
 }
 
 // TestV2CompatSignal pins what a retired v2 (index-only) snapshot gets:
-// the typed ErrRegenerate, in both boot modes, never a misleading
-// "corrupt" or "not a snapshot".
+// the typed ErrRegenerate, at both verification levels, never a
+// misleading "corrupt" or "not a snapshot".
 func TestV2CompatSignal(t *testing.T) {
-	v2 := filepath.Join("testdata", "quickstart-v2.idx")
-	for _, mode := range []snapshot.Mode{snapshot.ModeMmap, snapshot.ModeMaterialize} {
-		if _, err := snapshot.Open(v2, snapshot.Options{Mode: mode}); !errors.Is(err, snapshot.ErrRegenerate) {
-			t.Fatalf("mode %v: v2 open err = %v, want ErrRegenerate", mode, err)
+	for _, err := range openBoth(filepath.Join("testdata", "quickstart-v2.idx")) {
+		if !errors.Is(err, snapshot.ErrRegenerate) {
+			t.Fatalf("v2 open err = %v, want ErrRegenerate", err)
 		}
 	}
 }

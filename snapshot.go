@@ -11,21 +11,8 @@ import (
 // base graph's arenas by reference) and Close it only when done.
 type SnapshotBoot = snapshot.Boot
 
-// SnapshotMode selects how OpenSnapshot materializes a v3 snapshot:
-// page-mapped views (SnapshotMmap), a full read into private memory
-// (SnapshotMaterialize), or whichever the platform supports best
-// (SnapshotAuto).
-type SnapshotMode = snapshot.Mode
-
-// Snapshot boot strategies for SnapshotOptions.Mode.
-const (
-	SnapshotAuto        = snapshot.ModeAuto
-	SnapshotMmap        = snapshot.ModeMmap
-	SnapshotMaterialize = snapshot.ModeMaterialize
-)
-
-// SnapshotOptions configures OpenSnapshot; the zero value (auto mode,
-// auto verification) is a sensible default.
+// SnapshotOptions configures OpenSnapshot; the zero value (table-level
+// verification) is the default boot. Its Mode field is ignored.
 type SnapshotOptions = snapshot.Options
 
 // ErrSnapshotRegenerate reports a snapshot of the retired v2
@@ -45,9 +32,4 @@ func WriteSnapshot(path string, g *Graph, x *Index) error {
 // by WriteSnapshot. A v2 file yields ErrSnapshotRegenerate.
 func OpenSnapshot(path string, opts SnapshotOptions) (*SnapshotBoot, error) {
 	return snapshot.Open(path, opts)
-}
-
-// ParseSnapshotMode parses "auto", "mmap" or "materialize".
-func ParseSnapshotMode(s string) (SnapshotMode, error) {
-	return snapshot.ParseMode(s)
 }

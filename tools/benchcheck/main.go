@@ -12,9 +12,10 @@
 //     row's speedup may fall more than -shard-tolerance (default 25%,
 //     loose because speedups are wall-clock ratios and carry timing
 //     noise) below its baseline.
-//   - boot speedup (BENCH_boot.json only): every row's mmap-vs-
-//     materialize speedup must exceed 1.0 and carry a verified
-//     cross-check; the row with the largest snapshot (the
+//   - boot speedup (BENCH_boot.json only): every row's lazy-vs-full
+//     boot speedup (a full boot checksums every section and builds
+//     every table the lazy one defers) must exceed 1.0 and carry a
+//     verified cross-check; the row with the largest snapshot (the
 //     representative dataset — small snapshots boot in microseconds
 //     either way, so their ratios are noise) must meet the -boot-floor
 //     (default 10, the lazy-boot acceptance criterion); and no row may
@@ -88,7 +89,7 @@ func main() {
 	candidate := flag.String("candidate", "", "freshly generated BENCH_*.json to check")
 	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional search_nodes growth over baseline")
 	shardTolerance := flag.Float64("shard-tolerance", 0.25, "allowed fractional shard-speedup decline below baseline")
-	bootFloor := flag.Float64("boot-floor", 10, "minimum mmap-vs-materialize boot speedup for the largest-snapshot row")
+	bootFloor := flag.Float64("boot-floor", 10, "minimum lazy-vs-full boot speedup for the largest-snapshot row")
 	bootTolerance := flag.Float64("boot-tolerance", 0.25, "allowed fractional boot-speedup decline below baseline")
 	flag.Parse()
 	if *baseline == "" || *candidate == "" {
@@ -237,8 +238,8 @@ func checkShard(base, cand report, tolerance float64, out io.Writer) error {
 func bootKey(r bootRun) string { return fmt.Sprintf("%s@%g", r.Dataset, r.Scale) }
 
 // checkBoot enforces the lazy-boot gate: every row must be verified
-// (contents cross-checked between modes) and faster than a full
-// materialized load; the row with the largest snapshot must meet the
+// (contents cross-checked between the two boots) and faster than a
+// full boot; the row with the largest snapshot must meet the
 // hard floor — that row is the one whose O(file) + O(sets) costs are
 // big enough for the ratio to be signal rather than noise — and no row
 // may fall more than tolerance below its baseline speedup.
@@ -262,10 +263,10 @@ func checkBoot(base, cand report, floor, tolerance float64, out io.Writer) error
 		b, hasBase := byKey[bootKey(c)]
 		switch {
 		case !c.Verified:
-			verdict = "FAIL (modes not cross-checked)"
+			verdict = "FAIL (boots not cross-checked)"
 			failures++
 		case c.Speedup <= 1.0:
-			verdict = "FAIL (floor: mmap boot must beat materialize)"
+			verdict = "FAIL (floor: lazy boot must beat the full boot)"
 			failures++
 		case bootKey(c) == biggest && c.Speedup < floor:
 			verdict = fmt.Sprintf("FAIL (floor: largest snapshot must boot ≥ %gx faster)", floor)

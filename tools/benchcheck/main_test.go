@@ -60,7 +60,7 @@ func writeBootReport(t *testing.T, dir, name string, dblpSpeedup, denseSpeedup f
 	t.Helper()
 	path := filepath.Join(dir, name)
 	content := fmt.Sprintf(`{
-  "schema": "scpm-bench/v8",
+  "schema": "scpm-bench/v9",
   "dataset": "boot",
   "boot": {
     "repeats": 5,
@@ -232,10 +232,13 @@ func TestBootGateRequiresVerification(t *testing.T) {
 func TestBootGateFailsWhenMmapSlower(t *testing.T) {
 	dir := t.TempDir()
 	base := writeBootReport(t, dir, "base.json", 100, 5, true)
-	cand := writeBootReport(t, dir, "cand.json", 90, 0.8, true) // dense mmap slower
+	cand := writeBootReport(t, dir, "cand.json", 90, 0.8, true) // dense lazy boot slower
 	var out bytes.Buffer
 	if err := check(base, cand, defGates(), &out); err == nil {
-		t.Fatalf("mmap-slower-than-materialize row accepted:\n%s", out.String())
+		t.Fatalf("lazy-slower-than-full row accepted:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "lazy boot must beat the full boot") {
+		t.Fatalf("missing floor verdict:\n%s", out.String())
 	}
 }
 
