@@ -10,11 +10,34 @@ import (
 	"github.com/scpm/scpm/internal/graph"
 )
 
+// Evaluation is the memoized evaluation of one attribute set S. The
+// paper's Algorithms 2–3 evaluate each set once, and that evaluation
+// yields ε(S), the covered set K_S that Theorem 3 hands down to S's
+// children, and S's top-k patterns; a replay hands the record back to
+// score, which reuses what it already holds instead of searching
+// again. A level-1 verdict is this record plus the single's attribute
+// id and certificates, a lattice entry this record plus V(S).
+type Evaluation struct {
+	// Estimate is the estimator's answer. Its Handdown is the covered-set
+	// hand-down as returned: the exact K_S in exact mode, the sampled
+	// superset otherwise.
+	epsilon.Estimate
+	// Exact is the lazily refined exact K_S hand-down, recorded only
+	// when the evaluation computed it (sampled mode, emitted set); nil
+	// otherwise.
+	Exact *bitset.Set
+	// Patterns are the patterns mined for S when the evaluation mined
+	// them; HasPatterns distinguishes "mined, none found" from "never
+	// mined".
+	Patterns    []Pattern
+	HasPatterns bool
+}
+
 // Lattice is the memoized attribute-set search lattice of one mining
-// run: for every evaluated set it retains exactly what a later
-// incremental run needs to carry the evaluation over without touching
-// the quasi-clique engine — the ε estimate, the covered-set hand-downs
-// (Theorem 3) and the mined patterns. Results record one when
+// run: for every evaluated set of two or more attributes it retains
+// exactly what a later incremental run needs to carry the evaluation
+// over without touching the quasi-clique engine. Singles are memoized
+// once, in the run's level-1 verdict table. Results record one when
 // Params.RecordLattice is set; Remine consumes it.
 //
 // The paper's ε(S) depends only on V(S) and the subgraph it induces,
@@ -33,29 +56,12 @@ type Lattice struct {
 
 // latticeEntry memoizes one evaluated attribute set.
 type latticeEntry struct {
+	Evaluation
 	// members is V(S) with sigma = |V(S)|, retained so a replay skips
 	// the Eclat tidset intersection entirely for clean sets (the
 	// dominant cost on attribute-heavy datasets).
 	members *bitset.Set
 	sigma   int
-	// The ε estimate's scalar fields, verbatim.
-	eps             float64
-	covered         int
-	kmass           float64
-	estimated       bool
-	errBound        float64
-	sampledVertices int
-	// handdown is the estimator's covered-set hand-down as returned
-	// (the exact K_S in exact mode, the sampled superset otherwise).
-	handdown *bitset.Set
-	// exact is the lazily-refined exact K_S hand-down, recorded only
-	// when the run computed it (sampled mode, emitted set); nil
-	// otherwise.
-	exact *bitset.Set
-	// pats are the patterns mined for the set when the run mined them
-	// (hasPats distinguishes "mined, none found" from "never mined").
-	pats    []Pattern
-	hasPats bool
 }
 
 // newLattice builds an empty lattice for the given graph data version.
@@ -94,20 +100,6 @@ func grownTo(s *bitset.Set, n int) *bitset.Set {
 		return s
 	}
 	return s.Grown(n)
-}
-
-// estimate reconstitutes the memoized evaluation as an ε estimate over
-// a graph with n vertices.
-func (e *latticeEntry) estimate(n int) epsilon.Estimate {
-	return epsilon.Estimate{
-		Epsilon:         e.eps,
-		Covered:         e.covered,
-		Handdown:        grownTo(e.handdown, n),
-		KMass:           e.kmass,
-		Estimated:       e.estimated,
-		SampledVertices: e.sampledVertices,
-		ErrBound:        e.errBound,
-	}
 }
 
 // Remine incrementally re-mines g — a graph obtained from a previous

@@ -57,8 +57,8 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// the singles the update left clean, and evaluateLevel1 fills the
 	// rest. A sharded run holds the same complete table as every other
 	// shard — the non-owned singles' hand-downs and survival verdicts
-	// feed the owned subtrees' sibling lists — but emits, records and
-	// counts only the singles it owns.
+	// feed the owned subtrees' sibling lists — but emits and counts only
+	// the singles it owns.
 	var prev *Level1Verdicts
 	src := verdictFresh
 	switch {
@@ -458,7 +458,8 @@ func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, certs *
 	m.em.noteEvaluated()
 	tl.noteSearchNodes(est.Nodes)
 	tl.noteSampled(int64(est.SampledVertices))
-	return m.score(attrs, members, members.Count(), est, nil, m.recordEntry(attrKey(attrs)), certs, tl)
+	sigma := members.Count()
+	return m.score(attrs, members, sigma, est, nil, m.recordEntry(attrKey(attrs), members, sigma), certs, tl)
 }
 
 // newCertStore returns a fresh certificate store, or nil when sharing
@@ -471,16 +472,16 @@ func (m *miner) newCertStore() *epsilon.CertStore {
 	return epsilon.NewCertStore()
 }
 
-// recordEntry returns the lattice entry, for score to fill, that
-// records the evaluation of the set with the given key in this run's
-// lattice, or nil when the run does not record one.
-func (m *miner) recordEntry(key string) *latticeEntry {
+// recordEntry returns the evaluation record, for score to fill, that
+// this run's lattice keeps for the set with the given key and member
+// set, or nil when the run does not record one.
+func (m *miner) recordEntry(key string, members *bitset.Set, sigma int) *Evaluation {
 	if m.record == nil {
 		return nil
 	}
-	rec := new(latticeEntry)
-	m.record.put(key, rec)
-	return rec
+	e := &latticeEntry{members: members, sigma: sigma}
+	m.record.put(key, e)
+	return &e.Evaluation
 }
 
 // replay serves one attribute set below level 1 from the previous run's
@@ -500,17 +501,21 @@ func (m *miner) replay(attrs []int32, certs *epsilon.CertStore, tl *tally) (out 
 		return evalOutcome{}, false, nil
 	}
 	m.em.noteReused()
-	members := grownTo(ent.members, m.g.NumVertices())
-	out, err = m.score(attrs, members, ent.sigma, ent.estimate(m.g.NumVertices()), ent, m.recordEntry(key), certs, tl)
+	n := m.g.NumVertices()
+	members := grownTo(ent.members, n)
+	est := ent.Estimate
+	est.Handdown = grownTo(est.Handdown, n)
+	out, err = m.score(attrs, members, ent.sigma, est, &ent.Evaluation, m.recordEntry(key, members, ent.sigma), certs, tl)
 	return out, true, err
 }
 
-// score turns one ε estimate — freshly computed, or replayed from a
-// lattice entry or level-1 verdict (cached non-nil) — into the
-// evaluation outcome: survival under Theorems 4–5, emission against
-// the output thresholds, and pattern mining for qualifying sets. A
-// non-nil rec receives the evaluation as a lattice entry.
-func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached, rec *latticeEntry, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+// score turns one ε estimate — freshly computed, or replayed from the
+// memoized evaluation cached — into the evaluation outcome: survival
+// under Theorems 4–5, emission against the output thresholds, and
+// pattern mining for qualifying sets, reusing cached's exact hand-down
+// and patterns where it has them. A non-nil rec receives the
+// evaluation: est, plus the exact hand-down and patterns this run used.
+func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached, rec *Evaluation, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
 	eps := est.Epsilon
 	expEps := m.model.Exp(sigma)
 	delta := NormalizeDelta(eps, expEps)
@@ -518,17 +523,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 	out := evalOutcome{item: classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}}
 
 	if rec != nil {
-		*rec = latticeEntry{
-			members:         members,
-			sigma:           sigma,
-			eps:             eps,
-			covered:         est.Covered,
-			kmass:           est.KMass,
-			estimated:       est.Estimated,
-			errBound:        est.ErrBound,
-			sampledVertices: est.SampledVertices,
-			handdown:        est.Handdown,
-		}
+		rec.Estimate = est
 	}
 
 	// Theorem 4 (ε) and Theorem 5 (δ) survival bounds: a superset S'
@@ -566,8 +561,8 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 		if (m.p.K > 0 || m.p.AllPatterns) && !est.Handdown.IsEmpty() {
 			base := est.Handdown
 			if est.Estimated {
-				if cached != nil && cached.exact != nil {
-					base = grownTo(cached.exact, m.g.NumVertices())
+				if cached != nil && cached.Exact != nil {
+					base = grownTo(cached.Exact, m.g.NumVertices())
 				} else {
 					exact, err := m.exactEst.EstimateWithCerts(m.g, attrs, members, est.Handdown, certs)
 					if err != nil {
@@ -584,12 +579,12 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 				// match the single-process one bit for bit.
 				out.item.covered = base
 				if rec != nil {
-					rec.exact = base
+					rec.Exact = base
 				}
 			}
 			if !base.IsEmpty() {
-				if cached != nil && cached.hasPats {
-					out.pats = cached.pats
+				if cached != nil && cached.HasPatterns {
+					out.pats = cached.Patterns
 				} else {
 					pats, err := m.topPatterns(sorted, base)
 					if err != nil {
@@ -598,8 +593,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 					out.pats = pats
 				}
 				if rec != nil {
-					rec.pats = out.pats
-					rec.hasPats = true
+					rec.Patterns, rec.HasPatterns = out.pats, true
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
 )
@@ -20,8 +19,8 @@ var ErrStaleVerdicts = errors.New("core: level-1 verdicts sealed at a different 
 // search-node bill and the coverage certificates the search discovered.
 // Every run reaches level 1 through verdicts, so a run handed a verdict
 // reproduces the evaluation bit-identically — sibling lists, survival,
-// emission, recorded lattice entry and merged stats included — without
-// running any coverage search.
+// emission and merged stats included — without running any coverage
+// search.
 //
 // Member sets are NOT sealed: V({a}) is the graph's own attribute
 // posting (graph.AttrMembers), identical by construction, so sealing it
@@ -29,29 +28,11 @@ var ErrStaleVerdicts = errors.New("core: level-1 verdicts sealed at a different 
 type Level1Verdict struct {
 	// Attr is the evaluated single attribute id.
 	Attr int32
-	// Epsilon, Covered, KMass, Estimated, ErrBound and SampledVertices
-	// mirror the epsilon.Estimate fields of the sealed evaluation.
-	Epsilon         float64
-	Covered         int
-	KMass           float64
-	Estimated       bool
-	ErrBound        float64
-	SampledVertices int
-	// Handdown is the estimator's covered-set hand-down (Theorem 3);
-	// Exact is the lazily-refined exact hand-down recorded only when the
-	// sealed evaluation computed it (sampled mode, emitted set).
-	Handdown *bitset.Set
-	Exact    *bitset.Set
-	// Patterns are the top-k patterns mined for {Attr} when it passed
-	// the output thresholds; HasPatterns distinguishes "mined, none
-	// found" from "never mined".
-	Patterns    []Pattern
-	HasPatterns bool
-	// Nodes is the total search-node bill of the sealed evaluation (the
-	// ε search plus the lazy exact refinement), credited to the run that
-	// owns the single so merged shard stats still sum to the
-	// single-process counters.
-	Nodes int64
+	// Evaluation is the sealed evaluation of {Attr}. Its Nodes is the
+	// evaluation's total search-node bill (the ε search plus the lazy
+	// exact refinement), credited to the run that owns the single so
+	// merged shard stats still sum to the single-process counters.
+	Evaluation
 	// Certs are the coverage certificates the sealed searches captured,
 	// in discovery order, as a frozen store (epsilon.CertStore.Frozen);
 	// nil when there are none. Absorbing every verdict's certificates in
@@ -150,11 +131,12 @@ func (m *miner) evaluateLevel1(ctx context.Context, singles []int32, table []*Le
 			return err
 		}
 		local.noteSearchNodes(est.Nodes)
-		var rec latticeEntry
-		if _, err := m.score(attrs, members, members.Count(), est, nil, &rec, store, &local); err != nil {
+		v := &Level1Verdict{Attr: a}
+		if _, err := m.score(attrs, members, members.Count(), est, nil, &v.Evaluation, store, &local); err != nil {
 			return err
 		}
-		table[i] = verdictOf(a, &rec, local.nodes, store.Frozen())
+		v.Nodes, v.Certs = local.nodes, store.Frozen()
+		table[i] = v
 		return nil
 	})
 }
@@ -179,10 +161,10 @@ const (
 // the verdict routes through score like a lattice replay, so no
 // coverage search runs unless the null model moved δ across a threshold
 // the verdict was not scored against. A single the run owns is
-// emitted, recorded and counted (as src says); any other single only
-// feeds the owned subtrees' right-sibling lists. The returned verdict
-// is v, completed with whatever score had to compute — the entry the
-// run's own table keeps.
+// emitted and counted (as src says); any other single only feeds the
+// owned subtrees' right-sibling lists. The returned verdict is v,
+// completed with whatever score had to compute — the entry the run's
+// own table keeps, and the only place the run memoizes the single.
 func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (evalOutcome, *Level1Verdict, error) {
 	attrs := []int32{v.Attr}
 	members := m.g.AttrMembers(v.Attr)
@@ -200,50 +182,17 @@ func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (e
 		tl.noteSearchNodes(v.Nodes)
 		tl.noteSampled(int64(v.SampledVertices))
 	}
-	cached := &latticeEntry{
-		members:         members,
-		sigma:           members.Count(),
-		eps:             v.Epsilon,
-		covered:         v.Covered,
-		kmass:           v.KMass,
-		estimated:       v.Estimated,
-		errBound:        v.ErrBound,
-		sampledVertices: v.SampledVertices,
-		handdown:        v.Handdown,
-		exact:           v.Exact,
-		pats:            v.Patterns,
-		hasPats:         v.HasPatterns,
-	}
-	var rec latticeEntry
-	out, err := m.score(attrs, members, cached.sigma, cached.estimate(m.g.NumVertices()), cached, &rec, nil, tl)
+	est := v.Estimate
+	est.Handdown = grownTo(est.Handdown, m.g.NumVertices())
+	nv := &Level1Verdict{Attr: v.Attr, Certs: v.Certs}
+	out, err := m.score(attrs, members, members.Count(), est, &v.Evaluation, &nv.Evaluation, nil, tl)
 	if err != nil {
 		return evalOutcome{}, nil, err
 	}
 	if !owned {
 		out.set, out.pats = nil, nil
-	} else if m.record != nil {
-		m.record.put(attrKey(attrs), &rec)
 	}
-	return out, verdictOf(v.Attr, &rec, v.Nodes, v.Certs), nil
-}
-
-// verdictOf seals one scored level-1 evaluation.
-func verdictOf(a int32, e *latticeEntry, nodes int64, certs *epsilon.CertStore) *Level1Verdict {
-	return &Level1Verdict{
-		Attr:            a,
-		Epsilon:         e.eps,
-		Covered:         e.covered,
-		KMass:           e.kmass,
-		Estimated:       e.estimated,
-		ErrBound:        e.errBound,
-		SampledVertices: e.sampledVertices,
-		Handdown:        e.handdown,
-		Exact:           e.exact,
-		Patterns:        e.pats,
-		HasPatterns:     e.hasPats,
-		Nodes:           nodes,
-		Certs:           certs,
-	}
+	return out, nv, nil
 }
 
 // verdictTable collects the filled slots of a level-1 table.

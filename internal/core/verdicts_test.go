@@ -114,3 +114,55 @@ func TestLevel1VerdictGuards(t *testing.T) {
 		t.Fatalf("stale verdicts not rejected (err=%v)", err)
 	}
 }
+
+// TestSinglesMemoizedOnce pins where a lattice-recording run memoizes
+// each evaluation: every frequent single once, in the level-1 verdict
+// table, and only sets of two or more attributes in the lattice (the
+// only entries Remine's replay reads from it), in exact and sampled ε
+// modes, unsharded and 2-shard merged.
+func TestSinglesMemoizedOnce(t *testing.T) {
+	ctx := context.Background()
+	for mode, p := range remineParams() {
+		g := remineGraph(t, 2900)
+		unsharded, err := Mine(ctx, g, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := make([]*Result, 2)
+		for k := range parts {
+			sp := p
+			sp.ShardOwner = parityOwner(k)
+			if parts[k], err = Mine(ctx, g, sp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := MergeResults(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, res := range map[string]*Result{"unsharded": unsharded, "merged": merged} {
+			label = mode + " " + label
+			if res.lattice.Size() == 0 {
+				t.Fatalf("%s: empty lattice", label)
+			}
+			for key := range res.lattice.m {
+				if strings.Count(key, ",") < 2 {
+					t.Errorf("%s: lattice memoizes the single %q", label, key)
+				}
+			}
+			singles := 0
+			for a := int32(0); a < int32(g.NumAttributes()); a++ {
+				if g.AttrSupport(a) < p.SigmaMin {
+					continue
+				}
+				singles++
+				if res.level1.Lookup(a) == nil {
+					t.Errorf("%s: level-1 table misses frequent single %d", label, a)
+				}
+			}
+			if got := res.level1.Len(); got != singles {
+				t.Errorf("%s: level-1 table holds %d verdicts, want %d", label, got, singles)
+			}
+		}
+	}
+}

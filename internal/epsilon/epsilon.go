@@ -71,18 +71,18 @@ type Estimate struct {
 // deterministic: the same (attrs, members, candidates) input always
 // yields the same Estimate.
 type Estimator interface {
-	// Estimate computes ε(S) for the attribute set S = attrs, whose
-	// member vertices are members = V(S) and whose coverage search may
-	// be restricted to candidates ⊆ members (Theorem 3; pass members
-	// when no restriction applies). attrs identifies S for deterministic
-	// per-set seeding and must be in canonical (ascending) order.
-	Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error)
-	// EstimateWithCerts is Estimate with a certificate store: coverage
-	// already proven by certs is not re-searched, and quasi-cliques
-	// discovered along the way are captured into certs for later
-	// evaluations. The Estimate itself must be bit-identical to the
-	// store-free call — certificates only shrink Nodes. A nil store
-	// degrades to Estimate.
+	// EstimateWithCerts computes ε(S) for the attribute set S = attrs,
+	// whose member vertices are members = V(S) and whose coverage
+	// search may be restricted to candidates ⊆ members (Theorem 3; pass
+	// members when no restriction applies). attrs identifies S for
+	// deterministic per-set seeding and must be in canonical (ascending)
+	// order.
+	//
+	// certs is an optional certificate store: coverage already proven
+	// by certs is not re-searched, and quasi-cliques discovered along
+	// the way are captured into certs for later evaluations. The
+	// Estimate itself must be bit-identical to the store-free call —
+	// certificates only shrink Nodes. Pass nil to search without one.
 	EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error)
 	// Name identifies the estimator in reports ("exact", "sampled").
 	Name() string
@@ -104,17 +104,12 @@ func NewExact(p quasiclique.Params, o quasiclique.Options) *Exact {
 // Name implements Estimator.
 func (e *Exact) Name() string { return "exact" }
 
-// Estimate implements Estimator: it slices G(S) down to the candidate
-// set, runs the coverage search and maps the covered set back to
-// parent-graph ids.
-func (e *Exact) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error) {
-	return e.EstimateWithCerts(g, attrs, members, candidates, nil)
-}
-
-// EstimateWithCerts implements Estimator: applicable certificates seed
-// the coverage search's covered set, and every quasi-clique the search
-// reports is captured back into the store. The covered set K_S is a
-// fixed property of G(S), so the result is bit-identical either way.
+// EstimateWithCerts implements Estimator: it slices G(S) down to the
+// candidate set, runs the coverage search and maps the covered set
+// back to parent-graph ids. Applicable certificates seed the coverage
+// search's covered set, and every quasi-clique the search reports is
+// captured back into the store. The covered set K_S is a fixed
+// property of G(S), so the result is bit-identical either way.
 func (e *Exact) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error) {
 	sigma := members.Count()
 	sub := g.InducedByMembers(candidates)
@@ -203,11 +198,6 @@ func SampleSize(eps, delta float64) int {
 // one vertex at a time costs more than one exact search; sampling only
 // pays off once the sample is a small fraction of the population.
 const SampleWorthFactor = 2
-
-// Estimate implements Estimator.
-func (s *Sampled) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (Estimate, error) {
-	return s.EstimateWithCerts(g, attrs, members, candidates, nil)
-}
 
 // EstimateWithCerts implements Estimator: sampled vertices covered by an
 // applicable certificate count as hits without an anchored search —

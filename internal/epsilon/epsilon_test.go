@@ -58,7 +58,7 @@ func TestExactAgainstCoverage(t *testing.T) {
 		if sigma < 10 {
 			continue
 		}
-		e, err := est.Estimate(g, []int32{a}, members, members)
+		e, err := est.EstimateWithCerts(g, []int32{a}, members, members, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +98,11 @@ func TestSampledWithinHoeffdingBound(t *testing.T) {
 			if members.Count() <= SampleWorthFactor*SampleSize(sampleEps, sampleDelta) {
 				continue // would fall back to exact — not a sampling trial
 			}
-			want, err := exact.Estimate(g, []int32{a}, members, members)
+			want, err := exact.EstimateWithCerts(g, []int32{a}, members, members, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sampled.Estimate(g, []int32{a}, members, members)
+			got, err := sampled.EstimateWithCerts(g, []int32{a}, members, members, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +145,11 @@ func TestSampledDeterminism(t *testing.T) {
 
 	first := NewSampled(qp, quasiclique.Options{}, 0.2, 0.1, 7)
 	second := NewSampled(qp, quasiclique.Options{}, 0.2, 0.1, 7)
-	e1, err := first.Estimate(g, []int32{a}, members, members)
+	e1, err := first.EstimateWithCerts(g, []int32{a}, members, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := second.Estimate(g, []int32{a}, members, members)
+	e2, err := second.EstimateWithCerts(g, []int32{a}, members, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSampledDeterminism(t *testing.T) {
 		t.Fatalf("same seed diverged: %+v vs %+v", e1, e2)
 	}
 	// A re-run on the same estimator instance must agree too.
-	e3, err := first.Estimate(g, []int32{a}, members, members)
+	e3, err := first.EstimateWithCerts(g, []int32{a}, members, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestSampledFallsBackToExact(t *testing.T) {
 		t.Fatal("paper example lost attribute A")
 	}
 	members := g.AttrMembers(a)
-	got, err := sampled.Estimate(g, []int32{a}, members, members)
+	got, err := sampled.EstimateWithCerts(g, []int32{a}, members, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exact.Estimate(g, []int32{a}, members, members)
+	want, err := exact.EstimateWithCerts(g, []int32{a}, members, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSampledCandidateRestriction(t *testing.T) {
 	members := g.AttrMembers(a)
 	empty := bitset.New(g.NumVertices())
 	sampled := NewSampled(qp, quasiclique.Options{}, 0.2, 0.1, 3)
-	e, err := sampled.Estimate(g, []int32{a}, members, empty)
+	e, err := sampled.EstimateWithCerts(g, []int32{a}, members, empty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func New(cfg Config) (*Gateway, error) {
 	gw.mux.HandleFunc("POST /updates", gw.handleUpdates)
 	obs.Mount(gw.mux, reg)
 	gw.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown path %q", r.URL.Path))
+		server.WriteErr(w, http.StatusNotFound, fmt.Sprintf("unknown path %q", r.URL.Path))
 	})
 	gw.root = gw.metrics.http.Instrument(gw.mux, gw.observe)
 	return gw, nil
@@ -330,30 +330,6 @@ func (gw *Gateway) attrIDs(names []string) []int32 {
 	return out
 }
 
-// writeJSON writes one JSON document exactly like the shard servers
-// do (indent 2, sorted map keys), so merged responses stay
-// byte-identical to single-process ones.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-// writeErr writes the JSON error envelope {"error": msg}.
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// wantNDJSON reports whether the client asked for NDJSON output.
-func wantNDJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "ndjson" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
 // element is one raw set or pattern from a shard answer, with the
 // merge key decoded from it.
 type element struct {
@@ -446,7 +422,7 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 			return
 		}
 		if len(served) == 0 {
-			writeErr(w, http.StatusServiceUnavailable, "no shard answered /"+field)
+			server.WriteErr(w, http.StatusServiceUnavailable, "no shard answered /"+field)
 			return
 		}
 		var elems []element
@@ -454,7 +430,7 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 			for line := range bytes.Lines(resp.body) {
 				e, err := gw.decodeKey(bytes.TrimSuffix(line, []byte("\n")), rank != nil)
 				if err != nil {
-					writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /%s element: %v", resp.shard, field, err))
+					server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /%s element: %v", resp.shard, field, err))
 					return
 				}
 				elems = append(elems, e)
@@ -462,7 +438,7 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 		}
 		elems = merge(elems, rank, limit)
 		gw.degrade(w, down)
-		if wantNDJSON(r) {
+		if server.WantNDJSON(r) {
 			var buf bytes.Buffer
 			for _, e := range elems {
 				buf.Write(e.raw)
@@ -472,7 +448,7 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 			w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing to do
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{field: raws(elems), "total": len(elems)})
+		server.WriteJSON(w, http.StatusOK, map[string]any{field: raws(elems), "total": len(elems)})
 	}
 }
 
@@ -498,7 +474,7 @@ func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
 	if len(down) > 0 {
 		// The id might live on a dead shard; absence is not provable.
 		gw.degrade(w, down)
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("set not found on any reachable shard, and shard(s) %v did not answer", down))
 		return
 	}
@@ -506,7 +482,7 @@ func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
 		relay(w, *notFound)
 		return
 	}
-	writeErr(w, http.StatusBadGateway, "no shard produced a usable /sets/{id} answer")
+	server.WriteErr(w, http.StatusBadGateway, "no shard produced a usable /sets/{id} answer")
 }
 
 // handleVertex scatters GET /vertices/{v} and merges the per-shard
@@ -518,7 +494,7 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 	if len(served) == 0 {
 		if len(down) > 0 {
 			gw.degrade(w, down)
-			writeErr(w, http.StatusServiceUnavailable,
+			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("no reachable shard knows vertex %q, and shard(s) %v did not answer", label, down))
 			return
 		}
@@ -528,7 +504,7 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeErr(w, http.StatusBadGateway, "no shard produced a usable /vertices answer")
+		server.WriteErr(w, http.StatusBadGateway, "no shard produced a usable /vertices answer")
 		return
 	}
 	var elems []element
@@ -537,13 +513,13 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 			Patterns []json.RawMessage `json:"patterns"`
 		}
 		if err := json.Unmarshal(resp.body, &payload); err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices payload: %v", resp.shard, err))
+			server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices payload: %v", resp.shard, err))
 			return
 		}
 		for _, raw := range payload.Patterns {
 			e, err := gw.decodeKey(raw, false)
 			if err != nil {
-				writeErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices pattern: %v", resp.shard, err))
+				server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices pattern: %v", resp.shard, err))
 				return
 			}
 			elems = append(elems, e)
@@ -559,7 +535,7 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	gw.degrade(w, down)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"vertex":   label,
 		"patterns": raws(elems),
 		"sets":     setIDs,
@@ -571,13 +547,13 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 func (gw *Gateway) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 	names := server.ParseAttrList(r.URL.Query()["attrs"])
 	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
+		server.WriteErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
 		return
 	}
 	owner := gw.man.Route(names)
 	resp := gw.fetch(r.Context(), owner, http.MethodGet, "/epsilon?"+r.URL.RawQuery, nil)
 	if resp.err != nil {
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("owning shard %d is unreachable: %v", owner, resp.err))
 		return
 	}
@@ -611,7 +587,7 @@ func (gw *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	gw.degrade(w, down)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"index":  map[string]any{"sets": totalSets, "patterns": totalPatterns},
 		"shards": perShard,
 	})
@@ -681,7 +657,7 @@ func (gw *Gateway) versionVector(ctx context.Context) ([]shardVersion, bool, []i
 func (gw *Gateway) handleVersion(w http.ResponseWriter, r *http.Request) {
 	vec, skew, down := gw.versionVector(r.Context())
 	gw.degrade(w, down)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"shards": vec,
 		"skew":   skew,
 	})
@@ -696,7 +672,7 @@ func (gw *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if skew || len(down) > 0 {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": status,
 		"shards": vec,
 		"skew":   skew,
@@ -708,7 +684,7 @@ func (gw *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (gw *Gateway) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("reading update body: %v", err))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Sprintf("reading update body: %v", err))
 		return
 	}
 	resps := gw.scatter(r.Context(), http.MethodPost, "/updates", body)
@@ -752,7 +728,7 @@ func (gw *Gateway) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadGateway
 	}
 	gw.degrade(w, down)
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"forwarded": len(gw.shards),
 		"accepted":  accepted,
 		"shards":    perShard,

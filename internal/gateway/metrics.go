@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"github.com/scpm/scpm/internal/obs"
+	"github.com/scpm/scpm/internal/server"
 )
 
 // gwMetrics bundles the gateway's instruments. The shard label is the
@@ -75,7 +76,7 @@ func (gw *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"ready":  ready,
 		"shards": perShard,
 	})

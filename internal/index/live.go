@@ -2,7 +2,6 @@ package index
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/graph"
@@ -60,28 +59,3 @@ func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 	nx.freeze()
 	return nx
 }
-
-// Live is an atomically swappable handle on an immutable Index: the
-// copy-on-write primitive of the update path. Readers call Index and
-// query the snapshot they got — a concurrent Swap never blocks them
-// and never mutates an index they are holding; the writer builds the
-// next index off to the side (Build or Rebuild) and publishes it with
-// one atomic pointer swap.
-type Live struct {
-	p atomic.Pointer[Index]
-}
-
-// NewLive wraps an index in a live handle. x must not be nil.
-func NewLive(x *Index) *Live {
-	l := &Live{}
-	l.p.Store(x)
-	return l
-}
-
-// Index returns the current index snapshot. The result is immutable
-// and stays valid (and queryable) after any number of swaps.
-func (l *Live) Index() *Index { return l.p.Load() }
-
-// Swap publishes a new index and returns the previous one. In-flight
-// readers keep the snapshot they already hold.
-func (l *Live) Swap(x *Index) *Index { return l.p.Swap(x) }

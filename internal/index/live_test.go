@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"github.com/scpm/scpm/internal/core"
@@ -96,60 +95,4 @@ func TestRebuildReusesInternedContent(t *testing.T) {
 	if v != ng.NumVertices() || e != ng.NumEdges() || a != ng.NumAttributes() {
 		t.Fatalf("rebuilt shape (%d,%d,%d) does not match updated graph", v, e, a)
 	}
-}
-
-// TestLiveSwap exercises the copy-on-write handle under concurrent
-// readers: reads never block, never see nil and always see a complete
-// index while swaps happen.
-func TestLiveSwap(t *testing.T) {
-	g, res := minePaper(t)
-	a := Build(res, g)
-	live := NewLive(a)
-	if live.Index() != a {
-		t.Fatal("NewLive does not serve the initial index")
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				x := live.Index()
-				if x == nil {
-					t.Error("reader saw nil index")
-					return
-				}
-				if x.NumSets() != a.NumSets() {
-					t.Errorf("reader saw %d sets", x.NumSets())
-					return
-				}
-				for i := 0; i < x.NumSets(); i++ {
-					if x.SetID(i) == "" {
-						t.Error("reader saw incomplete index")
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		next := a.Rebuild(res, g)
-		old := live.Swap(next)
-		if old == nil {
-			t.Fatal("swap returned nil previous index")
-		}
-		// The swapped-out index stays fully queryable.
-		if old.NumSets() != a.NumSets() {
-			t.Fatal("previous index mutated by swap")
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -135,7 +135,7 @@ func (s *Simulation) sampleOnce(sigma, idx int, seed int64) float64 {
 		// The estimator keys its per-call randomness on the "attribute
 		// set" identity; (σ, draw index) plays that role here.
 		members := bitset.FromSlice(n, sample)
-		e, err := s.est.Estimate(s.g, []int32{int32(sigma), int32(idx)}, members, members)
+		e, err := s.est.EstimateWithCerts(s.g, []int32{int32(sigma), int32(idx)}, members, members, nil)
 		if err != nil {
 			// The sampled estimator runs without budget or context, so
 			// like Coverage below it cannot fail on valid params.

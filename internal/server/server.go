@@ -201,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	// Unknown paths get the JSON error envelope too, not ServeMux's
 	// plain-text 404.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown path %q", r.URL.Path))
+		WriteErr(w, http.StatusNotFound, fmt.Sprintf("unknown path %q", r.URL.Path))
 	})
 	s.root = s.metrics.http.Instrument(s.mux, s.observe)
 	return s, nil
@@ -250,7 +250,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		out["reason"] = reason
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	WriteJSON(w, status, out)
 }
 
 // get registers a GET/HEAD-only route that answers other methods with
@@ -260,7 +260,7 @@ func (s *Server) get(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", http.MethodGet)
-			writeErr(w, http.StatusMethodNotAllowed, "method not allowed (GET only)")
+			WriteErr(w, http.StatusMethodNotAllowed, "method not allowed (GET only)")
 			return
 		}
 		h(w, r)
@@ -442,7 +442,7 @@ func patternDTOOf(idx *index.Index, i int) patternDTO {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	gen := s.gen.Load()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"sets":     gen.idx.NumSets(),
 		"patterns": gen.idx.NumPatterns(),
@@ -452,7 +452,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ist := s.gen.Load().idx.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"index": map[string]any{
 			"sets":             ist.Sets,
 			"patterns":         ist.Patterns,
@@ -502,7 +502,7 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if filters > 1 {
-		writeErr(w, http.StatusBadRequest, "attrs, contains and within are mutually exclusive")
+		WriteErr(w, http.StatusBadRequest, "attrs, contains and within are mutually exclusive")
 		return
 	}
 
@@ -525,17 +525,17 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 
 	minSupport, err := intParam(q, "min_support", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	minEps, err := floatParam(q, "min_eps", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	minDelta, err := floatParam(q, "min_delta", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sets := idx.Sets()
@@ -550,7 +550,7 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	if rank := q.Get("rank"); rank != "" {
 		ranking, ok := core.ParseRanking(rank)
 		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", rank))
+			WriteErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", rank))
 			return
 		}
 		// idxs ascend in canonical order, so the stable sort breaks
@@ -559,14 +559,14 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	}
 	k, err := intParam(q, "k", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if k > 0 && len(idxs) > k {
 		idxs = idxs[:k]
 	}
 
-	if wantNDJSON(r) {
+	if WantNDJSON(r) {
 		writeNDJSON(w, len(idxs), func(i int) any { return setDTOOf(idx, idxs[i]) })
 		return
 	}
@@ -574,7 +574,7 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	for i, si := range idxs {
 		out[i] = setDTOOf(idx, si)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sets": out, "total": len(out)})
+	WriteJSON(w, http.StatusOK, map[string]any{"sets": out, "total": len(out)})
 }
 
 func (s *Server) handleSetByID(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +582,7 @@ func (s *Server) handleSetByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	si := idx.SetIndexByID(id)
 	if si < 0 {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("no attribute set with id %q", id))
+		WriteErr(w, http.StatusNotFound, fmt.Sprintf("no attribute set with id %q", id))
 		return
 	}
 	pats := idx.PatternsOfSetByIndex(si)
@@ -590,7 +590,7 @@ func (s *Server) handleSetByID(w http.ResponseWriter, r *http.Request) {
 	for i, pi := range pats {
 		out[i] = patternDTOOf(idx, int(pi))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"set":      setDTOOf(idx, si),
 		"patterns": out,
 	})
@@ -615,7 +615,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 	minSize, err := intParam(q, "min_size", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if minSize > 0 {
@@ -630,13 +630,13 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 	limit, err := intParam(q, "limit", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if limit > 0 && len(idxs) > limit {
 		idxs = idxs[:limit]
 	}
-	if wantNDJSON(r) {
+	if WantNDJSON(r) {
 		writeNDJSON(w, len(idxs), func(i int) any { return patternDTOOf(idx, idxs[i]) })
 		return
 	}
@@ -644,7 +644,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	for i, pi := range idxs {
 		out[i] = patternDTOOf(idx, pi)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"patterns": out, "total": len(out)})
+	WriteJSON(w, http.StatusOK, map[string]any{"patterns": out, "total": len(out)})
 }
 
 func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
@@ -655,7 +655,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 		_, known = gen.g.VertexID(label)
 	}
 	if !known {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown vertex %q", label))
+		WriteErr(w, http.StatusNotFound, fmt.Sprintf("unknown vertex %q", label))
 		return
 	}
 	pis := gen.idx.PatternsWithVertex(label)
@@ -669,7 +669,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 			setIDs = append(setIDs, id)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"vertex":   label,
 		"patterns": pats,
 		"sets":     setIDs,
@@ -680,7 +680,7 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 	gen := s.gen.Load()
 	names := ParseAttrList(r.URL.Query()["attrs"])
 	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
+		WriteErr(w, http.StatusBadRequest, "attrs parameter is required (e.g. /epsilon?attrs=A,B)")
 		return
 	}
 
@@ -690,7 +690,7 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 		s.epsilonQueries.Add(1)
 		s.epsilonIndexed.Add(1)
 		exp := set.ExpEps
-		writeJSON(w, http.StatusOK, EpsilonAnswer{
+		WriteJSON(w, http.StatusOK, EpsilonAnswer{
 			ID:              gen.idx.SetID(i),
 			Attrs:           set.Names,
 			Support:         set.Support,
@@ -707,14 +707,14 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if gen.g == nil || s.est == nil {
-		writeErr(w, http.StatusNotImplemented, "on-demand epsilon computation is disabled (no graph/estimator configured)")
+		WriteErr(w, http.StatusNotImplemented, "on-demand epsilon computation is disabled (no graph/estimator configured)")
 		return
 	}
 	attrs := make([]int32, 0, len(names))
 	for _, n := range names {
 		id, ok := gen.g.AttrID(n)
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown attribute %q", n))
+			WriteErr(w, http.StatusNotFound, fmt.Sprintf("unknown attribute %q", n))
 			return
 		}
 		attrs = append(attrs, id)
@@ -743,7 +743,7 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrBudget) {
 			status = http.StatusServiceUnavailable
 		}
-		writeErr(w, status, err.Error())
+		WriteErr(w, status, err.Error())
 		return
 	}
 	s.epsilonQueries.Add(1)
@@ -756,7 +756,7 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 		s.metrics.cacheMisses.Inc()
 		ans.Source = "computed"
 	}
-	writeJSON(w, http.StatusOK, ans)
+	WriteJSON(w, http.StatusOK, ans)
 }
 
 // computeEpsilon answers one uncached /epsilon query through the
@@ -773,7 +773,7 @@ func computeEpsilon(gen *generation, s *Server, attrs []int32) (EpsilonAnswer, e
 	members := gen.g.Members(attrs)
 	ans.Support = members.Count()
 	if ans.Support > 0 {
-		est, err := s.est.Estimate(gen.g, attrs, members, members)
+		est, err := s.est.EstimateWithCerts(gen.g, attrs, members, members, nil)
 		if err != nil {
 			return EpsilonAnswer{}, err
 		}
@@ -823,16 +823,18 @@ func floatParam(q map[string][]string, name string, def float64) (float64, error
 	return v, nil
 }
 
-// wantNDJSON reports whether the request asked for NDJSON output.
-func wantNDJSON(r *http.Request) bool {
+// WantNDJSON reports whether the request asked for NDJSON output.
+func WantNDJSON(r *http.Request) bool {
 	if r.URL.Query().Get("format") == "ndjson" {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
 
-// writeJSON writes one JSON document with the right headers.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes one JSON document (indent 2, sorted map keys) with
+// the right headers. The gateway writes through it too, which keeps
+// merged responses byte-identical to single-process ones.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -851,7 +853,7 @@ func writeNDJSON(w http.ResponseWriter, n int, item func(i int) any) {
 	}
 }
 
-// writeErr writes the JSON error envelope {"error": msg}.
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// WriteErr writes the JSON error envelope {"error": msg}.
+func WriteErr(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }

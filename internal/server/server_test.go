@@ -20,18 +20,12 @@ import (
 	"github.com/scpm/scpm/internal/index"
 )
 
-// countingEstimator wraps an Estimator and counts Estimate calls, so
+// countingEstimator wraps an Estimator and counts estimate calls, so
 // tests can assert how many quasi-clique searches a request pattern
 // actually triggered.
 type countingEstimator struct {
 	inner epsilon.Estimator
 	calls atomic.Int64
-}
-
-// Estimate implements epsilon.Estimator.
-func (c *countingEstimator) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (epsilon.Estimate, error) {
-	c.calls.Add(1)
-	return c.inner.Estimate(g, attrs, members, candidates)
 }
 
 // EstimateWithCerts implements epsilon.Estimator.
@@ -544,17 +538,12 @@ type panickyEstimator struct {
 	first atomic.Bool
 }
 
-// Estimate implements epsilon.Estimator.
-func (p *panickyEstimator) Estimate(g *graph.Graph, attrs []int32, members, candidates *bitset.Set) (epsilon.Estimate, error) {
+// EstimateWithCerts implements epsilon.Estimator.
+func (p *panickyEstimator) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore) (epsilon.Estimate, error) {
 	if !p.first.Swap(true) {
 		panic("injected estimator failure")
 	}
-	return p.inner.Estimate(g, attrs, members, candidates)
-}
-
-// EstimateWithCerts implements epsilon.Estimator.
-func (p *panickyEstimator) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore) (epsilon.Estimate, error) {
-	return p.Estimate(g, attrs, members, candidates)
+	return p.inner.EstimateWithCerts(g, attrs, members, candidates, certs)
 }
 
 // Name implements epsilon.Estimator.

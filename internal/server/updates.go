@@ -114,16 +114,16 @@ func parseUpdateOps(r io.Reader) ([]UpdateOp, error) {
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, "method not allowed (POST only)")
+		WriteErr(w, http.StatusMethodNotAllowed, "method not allowed (POST only)")
 		return
 	}
 	if s.params == nil {
-		writeErr(w, http.StatusNotImplemented, "live updates are disabled (server booted without mining result and parameters)")
+		WriteErr(w, http.StatusNotImplemented, "live updates are disabled (server booted without mining result and parameters)")
 		return
 	}
 	ops, err := parseUpdateOps(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("parsing update ops: %v", err))
+		WriteErr(w, http.StatusBadRequest, fmt.Sprintf("parsing update ops: %v", err))
 		return
 	}
 
@@ -133,14 +133,14 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	for i, op := range ops {
 		if err := op.apply(d); err != nil {
 			s.updateMu.Unlock()
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i+1, err))
+			WriteErr(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i+1, err))
 			return
 		}
 	}
 	ng, cs, err := base.Apply(d)
 	if err != nil {
 		s.updateMu.Unlock()
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.headG = ng
@@ -149,7 +149,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	} else if err := s.pending.Merge(cs); err != nil {
 		// Cannot happen: pending always ends where the head begins.
 		s.updateMu.Unlock()
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		WriteErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !s.remining {
@@ -161,7 +161,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 
 	s.updatesAccepted.Add(1)
 	s.metrics.updatesAccepted.Inc()
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"accepted":         len(ops),
 		"data_version":     dataVersion,
 		"served_version":   s.gen.Load().version,
@@ -291,5 +291,5 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	if msg := s.lastRemineErr.Load(); msg != nil {
 		out["last_remine_error"] = *msg
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

@@ -23,9 +23,6 @@ import (
 const (
 	ManifestFormatV1 = "scpm-manifest/v1"
 	ManifestFormatV2 = "scpm-manifest/v2"
-
-	// ManifestFormat is the legacy name of the v1 format marker.
-	ManifestFormat = ManifestFormatV1
 )
 
 // RootAssignment records one frequent root attribute's place in the
@@ -44,7 +41,8 @@ type RootAssignment struct {
 // snapshot lives. scpm-serve -shard boots its slice from it and
 // scpm-gateway routes single-owner queries with it.
 type Manifest struct {
-	// Format is always ManifestFormat.
+	// Format is ManifestFormatV1, or ManifestFormatV2 once SealLevel1
+	// installs the level-1 seal.
 	Format string `json:"format"`
 	// Shards is the number of partitions N.
 	Shards int `json:"shards"`
@@ -139,7 +137,7 @@ func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manife
 		}
 	}
 	m := &Manifest{
-		Format:       ManifestFormat,
+		Format:       ManifestFormatV1,
 		Shards:       n,
 		SigmaMin:     sigmaMin,
 		Vertices:     g.NumVertices(),
@@ -371,30 +369,35 @@ func (m *Manifest) SealLevel1(v *core.Level1Verdicts) error {
 // carries no seal (v1) or when g has moved past the sealed graph
 // version, which core.Mine would refuse with core.ErrStaleVerdicts:
 // after live updates a run evaluates level 1 itself, or a Remine
-// carries it over from the previous result. Bitsets are rebuilt at g's vertex
-// capacity; pattern attribute identity is the root itself.
+// carries it over from the previous result. A graph at the sealed
+// version that is not the planned graph fails (see checkShape).
+// Bitsets are rebuilt at g's vertex capacity; pattern attribute
+// identity is the root itself.
 func (m *Manifest) Level1Verdicts(g *graph.Graph) (*core.Level1Verdicts, error) {
 	if m.Level1 == nil || g.Version() != m.GraphVersion {
 		return nil, nil
 	}
-	if g.NumVertices() != m.Vertices || g.NumAttributes() != m.Attributes {
-		return nil, fmt.Errorf("shard: graph shape %dv/%da does not match manifest %dv/%da at the same version",
-			g.NumVertices(), g.NumAttributes(), m.Vertices, m.Attributes)
+	if err := m.checkShape(g); err != nil {
+		return nil, err
 	}
 	out := core.NewLevel1Verdicts(m.GraphVersion, m.Level1.ParamsKey)
 	n := g.NumVertices()
 	for i, sv := range m.Roots {
 		s := m.Level1.Verdicts[i]
 		d := &core.Level1Verdict{
-			Attr:            sv.ID,
-			Epsilon:         s.Epsilon,
-			Covered:         s.Covered,
-			KMass:           s.KMass,
-			Estimated:       s.Estimated,
-			ErrBound:        s.ErrBound,
-			SampledVertices: s.SampledVertices,
-			Nodes:           s.Nodes,
-			HasPatterns:     s.HasPatterns,
+			Attr: sv.ID,
+			Evaluation: core.Evaluation{
+				Estimate: epsilon.Estimate{
+					Epsilon:         s.Epsilon,
+					Covered:         s.Covered,
+					KMass:           s.KMass,
+					Estimated:       s.Estimated,
+					ErrBound:        s.ErrBound,
+					SampledVertices: s.SampledVertices,
+					Nodes:           s.Nodes,
+				},
+				HasPatterns: s.HasPatterns,
+			},
 		}
 		if s.HasHanddown {
 			set, err := unsealBitset(n, s.Handdown)
@@ -432,27 +435,32 @@ func (m *Manifest) Level1Verdicts(g *graph.Graph) (*core.Level1Verdicts, error) 
 	return out, nil
 }
 
-// Owner returns a core.Params.ShardOwner routing by the manifest's own
-// root assignments while the graph sits at the sealed version, falling
-// back to a freshly derived plan (Owner) once live updates move past
-// it — the same deterministic re-partition every replica derives.
-func (m *Manifest) Owner(k int) func(*graph.Graph, int32) bool {
-	if m.Shards < 1 || k < 0 || k >= m.Shards {
-		panic(fmt.Sprintf("shard: invalid shard %d/%d", k, m.Shards))
+// checkShape refuses to pair the seal with a graph that sits at the
+// sealed version but is not the planned graph. A version counts
+// updates since the graph was built, not its content, so a graph
+// rebuilt from other data restarts at the same version; replaying the
+// seal over it would silently report the planned graph's numbers. The
+// vertex, edge and attribute counts, the attribute table and every
+// root's support must all match the plan.
+func (m *Manifest) checkShape(g *graph.Graph) error {
+	if g.NumVertices() != m.Vertices || g.NumEdges() != m.Edges || g.NumAttributes() != m.Attributes {
+		return fmt.Errorf("shard: graph shape %dv/%de/%da does not match manifest %dv/%de/%da at the same version",
+			g.NumVertices(), g.NumEdges(), g.NumAttributes(), m.Vertices, m.Edges, m.Attributes)
 	}
-	owns := make(map[int32]bool)
+	for a, name := range m.AttrNames {
+		if got := g.AttrName(int32(a)); got != name {
+			return fmt.Errorf("shard: graph attribute %d is %q, manifest names it %q", a, got, name)
+		}
+	}
 	for _, r := range m.Roots {
-		if r.Shard == k {
-			owns[r.ID] = true
+		if r.ID < 0 || int(r.ID) >= m.Attributes {
+			return fmt.Errorf("shard: manifest root %q has attribute id %d of %d", r.Attr, r.ID, m.Attributes)
+		}
+		if got := g.AttrSupport(r.ID); got != r.Support {
+			return fmt.Errorf("shard: graph support of root %q is %d, manifest planned %d", r.Attr, got, r.Support)
 		}
 	}
-	fallback := Owner(m.SigmaMin, k, m.Shards)
-	return func(g *graph.Graph, root int32) bool {
-		if g.Version() == m.GraphVersion {
-			return owns[root]
-		}
-		return fallback(g, root)
-	}
+	return nil
 }
 
 // sealInts renders int32s as base64 of their little-endian bytes.

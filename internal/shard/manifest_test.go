@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/scpm/scpm/internal/core"
+	"github.com/scpm/scpm/internal/graph"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -117,8 +118,9 @@ func TestManifestRouting(t *testing.T) {
 // TestManifestSealedRoundTrip covers the v2 format end to end, in
 // exact and sampled ε modes: Write→Load→Write is byte-identical (the
 // seal is canonical), the reconstructed verdicts drive a sharded mine
-// to the bit-identical single-process answer through the manifest's
-// own Owner, and the run reports the replayed level-1 evaluations.
+// to the bit-identical single-process answer under the Owner of the
+// manifest's plan, and the run reports the replayed level-1
+// evaluations.
 func TestManifestSealedRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for mode, p := range testParams() {
@@ -179,7 +181,7 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 			parts := make([]*core.Result, n)
 			for k := 0; k < n; k++ {
 				pk := p
-				pk.ShardOwner = loaded.Owner(k)
+				pk.ShardOwner = Owner(loaded.SigmaMin, k, loaded.Shards)
 				pk.Level1Verdicts = verdicts
 				if parts[k], err = core.Mine(ctx, g, pk, nil); err != nil {
 					t.Fatal(err)
@@ -199,7 +201,7 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 }
 
 // TestManifestV1Compat pins the legacy path: a v1 manifest still
-// loads, reconstructs no verdicts, and its Owner routes a sharded mine
+// loads, reconstructs no verdicts, and its plan's Owner routes a sharded mine
 // that re-evaluates level 1 to the identical single-process answer.
 func TestManifestV1Compat(t *testing.T) {
 	ctx := context.Background()
@@ -231,7 +233,7 @@ func TestManifestV1Compat(t *testing.T) {
 	parts := make([]*core.Result, n)
 	for k := 0; k < n; k++ {
 		pk := p
-		pk.ShardOwner = loaded.Owner(k)
+		pk.ShardOwner = Owner(loaded.SigmaMin, k, loaded.Shards)
 		if parts[k], err = core.Mine(ctx, g, pk, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -320,6 +322,75 @@ func TestSealRejectsForeignVerdicts(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatalf("freshly sealed manifest fails verification: %v", err)
+	}
+}
+
+// TestSealRejectsRebuiltGraph pins the seal's shape guard. A graph
+// rebuilt from other data restarts at the sealed graph version, so the
+// version alone cannot tell it from the planned graph: with the edges
+// of vertex id 5 (named "6") removed from the paper example (19 edges
+// → 13, still version 1), replaying the seal would report the planned
+// ε({A}) = 9/11 where a fresh mine finds 4/11. Each rebuilt graph must
+// fail with an error.
+func TestSealRejectsRebuiltGraph(t *testing.T) {
+	ctx := context.Background()
+	g := graph.PaperExample()
+	p := core.Params{SigmaMin: 3, Gamma: 0.6, MinSize: 4, K: 10}
+	m, err := BuildManifestSealed(ctx, g, p, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Level1Verdicts(g); err != nil || v == nil {
+		t.Fatalf("planned graph: verdicts %v, err %v", v, err)
+	}
+	rebuild := func(keepEdge func(u, w string) bool, attrsOf func(v string, attrs []string) []string) *graph.Graph {
+		t.Helper()
+		b := graph.NewBuilder()
+		for v := int32(0); v < int32(g.NumVertices()); v++ {
+			name := g.VertexName(v)
+			if _, err := b.AddVertex(name, attrsOf(name, g.AttrSetNames(g.VertexAttrs(v)))...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for u := int32(0); u < int32(g.NumVertices()); u++ {
+			for _, w := range g.Neighbors(u) {
+				if u < w && keepEdge(g.VertexName(u), g.VertexName(w)) {
+					if err := b.AddEdge(u, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		ng, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ng.Version() != m.GraphVersion {
+			t.Fatalf("rebuilt graph at version %d, seal at %d", ng.Version(), m.GraphVersion)
+		}
+		return ng
+	}
+	allEdges := func(u, w string) bool { return true }
+	sameAttrs := func(v string, attrs []string) []string { return attrs }
+	noSix := rebuild(func(u, w string) bool { return u != "6" && w != "6" }, sameAttrs)
+	if noSix.NumEdges() != 13 {
+		t.Fatalf("rebuilt graph has %d edges, want 13", noSix.NumEdges())
+	}
+	for name, bad := range map[string]*graph.Graph{
+		"edges": noSix,
+		"attr table": rebuild(allEdges, func(v string, attrs []string) []string {
+			return strings.Fields(strings.ReplaceAll(strings.Join(attrs, " "), "B", "F"))
+		}),
+		"root support": rebuild(allEdges, func(v string, attrs []string) []string {
+			if v == "2" {
+				return nil
+			}
+			return attrs
+		}),
+	} {
+		if v, err := m.Level1Verdicts(bad); err == nil {
+			t.Errorf("%s: seal accepted for a rebuilt graph (%d verdicts)", name, v.Len())
+		}
 	}
 }
 

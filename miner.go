@@ -77,7 +77,7 @@ func NewMiner(opts ...Option) (*Miner, error) {
 				m.shardK, m.manifest.Shards, m.manifest.Shards-1)
 		}
 		if m.manifest.Shards > 1 {
-			m.p.ShardOwner = m.manifest.Owner(m.shardK)
+			m.p.ShardOwner = shard.Owner(m.manifest.SigmaMin, m.shardK, m.manifest.Shards)
 		}
 	case m.shardN > 1:
 		// Resolved after all options so the owner sees the final σmin.
@@ -159,11 +159,12 @@ type ShardManifest = shard.Manifest
 func LoadShardManifest(path string) (*ShardManifest, error) { return shard.LoadManifest(path) }
 
 // WithShardManifest boots shard k of the deployment the manifest
-// plans: lattice ownership comes from the manifest's root assignments
-// (re-derived deterministically once live updates move the graph past
-// the planned version), and — when the manifest is v2 — the sealed
-// level-1 verdicts are injected so the boot mine replays every level-1
-// evaluation instead of re-searching it. Mining parameters must match
+// plans: lattice ownership is the plan the manifest records, derived
+// from its σmin and shard count (and re-derived deterministically once
+// live updates move the graph past the planned version), and — when
+// the manifest is v2 — the sealed level-1 verdicts are injected so the
+// boot mine replays every level-1 evaluation instead of re-searching
+// it. Mining parameters must match
 // the fingerprint the verdicts were sealed under; Mine fails loudly
 // otherwise. A v1 manifest behaves exactly like WithShard(k,
 // man.Shards).

@@ -28,17 +28,6 @@ type IndexStats = index.Stats
 // so the index and its snapshots are self-contained.
 func NewIndex(res *Result, g *Graph) *Index { return index.Build(res, g) }
 
-// LiveIndex is an atomically swappable handle on an immutable Index —
-// the copy-on-write primitive behind the live-update path. Readers
-// call Index() and query the snapshot they got; a concurrent Swap
-// (typically of an Index.Rebuild over a Remine result) never blocks
-// them. scpm-serve wires this up automatically; embedders serving an
-// index in-process use it directly.
-type LiveIndex = index.Live
-
-// NewLiveIndex wraps an index in a live handle.
-func NewLiveIndex(x *Index) *LiveIndex { return index.NewLive(x) }
-
 // SwapEvent describes one live-update generation swap: the new graph
 // version, the incremental mining result and the rebuilt index that
 // now serve reads. It is the payload of ServerConfig.OnSwap — the
