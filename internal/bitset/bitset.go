@@ -85,6 +85,50 @@ func (sl *Slab) Carve(n, k int) []Set {
 	return sl.sets
 }
 
+// Stack hands out sets in last-in, first-out order from reusable
+// storage: Push carves a set, and Release frees every set pushed since
+// a Mark. The zero value is ready to use. A depth-first walk that
+// builds a few sets per node — the miner's Eclat walk, with V(S), the
+// Theorem-3 candidate restriction and the hand-down of each attribute
+// set — pays for storage only while its deepest path grows, instead of
+// two allocations per set. A set stays valid until the Release that
+// frees it; growing the storage never moves a live set.
+type Stack struct {
+	words []uint64
+	sets  []Set
+}
+
+// StackMark records a Stack's top; Release returns to it.
+type StackMark struct{ words, sets int }
+
+// Mark returns the current top of the stack.
+func (st *Stack) Mark() StackMark { return StackMark{len(st.words), len(st.sets)} }
+
+// Release frees every set pushed since mk was taken.
+func (st *Stack) Release(mk StackMark) {
+	st.words, st.sets = st.words[:mk.words], st.sets[:mk.sets]
+}
+
+// Push returns an empty set of capacity n carved from the stack.
+func (st *Stack) Push(n int) *Set {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative capacity %d", n))
+	}
+	need := (n + wordBits - 1) / wordBits
+	top := len(st.words)
+	if cap(st.words)-top < need {
+		// Live sets keep the old array; the new one starts at the same
+		// top, so offsets below it are never handed out twice.
+		st.words = make([]uint64, top, 2*cap(st.words)+need)
+	}
+	w := st.words[top : top+need : top+need]
+	clear(w)
+	st.words = st.words[:top+need]
+	// A growing append leaves the live headers in the old array too.
+	st.sets = append(st.sets, Set{words: w, n: n})
+	return &st.sets[len(st.sets)-1]
+}
+
 // FromSlice returns a set of capacity n containing every value of vs.
 func FromSlice(n int, vs []int32) *Set {
 	s := New(n)

@@ -119,3 +119,42 @@ func TestNewSlabNegativePanics(t *testing.T) {
 	}()
 	NewSlab(-1, 2)
 }
+
+// TestStackLIFO: pushed sets are empty and independent, survive the
+// stack's growth, and Release frees exactly the sets pushed after the
+// mark, whose storage the next Push reuses cleared.
+func TestStackLIFO(t *testing.T) {
+	var st Stack
+	bottom := st.Push(130)
+	bottom.Add(129)
+	mk := st.Mark()
+	var live []*Set
+	for i := 0; i < 50; i++ { // enough to grow both backing arrays
+		s := st.Push(130)
+		if !s.IsEmpty() || s.Len() != 130 {
+			t.Fatalf("push %d: not an empty set of capacity 130: %v", i, s)
+		}
+		s.Add(i)
+		live = append(live, s)
+	}
+	for i, s := range live {
+		if s.Count() != 1 || !s.Contains(i) {
+			t.Fatalf("set %d changed after later pushes: %v", i, s)
+		}
+	}
+	if bottom.Count() != 1 || !bottom.Contains(129) {
+		t.Fatalf("set below the mark changed: %v", bottom)
+	}
+	st.Release(mk)
+	if got := st.Mark(); got != mk {
+		t.Fatalf("Release left the top at %+v, want %+v", got, mk)
+	}
+	st.Push(130).Add(7)
+	st.Release(mk)
+	if s := st.Push(130); !s.IsEmpty() {
+		t.Fatalf("reused storage not cleared: %v", s)
+	}
+	if bottom.Count() != 1 || !bottom.Contains(129) {
+		t.Fatalf("set below the mark changed after reuse: %v", bottom)
+	}
+}

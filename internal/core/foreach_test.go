@@ -16,7 +16,7 @@ func TestForEachProcessesEveryIndexOnce(t *testing.T) {
 	const n = 4096
 	m := &miner{p: Params{Parallelism: 16}}
 	seen := make([]atomic.Int32, n)
-	if err := m.forEach(context.Background(), n, func(i int, _ *tally) error {
+	if err := m.forEach(context.Background(), n, func(i int, _ *worker) error {
 		seen[i].Add(1)
 		return nil
 	}); err != nil {
@@ -40,7 +40,7 @@ func TestForEachFirstErrorWins(t *testing.T) {
 		m := &miner{p: Params{Parallelism: 8}}
 		seen := make([]atomic.Int32, n)
 		var ran atomic.Int64
-		err := m.forEach(context.Background(), n, func(i int, _ *tally) error {
+		err := m.forEach(context.Background(), n, func(i int, _ *worker) error {
 			if seen[i].Add(1) != 1 {
 				return fmt.Errorf("index %d ran twice", i)
 			}
@@ -68,7 +68,7 @@ func TestForEachSequentialFirstError(t *testing.T) {
 	m := &miner{p: Params{Parallelism: 1}}
 	var calls int
 	wantErr := errors.New("stop at three")
-	err := m.forEach(context.Background(), 10, func(i int, _ *tally) error {
+	err := m.forEach(context.Background(), 10, func(i int, _ *worker) error {
 		calls++
 		if i == 3 {
 			return wantErr
@@ -90,7 +90,7 @@ func TestForEachCancellation(t *testing.T) {
 	m := &miner{p: Params{Parallelism: 8}}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := m.forEach(ctx, n, func(i int, _ *tally) error {
+	err := m.forEach(ctx, n, func(i int, _ *worker) error {
 		if ran.Add(1) == 100 {
 			cancel()
 		}

@@ -38,7 +38,7 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 	}
 	im := &itemset.Miner{MinSupport: p.SigmaMin, MaxLen: p.MaxAttrs}
 
-	res := &Result{}
+	b := &bucket{}
 	var mineErr error
 	err := im.Mine(db, func(s itemset.Itemset) bool {
 		if ctx.Err() != nil {
@@ -79,7 +79,7 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 			Delta:   delta,
 			Covered: len(covered),
 		}
-		res.Sets = append(res.Sets, set)
+		b.rows.carve(1)[0] = set
 		var emitted []Pattern
 		if p.K > 0 || p.AllPatterns {
 			top := pats
@@ -100,7 +100,7 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 					Edges:    q.Edges,
 				})
 			}
-			res.Patterns = append(res.Patterns, emitted...)
+			b.pats = append(b.pats, emitted...)
 		}
 		em.emitSet(set, emitted)
 		return true
@@ -108,5 +108,5 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 	if mineErr != nil {
 		err = mineErr
 	}
-	return finalizeResult(res, em, err)
+	return finalizeResult(&Result{}, []*bucket{b}, em, err)
 }

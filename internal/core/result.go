@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,9 +234,8 @@ func (r *Result) PatternsOf(attrs []int32) []Pattern {
 	return out
 }
 
-// attrKey renders sorted attribute ids as a compact map key. It sits
-// on the lattice replay hot path (one call per evaluated set), so it
-// avoids fmt.
+// attrKey renders sorted attribute ids as a compact map key. Lattice
+// recording and replay call it once per set, so it avoids fmt.
 func attrKey(attrs []int32) string {
 	buf := make([]byte, 0, 8*len(attrs))
 	for _, a := range attrs {
@@ -245,11 +245,75 @@ func attrKey(attrs []int32) string {
 	return string(buf)
 }
 
-// sortResult puts sets and patterns in canonical order.
-func sortResult(r *Result) {
-	sort.Slice(r.Sets, func(i, j int) bool {
-		return CompareAttrs(r.Sets[i].Attrs, r.Sets[j].Attrs) < 0
-	})
+// bucket collects the rows one top-level subtree (or level 1) emits.
+// Rows, their Attrs and their Names are carved from chunks that never
+// move, so a bucket's growth copies nothing and a row costs no
+// allocation of its own.
+type bucket struct {
+	rows  chunks[AttributeSet]
+	ids   chunks[int32]
+	names chunks[string]
+	pats  []Pattern
+}
+
+// rowChunk is the largest chunk, in elements, a bucket allocates.
+const rowChunk = 4096
+
+// chunks is an append-only sequence stored in chunks. A full chunk is
+// kept and the next one is twice as large, up to rowChunk elements.
+type chunks[T any] [][]T
+
+// carve appends n zero elements and returns them as one slice, capped
+// at n so appending to it never spills into its neighbor.
+func (c *chunks[T]) carve(n int) []T {
+	k := len(*c)
+	if k == 0 || cap((*c)[k-1])-len((*c)[k-1]) < n {
+		size := 16
+		if k > 0 {
+			size = min(2*cap((*c)[k-1]), rowChunk)
+		}
+		*c = append(*c, make([]T, 0, max(size, n)))
+		k++
+	}
+	last := (*c)[k-1]
+	(*c)[k-1] = last[:len(last)+n]
+	return last[len(last) : len(last)+n : len(last)+n]
+}
+
+// gather moves the buckets' rows into r in canonical order. The sets
+// are sorted by reference and copied once, straight into place: sorting
+// the wide rows themselves would swap them through reflection.
+func (r *Result) gather(buckets []*bucket) {
+	nSets, nPats := 0, 0
+	for _, b := range buckets {
+		if b != nil {
+			for _, c := range b.rows {
+				nSets += len(c)
+			}
+			nPats += len(b.pats)
+		}
+	}
+	order := make([]*AttributeSet, 0, nSets)
+	for _, b := range buckets {
+		if b != nil {
+			for _, c := range b.rows {
+				for i := range c {
+					order = append(order, &c[i])
+				}
+			}
+		}
+	}
+	slices.SortFunc(order, func(a, b *AttributeSet) int { return CompareAttrs(a.Attrs, b.Attrs) })
+	r.Sets = make([]AttributeSet, len(order))
+	for i, s := range order {
+		r.Sets[i] = *s
+	}
+	r.Patterns = make([]Pattern, 0, nPats)
+	for _, b := range buckets {
+		if b != nil {
+			r.Patterns = append(r.Patterns, b.pats...)
+		}
+	}
 	sort.Slice(r.Patterns, func(i, j int) bool {
 		a, b := r.Patterns[i], r.Patterns[j]
 		if c := CompareAttrs(a.Attrs, b.Attrs); c != 0 {

@@ -94,6 +94,7 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// in the partial result.
 	res := &Result{}
 	level1 := make([]evalOutcome, len(table))
+	buckets := []*bucket{{}}
 	var tl tally
 	for i, v := range table {
 		if v == nil {
@@ -111,14 +112,14 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 			break
 		}
 		level1[i], table[i] = out, nv
-		m.collect(res, out)
+		m.collect(buckets[0], out)
 	}
 	m.em.merge(&tl)
 	if p.RecordLattice {
 		res.lattice, res.level1 = m.record, m.verdictTable(table)
 	}
 	if runErr != nil {
-		return finalizeResult(res, m.em, runErr)
+		return finalizeResult(res, buckets, m.em, runErr)
 	}
 
 	// Extension order: ascending support keeps intermediate tidsets
@@ -162,35 +163,16 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// A sharded run descends only the subtrees it owns; every attribute
 	// set below an owned root belongs to this shard by the prefix
 	// ownership rule.
-	buckets := make([]*Result, len(survivors))
-	runErr = m.forEach(ctx, len(survivors), func(i int, tl *tally) error {
+	buckets = append(buckets, make([]*bucket, len(survivors))...)
+	runErr = m.forEach(ctx, len(survivors), func(i int, w *worker) error {
 		if !m.owns(survivors[i].attrs[0]) {
 			return nil
 		}
-		buckets[i] = &Result{}
-		return m.extendSubtree(ctx, survivors[i], survivors[i+1:], buckets[i], tl)
+		b := &bucket{}
+		buckets[1+i] = b
+		return m.extendSubtree(ctx, survivors[i], survivors[i+1:], b, w)
 	})
-	// Pre-size the merged slices from the per-subtree counts: appending
-	// bucket by bucket into growing slices re-copies the whole result
-	// O(log) times, a visible slice of the allocation tail on runs
-	// emitting tens of thousands of sets.
-	nSets, nPats := len(res.Sets), len(res.Patterns)
-	for _, b := range buckets {
-		if b != nil {
-			nSets += len(b.Sets)
-			nPats += len(b.Patterns)
-		}
-	}
-	res.Sets = append(make([]AttributeSet, 0, nSets), res.Sets...)
-	res.Patterns = append(make([]Pattern, 0, nPats), res.Patterns...)
-	for _, b := range buckets {
-		if b == nil {
-			continue
-		}
-		res.Sets = append(res.Sets, b.Sets...)
-		res.Patterns = append(res.Patterns, b.Patterns...)
-	}
-	return finalizeResult(res, m.em, runErr)
+	return finalizeResult(res, buckets, m.em, runErr)
 }
 
 // newMiner validates p and builds the run state of one mining run over
@@ -222,17 +204,18 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 	return m, nil
 }
 
-// finalizeResult puts a run's output in canonical order and stamps the
-// final counters. Cancellation and budget exhaustion surface the
-// partial result alongside the error; any other error discards it.
-func finalizeResult(res *Result, em *emitter, err error) (*Result, error) {
+// finalizeResult gathers a run's buckets into res, puts the output in
+// canonical order and stamps the final counters. Cancellation and
+// budget exhaustion surface the partial result alongside the error;
+// any other error discards it.
+func finalizeResult(res *Result, buckets []*bucket, em *emitter, err error) (*Result, error) {
 	// The terminal OnProgress fires however the run ends — the Sink
 	// contract promises it, and sinks flush on it.
 	defer em.finish()
 	if err != nil && !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBudget) {
 		return nil, err
 	}
-	sortResult(res)
+	res.gather(buckets)
 	res.Stats = em.snapshot()
 	return res, err
 }
@@ -281,14 +264,50 @@ type classItem struct {
 type evalOutcome struct {
 	item    classItem
 	survive bool
-	set     *AttributeSet
-	pats    []Pattern
+	// emit reports that the set passed the output thresholds; set is
+	// then its row, minus the Attrs and Names collect fills in.
+	emit bool
+	set  AttributeSet
+	pats []Pattern
 }
 
-// childAttrs forms the attribute set of the child obtained by
-// extending item with its sibling's last attribute.
-func childAttrs(item, sib classItem) []int32 {
-	return append(append(make([]int32, 0, len(item.attrs)+1), item.attrs...), sib.attrs[len(sib.attrs)-1])
+// worker is the state one forEach goroutine owns: its tally, and the
+// stacks its subtree walks carve per-set storage from. A walk releases
+// what it carved as it returns, so one worker reuses the same storage
+// for every set of every subtree it walks. Anything that outlives the
+// walk — a lattice entry, a result row — is copied out.
+type worker struct {
+	tally
+	// bits holds the V(S), Theorem-3 candidate and hand-down sets of
+	// the items on the open walk path and their pending siblings.
+	bits bitset.Stack
+	// attrs holds those items' Eclat-order attribute lists, and items
+	// the children lists of the open levels.
+	attrs []int32
+	items []classItem
+}
+
+// workerMark records a worker's stack tops; release returns to them.
+type workerMark struct {
+	bits         bitset.StackMark
+	attrs, items int
+}
+
+func (w *worker) mark() workerMark {
+	return workerMark{w.bits.Mark(), len(w.attrs), len(w.items)}
+}
+
+func (w *worker) release(mk workerMark) {
+	w.bits.Release(mk.bits)
+	w.attrs, w.items = w.attrs[:mk.attrs], w.items[:mk.items]
+}
+
+// childAttrs forms, on the worker's stack, the attribute set of the
+// child obtained by extending item with its sibling's last attribute.
+func (w *worker) childAttrs(item, sib classItem) []int32 {
+	start := len(w.attrs)
+	w.attrs = append(append(w.attrs, item.attrs...), sib.attrs[len(sib.attrs)-1])
+	return w.attrs[start:len(w.attrs):len(w.attrs)]
 }
 
 // owns reports whether this run owns the subtree rooted at root.
@@ -321,16 +340,16 @@ func (m *miner) frequentSingles() []int32 {
 // Each worker owns a tally for the scheduling-sensitive counters and
 // merges it into the emitter when it exits (errors included), so the
 // run totals are identical for every Parallelism value.
-func (m *miner) forEach(ctx context.Context, n int, fn func(i int, tl *tally) error) error {
+func (m *miner) forEach(ctx context.Context, n int, fn func(i int, w *worker) error) error {
 	workers := m.p.Parallelism
 	if workers <= 1 || n <= 1 {
-		var tl tally
-		defer m.em.merge(&tl)
+		var w worker
+		defer m.em.merge(&w.tally)
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return quasiclique.Canceled(ctx)
 			}
-			if err := fn(i, &tl); err != nil {
+			if err := fn(i, &w); err != nil {
 				return err
 			}
 		}
@@ -354,8 +373,8 @@ func (m *miner) forEach(ctx context.Context, n int, fn func(i int, tl *tally) er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var tl tally
-			defer m.em.merge(&tl)
+			var w worker
+			defer m.em.merge(&w.tally)
 			for !failed.Load() {
 				i := next.Add(1) - 1
 				if i >= int64(n) {
@@ -365,7 +384,7 @@ func (m *miner) forEach(ctx context.Context, n int, fn func(i int, tl *tally) er
 				if err != nil {
 					err = quasiclique.Canceled(ctx)
 				} else {
-					err = fn(int(i), &tl)
+					err = fn(int(i), &w)
 				}
 				if err != nil {
 					record(err)
@@ -380,59 +399,60 @@ func (m *miner) forEach(ctx context.Context, n int, fn func(i int, tl *tally) er
 
 // extendSubtree explores all attribute sets extending item with
 // attributes from its right-sibling list (Algorithm 3), collecting
-// emissions into out.
-func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []classItem, out *Result, tl *tally) error {
+// emissions into out. Each child's attribute list, V(S), candidate
+// restriction and hand-down are carved from w's stacks: a child that
+// does not survive frees them at once, and the survivors' are freed
+// when their subtrees are done.
+func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []classItem, out *bucket, w *worker) error {
 	if m.p.MaxAttrs > 0 && len(item.attrs) >= m.p.MaxAttrs {
 		return nil
 	}
-	var children []classItem
+	n := m.g.NumVertices()
+	entry := w.mark()
+	defer w.release(entry)
 	for _, sib := range siblings {
 		if ctx.Err() != nil {
 			return quasiclique.Canceled(ctx)
 		}
-		var (
-			attrs   []int32
-			res     evalOutcome
-			handled bool
-			err     error
-		)
+		child := w.mark()
+		attrs := w.childAttrs(item, sib)
 		// Incremental runs consult the lattice before doing any tidset
 		// work — a clean cached child costs one map lookup instead of a
 		// bitset intersection plus a coverage search.
-		if m.reuse != nil {
-			attrs = childAttrs(item, sib)
-			res, handled, err = m.replay(attrs, item.certs, tl)
-			if err != nil {
-				return err
-			}
+		res, handled, err := m.replay(attrs, item.certs, &w.tally)
+		if err != nil {
+			return err
 		}
 		if !handled {
-			members := item.members.Intersect(sib.members)
+			members := w.bits.Push(n)
+			members.AndInto(item.members, sib.members)
 			if members.Count() < m.p.SigmaMin {
+				w.release(child)
 				continue
-			}
-			if attrs == nil {
-				attrs = childAttrs(item, sib)
 			}
 			// Theorem 3: quasi-cliques of G(S) lie inside both parents'
 			// covered sets, so the search may be restricted to their
 			// intersection.
 			candidates := members
 			if !m.p.DisableVertexPruning {
-				candidates = item.covered.Intersect(sib.covered)
+				candidates = w.bits.Push(n)
+				candidates.AndInto(item.covered, sib.covered)
 			}
-			res, err = m.evaluate(attrs, members, candidates, item.certs, tl)
+			res, err = m.evaluate(attrs, members, candidates, item.certs, &w.tally)
 			if err != nil {
 				return err
 			}
 		}
 		m.collect(out, res)
 		if res.survive {
-			children = append(children, res.item)
+			w.items = append(w.items, res.item)
+		} else {
+			w.release(child)
 		}
 	}
+	children := w.items[entry.items:]
 	for i := range children {
-		if err := m.extendSubtree(ctx, children[i], children[i+1:], out, tl); err != nil {
+		if err := m.extendSubtree(ctx, children[i], children[i+1:], out, w); err != nil {
 			return err
 		}
 	}
@@ -459,7 +479,14 @@ func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, certs *
 	tl.noteSearchNodes(est.Nodes)
 	tl.noteSampled(int64(est.SampledVertices))
 	sigma := members.Count()
-	return m.score(attrs, members, sigma, est, nil, m.recordEntry(attrKey(attrs), members, sigma), certs, tl)
+	var rec *Evaluation
+	if m.record != nil {
+		// The lattice outlives the walk, so its entry takes heap copies
+		// of V(S) and of a hand-down that may alias the candidate set.
+		members, est.Handdown = members.Clone(), est.Handdown.Clone()
+		rec = m.recordEntry(attrKey(attrs), members, sigma)
+	}
+	return m.score(attrs, members, sigma, est, nil, rec, certs, tl)
 }
 
 // newCertStore returns a fresh certificate store, or nil when sharing
@@ -539,11 +566,8 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 	}
 
 	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(attrs) >= m.p.minAttrs() {
-		sorted := append([]int32(nil), attrs...)
-		slices.Sort(sorted)
-		out.set = &AttributeSet{
-			Attrs:           sorted,
-			Names:           m.g.AttrSetNames(sorted),
+		out.emit = true
+		out.set = AttributeSet{
 			Support:         sigma,
 			Epsilon:         eps,
 			ExpEps:          expEps,
@@ -586,7 +610,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 				if cached != nil && cached.HasPatterns {
 					out.pats = cached.Patterns
 				} else {
-					pats, err := m.topPatterns(sorted, base)
+					pats, err := m.topPatterns(attrs, base)
 					if err != nil {
 						return evalOutcome{}, err
 					}
@@ -605,6 +629,8 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 // mode, all of them. Since every quasi-clique lives inside K_S, the
 // search runs on the covered set.
 func (m *miner) topPatterns(attrs []int32, covered *bitset.Set) ([]Pattern, error) {
+	attrs = slices.Clone(attrs)
+	slices.Sort(attrs)
 	sub := m.g.InducedByMembers(covered)
 	qg := quasiclique.NewGraphCSR(sub.CSR())
 	var top []quasiclique.Pattern
@@ -635,13 +661,22 @@ func (m *miner) topPatterns(attrs []int32, covered *bitset.Set) ([]Pattern, erro
 	return out, nil
 }
 
-// collect moves an outcome's emissions into a result bucket and streams
-// them to the sink.
-func (m *miner) collect(res *Result, out evalOutcome) {
-	if out.set == nil {
+// collect moves an outcome's emissions into a result bucket, carving
+// the row's ascending attribute ids and their names from the bucket's
+// chunks, and streams them to the sink.
+func (m *miner) collect(b *bucket, out evalOutcome) {
+	if !out.emit {
 		return
 	}
-	res.Sets = append(res.Sets, *out.set)
-	res.Patterns = append(res.Patterns, out.pats...)
-	m.em.emitSet(*out.set, out.pats)
+	set := &b.rows.carve(1)[0]
+	*set = out.set
+	set.Attrs = b.ids.carve(len(out.item.attrs))
+	copy(set.Attrs, out.item.attrs)
+	slices.Sort(set.Attrs)
+	set.Names = b.names.carve(len(set.Attrs))
+	for i, a := range set.Attrs {
+		set.Names[i] = m.g.AttrName(a)
+	}
+	b.pats = append(b.pats, out.pats...)
+	m.em.emitSet(*set, out.pats)
 }

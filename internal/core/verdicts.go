@@ -115,7 +115,7 @@ func ComputeLevel1(ctx context.Context, g *graph.Graph, p Params) (*Level1Verdic
 // on worker scheduling. On error the slots evaluated so far stay
 // filled.
 func (m *miner) evaluateLevel1(ctx context.Context, singles []int32, table []*Level1Verdict) error {
-	return m.forEach(ctx, len(singles), func(i int, _ *tally) error {
+	return m.forEach(ctx, len(singles), func(i int, _ *worker) error {
 		if table[i] != nil {
 			return nil
 		}
@@ -190,7 +190,7 @@ func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (e
 		return evalOutcome{}, nil, err
 	}
 	if !owned {
-		out.set, out.pats = nil, nil
+		out.emit, out.pats = false, nil
 	}
 	return out, nv, nil
 }

@@ -110,7 +110,14 @@ func (e *Exact) Name() string { return "exact" }
 // search's covered set, and every quasi-clique the search reports is
 // captured back into the store. The covered set K_S is a fixed
 // property of G(S), so the result is bit-identical either way.
+//
+// An empty candidate set short-circuits: K_S ⊆ candidates = ∅
+// (Theorem 3), so ε = 0 with no slice, no certificate scan and no
+// search, and the hand-down is candidates itself.
 func (e *Exact) EstimateWithCerts(g *graph.Graph, attrs []int32, members, candidates *bitset.Set, certs *CertStore) (Estimate, error) {
+	if candidates.IsEmpty() {
+		return Estimate{Handdown: candidates}, nil
+	}
 	sigma := members.Count()
 	sub := g.InducedByMembers(candidates)
 	seed := certs.seedLocal(sub, candidates)

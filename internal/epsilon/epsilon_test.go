@@ -212,6 +212,68 @@ func TestSampledCandidateRestriction(t *testing.T) {
 	}
 }
 
+// TestExactEmptyCandidates: an empty Theorem-3 restriction answers
+// ε = 0 with no search and an empty hand-down over the parent graph,
+// and leaves the certificate store untouched, with or without one.
+func TestExactEmptyCandidates(t *testing.T) {
+	g := testGraph(t, 0)
+	exact := NewExact(qcParams(), quasiclique.Options{})
+	a := mostFrequentAttr(g)
+	members := g.AttrMembers(a)
+
+	base := NewCertStore()
+	if _, err := exact.EstimateWithCerts(g, []int32{a}, members, members, base); err != nil {
+		t.Fatal(err)
+	}
+	if base.Len() == 0 {
+		t.Fatal("fixture: the base store captured no certificate")
+	}
+	stores := map[string]*CertStore{"none": nil, "layered": NewCertStoreFrom(base)}
+	for name, store := range stores {
+		before := store.Len()
+		empty := bitset.New(g.NumVertices())
+		e, err := exact.EstimateWithCerts(g, []int32{a}, members, empty, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Epsilon != 0 || e.Covered != 0 || e.KMass != 0 || e.Nodes != 0 {
+			t.Errorf("%s store: empty candidates must answer ε 0 with no search: %+v", name, e)
+		}
+		if e.Handdown == nil || e.Handdown.Len() != g.NumVertices() || !e.Handdown.IsEmpty() {
+			t.Errorf("%s store: hand-down must be empty with capacity %d, got %v", name, g.NumVertices(), e.Handdown)
+		}
+		if got := store.Len(); got != before {
+			t.Errorf("%s store: Len %d → %d", name, before, got)
+		}
+	}
+}
+
+// TestSampledEmptyCandidatesStaysEstimated: the empty-restriction
+// short-circuit is Exact's alone. A set large enough to sample still
+// draws its sample and reports an estimated ε̂ = 0 with its error bound.
+func TestSampledEmptyCandidatesStaysEstimated(t *testing.T) {
+	g := testGraph(t, 2)
+	a := mostFrequentAttr(g)
+	members := g.AttrMembers(a)
+	sampled := NewSampled(qcParams(), quasiclique.Options{}, 0.2, 0.1, 3)
+	if sigma := members.Count(); sigma <= SampleWorthFactor*sampled.m {
+		t.Fatalf("fixture: support %d does not exceed %d×%d", sigma, SampleWorthFactor, sampled.m)
+	}
+	e, err := sampled.EstimateWithCerts(g, []int32{a}, members, bitset.New(g.NumVertices()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Estimate{
+		Handdown:        bitset.New(g.NumVertices()),
+		Estimated:       true,
+		SampledVertices: sampled.m,
+		ErrBound:        sampled.eps,
+	}
+	if !reflect.DeepEqual(e, want) {
+		t.Fatalf("got %+v, want %+v", e, want)
+	}
+}
+
 // TestNames pins the estimator names used in reports and bench files.
 func TestNames(t *testing.T) {
 	qp := qcParams()

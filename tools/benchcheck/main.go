@@ -6,6 +6,10 @@
 //     (scale, epsilon_mode) fails. search_nodes is deterministic —
 //     same input, same count, on any machine at any -parallel value —
 //     so this gate has no noise floor.
+//   - answers: any run whose sets, patterns or sets_evaluated differ
+//     at all from the baseline run with the same (scale, epsilon_mode)
+//     fails. They are as deterministic as search_nodes, and an
+//     optimisation must not change them, even one that searches less.
 //   - shard speedup (BENCH_shard.json only): the 2-shard critical-path
 //     speedup must stay above the hard floor of 1.0 — sharding that
 //     does not divide wall time is a regression by definition — and no
@@ -43,11 +47,14 @@ import (
 // run mirrors the benchRun columns the gate consumes; unknown fields
 // are ignored so the tool tolerates additive schema growth.
 type run struct {
-	Scale       float64 `json:"scale"`
-	EpsilonMode string  `json:"epsilon_mode"`
-	WallMS      float64 `json:"wall_ms"`
-	SearchNodes int64   `json:"search_nodes"`
-	Allocs      uint64  `json:"allocs"`
+	Scale         float64 `json:"scale"`
+	EpsilonMode   string  `json:"epsilon_mode"`
+	WallMS        float64 `json:"wall_ms"`
+	Sets          int64   `json:"sets"`
+	Patterns      int64   `json:"patterns"`
+	SetsEvaluated int64   `json:"sets_evaluated"`
+	SearchNodes   int64   `json:"search_nodes"`
+	Allocs        uint64  `json:"allocs"`
 }
 
 // shardRun mirrors the shard-section mining columns the speedup gate
@@ -161,13 +168,20 @@ func check(basePath, candPath string, g gates, out io.Writer) error {
 	for _, r := range base.Runs {
 		byKey[key(r)] = r
 	}
-	var failures int
+	var failures, changed int
 	for _, c := range cand.Runs {
 		b, ok := byKey[key(c)]
 		if !ok {
 			fmt.Fprintf(out, "%-16s  new run, no baseline — skipped\n", key(c))
 			continue
 		}
+		answers := "ok"
+		if c.Sets != b.Sets || c.Patterns != b.Patterns || c.SetsEvaluated != b.SetsEvaluated {
+			answers = "FAIL (answers changed)"
+			changed++
+		}
+		fmt.Fprintf(out, "%-16s  sets/patterns/evaluated %d/%d/%d → %d/%d/%d  %s\n",
+			key(c), b.Sets, b.Patterns, b.SetsEvaluated, c.Sets, c.Patterns, c.SetsEvaluated, answers)
 		nodesDelta := delta(float64(b.SearchNodes), float64(c.SearchNodes))
 		wallDelta := delta(b.WallMS, c.WallMS)
 		allocDelta := delta(float64(b.Allocs), float64(c.Allocs))
@@ -182,6 +196,9 @@ func check(basePath, candPath string, g gates, out io.Writer) error {
 			"", b.WallMS, c.WallMS, wallDelta)
 		fmt.Fprintf(out, "%-16s  allocs       %8d → %8d (%+7.2f%%)  advisory\n",
 			"", b.Allocs, c.Allocs, allocDelta)
+	}
+	if changed > 0 {
+		return fmt.Errorf("%d run(s) changed sets, patterns or sets_evaluated on %s", changed, base.Dataset)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d run(s) regressed search_nodes beyond %.0f%% on %s", failures, tolerance*100, base.Dataset)

@@ -266,3 +266,63 @@ func TestShardGateNewRowFloorOnly(t *testing.T) {
 		t.Fatalf("missing new-row note:\n%s", out.String())
 	}
 }
+
+// writeAnswerReport writes a dblp report whose single exact run carries
+// the given search nodes and answer columns.
+func writeAnswerReport(t *testing.T, dir, name string, nodes, sets, patterns, evaluated int64) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	content := fmt.Sprintf(`{
+  "schema": "scpm-bench/v7",
+  "dataset": "dblp",
+  "runs": [
+    {"scale": 0.1, "epsilon_mode": "exact", "wall_ms": 200.0, "sets": %d, "patterns": %d,
+     "sets_evaluated": %d, "search_nodes": %d, "allocs": 9000}
+  ]
+}`, sets, patterns, evaluated, nodes)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestAnswerGatePassesWhenIdentical(t *testing.T) {
+	dir := t.TempDir()
+	base := writeAnswerReport(t, dir, "base.json", 5484, 31388, 60, 31550)
+	cand := writeAnswerReport(t, dir, "cand.json", 5484, 31388, 60, 31550)
+	var out bytes.Buffer
+	if err := check(base, cand, defGates(), &out); err != nil {
+		t.Fatalf("identical answers rejected: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "FAIL") {
+		t.Fatalf("unexpected FAIL verdict:\n%s", out.String())
+	}
+}
+
+// TestAnswerGateFailsOnAnyChange: a change to any answer column fails,
+// in either direction, even when the run searched less than the
+// baseline.
+func TestAnswerGateFailsOnAnyChange(t *testing.T) {
+	cases := map[string][3]int64{
+		"fewer sets":           {31387, 60, 31550},
+		"more sets":            {31389, 60, 31550},
+		"fewer patterns":       {31388, 59, 31550},
+		"more sets evaluated":  {31388, 60, 31551},
+		"fewer sets evaluated": {31388, 60, 31549},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := writeAnswerReport(t, dir, "base.json", 5484, 31388, 60, 31550)
+			cand := writeAnswerReport(t, dir, "cand.json", 4000, c[0], c[1], c[2])
+			var out bytes.Buffer
+			err := check(base, cand, defGates(), &out)
+			if err == nil {
+				t.Fatalf("changed answers accepted:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), "answers changed") {
+				t.Fatalf("missing answers verdict:\n%s", out.String())
+			}
+		})
+	}
+}
