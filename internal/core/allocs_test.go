@@ -1,3 +1,8 @@
+//go:build !race
+
+// The race detector allocates on its own, so this gate builds only
+// without it.
+
 package core
 
 import (
@@ -19,9 +24,6 @@ const maxAllocsPerSet = 0.37
 // under a fixed ceiling. Sequential mining makes the count
 // deterministic up to the runtime's own allocations.
 func TestMineAllocsPerSet(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
 	prof := datagen.SynthDBLP(0.1)
 	g, _, err := datagen.Generate(prof.Config)
 	if err != nil {
