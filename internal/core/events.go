@@ -100,9 +100,9 @@ func (e *emitter) snapshot() Stats {
 	}
 }
 
-// noteReused records one attribute set carried over from a previous
-// run's lattice instead of being recomputed.
-func (e *emitter) noteReused() { e.reused.Add(1) }
+// noteReused records n attribute sets carried over from a previous
+// run instead of being recomputed.
+func (e *emitter) noteReused(n int64) { e.reused.Add(n) }
 
 // noteVerdictReplayed records one level-1 single served from sealed
 // verdicts instead of searched.
@@ -159,13 +159,24 @@ func (e *emitter) noteEvaluated() {
 // emitSet delivers one qualifying set and its patterns as an atomic
 // burst.
 func (e *emitter) emitSet(set AttributeSet, pats []Pattern) {
-	e.emitted.Add(1)
-	e.patterns.Add(int64(len(pats)))
+	e.noteEmitted(1, int64(len(pats)))
+	e.deliver(&set, pats)
+}
+
+// noteEmitted counts sets qualifying sets with pats patterns between them.
+func (e *emitter) noteEmitted(sets, pats int64) {
+	e.emitted.Add(sets)
+	e.patterns.Add(pats)
+}
+
+// deliver streams one qualifying set and its patterns to the sink, if
+// any, as an atomic burst.
+func (e *emitter) deliver(set *AttributeSet, pats []Pattern) {
 	if e.sink == nil {
 		return
 	}
 	e.mu.Lock()
-	e.sink.OnAttributeSet(set)
+	e.sink.OnAttributeSet(*set)
 	for _, p := range pats {
 		e.sink.OnPattern(p)
 	}

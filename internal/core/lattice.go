@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
+	"github.com/scpm/scpm/internal/nullmodel"
 )
 
 // Evaluation is the memoized evaluation of one attribute set S. The
@@ -16,7 +17,8 @@ import (
 // children, and S's top-k patterns; a replay hands the record back to
 // score, which reuses what it already holds instead of searching
 // again. A level-1 verdict is this record plus the single's attribute
-// id and certificates, a lattice entry this record plus V(S).
+// id and certificates, a lattice node this record minus its search
+// bill.
 type Evaluation struct {
 	// Estimate is the estimator's answer. Its Handdown is the covered-set
 	// hand-down as returned: the exact K_S in exact mode, the sampled
@@ -43,53 +45,246 @@ type Evaluation struct {
 // The paper's ε(S) depends only on V(S) and the subgraph it induces,
 // so a graph update leaves every attribute set disjoint from the
 // ChangeSet's dirty attributes bit-identical (see graph.ChangeSet);
-// those are the entries a Remine replays from here.
+// those are the sets a Remine carries or replays from here.
+//
+// The lattice is one flat table per recorded top-level subtree, in
+// Eclat order: a node per evaluated set, each node's children one
+// contiguous block, and each subtree's descendants one contiguous range
+// after its block. Nodes hold no pointers; the few sets with a
+// non-empty hand-down keep it, and their patterns, in a side table. A
+// lattice is immutable once its run returns, so the next generation
+// shares every subtree an update did not reach and copies whole
+// descendant ranges of the ones it did.
 type Lattice struct {
 	// version is the data version of the graph the lattice was
 	// recorded against; Remine requires the ChangeSet it is given to
 	// start exactly there, so a skipped intermediate update cannot
 	// silently replay stale evaluations.
 	version uint64
-	mu      sync.Mutex
-	m       map[string]*latticeEntry
+	// trees holds the recorded subtree of every top-level root the run
+	// owned, indexed by the root's attribute id; nil elsewhere.
+	trees []*latticeTree
+	// model is the null model the sets were scored under: with δmin > 0
+	// a Remine carries clean sets only while εexp agrees with it.
+	model nullmodel.Model
 }
 
-// latticeEntry memoizes one evaluated attribute set.
-type latticeEntry struct {
-	Evaluation
-	// members is V(S) with sigma = |V(S)|, retained so a replay skips
-	// the Eclat tidset intersection entirely for clean sets (the
-	// dominant cost on attribute-heavy datasets).
-	members *bitset.Set
-	sigma   int
+// latticeTree is the recorded subtree of one top-level root. nodes[0]
+// stands for the root itself, whose evaluation lives in the level-1
+// verdict table; every other node is an evaluated set.
+type latticeTree struct {
+	nodes []latticeNode
+	extra []latticeExtra
 }
 
-// newLattice builds an empty lattice for the given graph data version.
-func newLattice(version uint64) *Lattice {
-	return &Lattice{version: version, m: make(map[string]*latticeEntry)}
+// latticeNode is one evaluated attribute set: the attribute that
+// extends its parent, its support, the position of its children, and
+// the scalars of its evaluation.
+type latticeNode struct {
+	attr  int32
+	sigma int32
+	// kids is the offset of the first child from this node's index;
+	// nkids counts the children and desc all descendants, which fill
+	// the range starting at the first child.
+	kids, nkids, desc int32
+	// extra indexes the side table, or is -1 when the evaluation is an
+	// exact one with an empty hand-down (then there is no pattern
+	// either).
+	extra   int32
+	covered int32
+	eps     float64
+	kmass   float64
+}
+
+// latticeExtra holds what a node with a non-empty hand-down or a
+// sampled estimate keeps beyond its scalars. Its sets are immutable and
+// shared across generations.
+type latticeExtra struct {
+	handdown, exact *bitset.Set
+	pats            []Pattern
+	hasPatterns     bool
+	estimated       bool
+	sampled         int
+	errBound        float64
+}
+
+// newTree starts the recorded subtree of root, with room for the nodes
+// and side entries of prev, the previous generation's, when there is
+// one: an update rarely changes its size by much.
+func newTree(root int32, prev *latticeTree) *latticeTree {
+	t := &latticeTree{nodes: make([]latticeNode, 1, 1+prev.size()*9/8)}
+	t.nodes[0] = latticeNode{attr: root, extra: -1}
+	if prev != nil {
+		t.extra = make([]latticeExtra, 0, len(prev.extra)*9/8)
+	}
+	return t
 }
 
 // Size returns the number of memoized attribute sets.
 func (l *Lattice) Size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.m)
+	n := 0
+	for _, t := range l.trees {
+		if t != nil {
+			n += int(t.nodes[0].desc)
+		}
+	}
+	return n
 }
 
-// get looks up a memoized evaluation. It is called without the lock by
-// Remine workers: the consumed lattice belongs to a finished run and
-// is never written again.
-func (l *Lattice) get(key string) (*latticeEntry, bool) {
-	e, ok := l.m[key]
-	return e, ok
+// tree returns the recorded subtree of root, or nil.
+func (l *Lattice) tree(root int32) *latticeTree {
+	if l == nil || int(root) >= len(l.trees) {
+		return nil
+	}
+	return l.trees[root]
 }
 
-// put records an evaluation; workers of the recording run call it
-// concurrently.
-func (l *Lattice) put(key string, e *latticeEntry) {
-	l.mu.Lock()
-	l.m[key] = e
-	l.mu.Unlock()
+// size returns the number of recorded nodes; 0 on a nil tree.
+func (t *latticeTree) size() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.nodes)
+}
+
+// block returns the children of node i and the index of the first, or
+// nil when t is nil or i is -1.
+func (t *latticeTree) block(i int32) (int32, []latticeNode) {
+	if t == nil || i < 0 {
+		return 0, nil
+	}
+	nd := &t.nodes[i]
+	first := i + nd.kids
+	return first, t.nodes[first : first+nd.nkids]
+}
+
+// evaluation rebuilds node i's evaluation, its hand-downs at capacity
+// n; empty is the shared empty hand-down.
+func (t *latticeTree) evaluation(i int32, n int, empty *bitset.Set) Evaluation {
+	nd := &t.nodes[i]
+	ev := Evaluation{Estimate: epsilon.Estimate{
+		Epsilon:  nd.eps,
+		Covered:  int(nd.covered),
+		Handdown: empty,
+		KMass:    nd.kmass,
+	}}
+	if nd.extra >= 0 {
+		x := &t.extra[nd.extra]
+		if x.handdown != nil {
+			ev.Handdown = grownTo(x.handdown, n)
+		}
+		ev.Exact = grownTo(x.exact, n)
+		ev.Patterns, ev.HasPatterns = x.pats, x.hasPatterns
+		ev.Estimated, ev.SampledVertices, ev.ErrBound = x.estimated, x.sampled, x.errBound
+	}
+	return ev
+}
+
+// handdown returns the covered set node i handed its children: the
+// exact hand-down when the evaluation refined one, else the estimate's.
+func (t *latticeTree) handdown(i int32, n int, empty *bitset.Set) *bitset.Set {
+	nd := &t.nodes[i]
+	if nd.extra < 0 {
+		return empty
+	}
+	switch x := &t.extra[nd.extra]; {
+	case x.exact != nil:
+		return grownTo(x.exact, n)
+	case x.handdown != nil:
+		return grownTo(x.handdown, n)
+	}
+	return empty
+}
+
+// add records a freshly scored set and returns its index; -1 on a nil
+// tree (a run that does not record).
+func (t *latticeTree) add(attr int32, sigma int, ev *Evaluation) int32 {
+	if t == nil {
+		return -1
+	}
+	nd := latticeNode{
+		attr:    attr,
+		sigma:   int32(sigma),
+		extra:   -1,
+		covered: int32(ev.Covered),
+		eps:     ev.Epsilon,
+		kmass:   ev.KMass,
+	}
+	nonEmpty := ev.Handdown != nil && !ev.Handdown.IsEmpty()
+	if nonEmpty || ev.Estimated {
+		x := latticeExtra{pats: ev.Patterns, hasPatterns: ev.HasPatterns,
+			estimated: ev.Estimated, sampled: ev.SampledVertices, errBound: ev.ErrBound}
+		// The walk's hand-downs live on worker stacks; the lattice
+		// outlives it.
+		if nonEmpty {
+			x.handdown = ev.Handdown.Clone()
+		}
+		if ev.Exact != nil {
+			x.exact = ev.Exact.Clone()
+		}
+		nd.extra = int32(len(t.extra))
+		t.extra = append(t.extra, x)
+	}
+	t.nodes = append(t.nodes, nd)
+	return int32(len(t.nodes) - 1)
+}
+
+// carry records node i of old unchanged and returns its index, or -1
+// on a nil tree. Its children are placed later, by the walk or by
+// carryDescendants.
+func (t *latticeTree) carry(old *latticeTree, i int32) int32 {
+	if t == nil {
+		return -1
+	}
+	nd := old.nodes[i]
+	if nd.extra >= 0 {
+		t.extra = append(t.extra, old.extra[nd.extra])
+		nd.extra = int32(len(t.extra) - 1)
+	}
+	t.nodes = append(t.nodes, nd)
+	return int32(len(t.nodes) - 1)
+}
+
+// carryDescendants copies the descendant range of old's node o after
+// t's last node, as the descendants of t's node at. Child offsets are
+// relative, so the range copies as is; side-table indices grow with
+// node indices, so its extras are one contiguous run, re-based here.
+func (t *latticeTree) carryDescendants(at int32, old *latticeTree, o int32) {
+	if t == nil {
+		return
+	}
+	on := &old.nodes[o]
+	first := int32(len(t.nodes))
+	t.nodes[at].kids = first - at
+	if on.desc == 0 {
+		return
+	}
+	from := o + on.kids
+	t.nodes = append(t.nodes, old.nodes[from:from+on.desc]...)
+	lo, hi := int32(-1), int32(-1)
+	base := int32(len(t.extra))
+	for k := first; k < int32(len(t.nodes)); k++ {
+		if x := t.nodes[k].extra; x >= 0 {
+			if lo < 0 {
+				lo = x
+			}
+			hi = x
+			t.nodes[k].extra = x - lo + base
+		}
+	}
+	if lo >= 0 {
+		t.extra = append(t.extra, old.extra[lo:hi+1]...)
+	}
+}
+
+// closeBlock stamps node at's children block, which starts at first,
+// and its descendant count once its walk is done.
+func (t *latticeTree) closeBlock(at, first, nkids int32) {
+	if t == nil {
+		return
+	}
+	nd := &t.nodes[at]
+	nd.kids, nd.nkids, nd.desc = first-at, nkids, int32(len(t.nodes))-first
 }
 
 // grownTo returns s at capacity n, reusing s itself when it already
@@ -102,6 +297,101 @@ func grownTo(s *bitset.Set, n int) *bitset.Set {
 	return s.Grown(n)
 }
 
+// expMoved reports whether εexp under this run's null model differs
+// from the lattice's at σmin or at any support a recorded set has —
+// the only way a clean set's survival or emission can flip.
+func (m *miner) expMoved(l *Lattice) bool {
+	if l.model == nil || l.model.Exp(m.p.SigmaMin) != m.expSigmaMin {
+		return true
+	}
+	seen := bitset.New(m.g.NumVertices() + 1)
+	for _, t := range l.trees {
+		if t == nil {
+			continue
+		}
+		for _, nd := range t.nodes[1:] {
+			s := int(nd.sigma)
+			if seen.Contains(s) {
+				continue
+			}
+			seen.Add(s)
+			if l.model.Exp(s) != m.model.Exp(s) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// carries reports whether a Remine carries old's row for attrs: a set
+// of two or more attributes (singles come from the verdict table), none
+// of them dirty, below a root this run owns. A subtree's root is its
+// set's first attribute in the Eclat order.
+func (m *miner) carries(attrs []int32) bool {
+	if len(attrs) < 2 || m.changes.Touches(attrs) {
+		return false
+	}
+	if m.owner == nil {
+		return true
+	}
+	root := attrs[0]
+	for _, a := range attrs[1:] {
+		if m.g.AttrSupport(a) < m.g.AttrSupport(root) {
+			root = a
+		}
+	}
+	return m.owns(root)
+}
+
+// mergeCarried merges the rows of old a Remine carried into res, which
+// holds the rows its walk collected, and streams them to the sink. A
+// carried row keeps its evaluation; only ExpEps and δ follow the null
+// model. Both sides are in canonical order and hold disjoint sets, so
+// one linear pass merges them.
+func (m *miner) mergeCarried(res, old *Result) {
+	walked, walkedPats := res.Sets, res.Patterns
+	res.Sets = make([]AttributeSet, 0, len(old.Sets)+len(walked))
+	res.Patterns = make([]Pattern, 0, len(old.Patterns)+len(walkedPats))
+	exp := make([]float64, m.g.NumVertices()+1)
+	for i := range exp {
+		exp[i] = math.NaN()
+	}
+	i, pi, op := 0, 0, 0
+	var sets, pats int64
+	for k := range old.Sets {
+		s := &old.Sets[k]
+		for op < len(old.Patterns) && CompareAttrs(old.Patterns[op].Attrs, s.Attrs) < 0 {
+			op++
+		}
+		lo := op
+		for op < len(old.Patterns) && CompareAttrs(old.Patterns[op].Attrs, s.Attrs) == 0 {
+			op++
+		}
+		if !m.carries(s.Attrs) {
+			continue
+		}
+		for ; i < len(walked) && CompareAttrs(walked[i].Attrs, s.Attrs) < 0; i++ {
+			res.Sets = append(res.Sets, walked[i])
+		}
+		for ; pi < len(walkedPats) && CompareAttrs(walkedPats[pi].Attrs, s.Attrs) < 0; pi++ {
+			res.Patterns = append(res.Patterns, walkedPats[pi])
+		}
+		row := *s
+		if math.IsNaN(exp[row.Support]) {
+			exp[row.Support] = m.model.Exp(row.Support)
+		}
+		row.ExpEps = exp[row.Support]
+		row.Delta = NormalizeDelta(row.Epsilon, row.ExpEps)
+		res.Sets = append(res.Sets, row)
+		res.Patterns = append(res.Patterns, old.Patterns[lo:op]...)
+		sets, pats = sets+1, pats+int64(op-lo)
+		m.em.deliver(&row, old.Patterns[lo:op])
+	}
+	res.Sets = append(res.Sets, walked[i:]...)
+	res.Patterns = append(res.Patterns, walkedPats[pi:]...)
+	m.em.noteEmitted(sets, pats)
+}
+
 // Remine incrementally re-mines g — a graph obtained from a previous
 // version by one or more Graph.Apply updates — reusing the previous
 // run's result where the update provably cannot have changed it.
@@ -111,20 +401,29 @@ func grownTo(s *bitset.Set, n int) *bitset.Set {
 // RecordLattice set; changes must be the ChangeSet of the update (or
 // the Merge of the consecutive ChangeSets) leading from that version
 // to g. Remine then walks the same search lattice a full Mine of g
-// would, but every attribute set disjoint from changes.DirtyAttrs is
-// carried over instead of re-searched — a single from the previous
-// run's level-1 verdict table, a larger set from its recorded
-// lattice: its ε,
-// covered counts and patterns are carried over by value, only the
-// δ-normalization is re-derived (the null model depends on the global
-// degree distribution, so δ can shift for every set after any edge
-// change). Stats.ReusedSets / Stats.RecomputedSets report the split.
+// would, restricted to what the update can reach. A set disjoint from
+// changes.DirtyAttrs keeps its ε, covered counts and patterns, so:
+//
+//   - when no clean set can change its survival or emission (δmin = 0,
+//     or εexp unchanged at every recorded support), clean sets are
+//     carried: their rows come from old with only ExpEps and δ
+//     re-derived (the null model follows the degree distribution), and
+//     the walk visits a clean set only when a dirty sibling follows it,
+//     to reach its dirty children. A subtree whose root changed shard
+//     ownership is mined afresh;
+//   - otherwise every clean set is replayed: re-scored from its
+//     recorded evaluation without a coverage search.
+//
+// Singles always come from the previous run's level-1 verdict table.
+// Stats.ReusedSets / Stats.RecomputedSets report the split; they sum
+// to the sets a full Mine evaluates.
 //
 // The output is identical — sets, ε, δ, patterns and therefore stable
 // ids — to Mine(ctx, g, p, sink), in both exact and sampled ε modes
 // (sampled estimates are deterministic in the seed and the set, and
 // clean sets replay the exact covered-set hand-downs, so the sampling
-// chain replays bit-for-bit).
+// chain replays bit-for-bit). A sink receives every emitted set once;
+// carried sets arrive after the walked ones, in canonical order.
 //
 // When old carries no lattice or changes is nil, Remine degrades to a
 // full Mine (everything recomputed, ReusedSets = 0). Context and sink

@@ -119,19 +119,26 @@ func MergeResults(parts ...*Result) (*Result, error) {
 	return merged, nil
 }
 
-// mergeLattices unions the per-shard lattices into one. Entries are
-// disjoint by the prefix ownership rule (a shard records only the sets
-// it owns), so the union is a plain map copy.
+// mergeLattices unions the per-shard lattices into one. A shard records
+// only the subtrees whose roots it owns, so the parts' trees are
+// disjoint and the union shares every one of them.
 func mergeLattices(parts []*Result) (*Lattice, error) {
-	version := parts[0].lattice.version
-	out := newLattice(version)
+	first := parts[0].lattice
+	out := &Lattice{version: first.version, trees: make([]*latticeTree, len(first.trees)), model: first.model}
 	for i, part := range parts {
-		if part.lattice.version != version {
+		l := part.lattice
+		if l.version != out.version {
 			return nil, fmt.Errorf("core: shard %d lattice is at graph version %d, shard 0 at %d",
-				i, part.lattice.version, version)
+				i, l.version, out.version)
 		}
-		for key, ent := range part.lattice.m {
-			out.m[key] = ent
+		for a, t := range l.trees {
+			if t == nil {
+				continue
+			}
+			if a >= len(out.trees) || out.trees[a] != nil {
+				return nil, fmt.Errorf("core: subtree of attribute %d recorded by more than one shard (overlapping partition?)", a)
+			}
+			out.trees[a] = t
 		}
 	}
 	return out, nil

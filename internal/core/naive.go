@@ -108,5 +108,5 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 	if mineErr != nil {
 		err = mineErr
 	}
-	return finalizeResult(&Result{}, []*bucket{b}, em, err)
+	return finalizeResult(&Result{}, []*bucket{b}, em, err, nil)
 }

@@ -211,6 +211,8 @@ func TestRemineEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireEqualResults(t, fmt.Sprintf("%s trial %d (%s)", mode, trial, cs), inc, scratch)
+				requireRemineStats(t, fmt.Sprintf("%s trial %d", mode, trial), inc, scratch)
+				requireSameLattice(t, fmt.Sprintf("%s trial %d", mode, trial), inc.lattice, scratch.lattice)
 				totalReused += inc.Stats.ReusedSets
 				totalRecomputed += inc.Stats.RecomputedSets
 				if inc.Stats.ReusedSets+inc.Stats.RecomputedSets == 0 && len(scratch.Sets) > 0 {
@@ -445,6 +447,8 @@ func TestRemineChained(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireEqualResults(t, fmt.Sprintf("%s chained step %d", mode, step), res, scratch)
+				requireRemineStats(t, fmt.Sprintf("%s chained step %d", mode, step), res, scratch)
+				requireSameLattice(t, fmt.Sprintf("%s chained step %d", mode, step), res.lattice, scratch.lattice)
 				g = ng
 			}
 		})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -200,49 +199,37 @@ func (r *Result) HasLattice() bool { return r.lattice != nil }
 // SetByNames finds an attribute set result by its names (any order),
 // or nil.
 func (r *Result) SetByNames(names ...string) *AttributeSet {
-	want := append([]string(nil), names...)
-	sort.Strings(want)
+	want := slices.Clone(names)
+	slices.Sort(want)
 	for i := range r.Sets {
-		got := append([]string(nil), r.Sets[i].Names...)
-		sort.Strings(got)
-		if len(got) != len(want) {
-			continue
-		}
-		match := true
-		for j := range got {
-			if got[j] != want[j] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if got := r.Sets[i].Names; len(got) == len(want) && sameNames(got, want) {
 			return &r.Sets[i]
 		}
 	}
 	return nil
 }
 
+// sameNames reports whether got, in any order, holds exactly the names
+// of want, which is sorted and, like every set's names, has no
+// duplicates.
+func sameNames(got, want []string) bool {
+	for _, n := range got {
+		if _, ok := slices.BinarySearch(want, n); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // PatternsOf returns the patterns mined for the given attribute ids.
 func (r *Result) PatternsOf(attrs []int32) []Pattern {
-	key := attrKey(attrs)
 	var out []Pattern
 	for _, p := range r.Patterns {
-		if attrKey(p.Attrs) == key {
+		if slices.Equal(p.Attrs, attrs) {
 			out = append(out, p)
 		}
 	}
 	return out
-}
-
-// attrKey renders sorted attribute ids as a compact map key. Lattice
-// recording and replay call it once per set, so it avoids fmt.
-func attrKey(attrs []int32) string {
-	buf := make([]byte, 0, 8*len(attrs))
-	for _, a := range attrs {
-		buf = strconv.AppendInt(buf, int64(a), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
 }
 
 // bucket collects the rows one top-level subtree (or level 1) emits.

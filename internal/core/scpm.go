@@ -43,8 +43,10 @@ func Mine(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Result, er
 
 // mine is the shared walk behind Mine and Remine. A Remine passes the
 // previous result and the update leading from its graph to g: clean
-// level-1 verdicts are carried over from old's table, and clean sets
-// below level 1 are replayed from old's lattice instead of recomputed.
+// level-1 verdicts are carried over from old's table, and below level 1
+// the walk carries or replays clean sets from old's lattice (see
+// Remine). A Mine has no previous lattice, so every set it reaches is
+// evaluated.
 func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result, changes *graph.ChangeSet) (*Result, error) {
 	m, err := newMiner(ctx, g, p, sink)
 	if err != nil {
@@ -74,13 +76,15 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 		prev, src = old.level1, verdictCarried
 	}
 	if old != nil {
-		m.reuse, m.changes = old.lattice, changes
+		m.prev, m.changes = old.lattice, changes
+		m.carry = p.DeltaMin == 0 || !m.expMoved(old.lattice)
+		m.empty = bitset.New(g.NumVertices())
 	}
 	singles := m.frequentSingles()
 	table := make([]*Level1Verdict, len(singles))
 	reused := make([]bool, len(singles))
 	for i, a := range singles {
-		if src == verdictCarried && changes.Touches([]int32{a}) {
+		if src == verdictCarried && m.dirty(a) {
 			continue
 		}
 		table[i] = prev.Lookup(a)
@@ -116,10 +120,10 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	}
 	m.em.merge(&tl)
 	if p.RecordLattice {
-		res.lattice, res.level1 = m.record, m.verdictTable(table)
+		res.level1 = m.verdictTable(table)
 	}
 	if runErr != nil {
-		return finalizeResult(res, buckets, m.em, runErr)
+		return m.finalize(res, buckets, old, runErr)
 	}
 
 	// Extension order: ascending support keeps intermediate tidsets
@@ -135,6 +139,15 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	for _, i := range order {
 		if level1[i].survive {
 			survivors = append(survivors, level1[i].item)
+		}
+	}
+	if m.prev != nil {
+		// Clean singles keep their supports, so they keep their relative
+		// Eclat order: a recorded children block lists the clean ones
+		// in rank order.
+		m.rank = make([]int32, g.NumAttributes())
+		for pos, i := range order {
+			m.rank[singles[i]] = int32(pos)
 		}
 	}
 
@@ -162,17 +175,54 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// independent given its right-sibling list, so subtrees parallelize.
 	// A sharded run descends only the subtrees it owns; every attribute
 	// set below an owned root belongs to this shard by the prefix
-	// ownership rule.
+	// ownership rule. A Remine carries a clean subtree whole when no
+	// dirty single follows its root: no set below it can change.
+	lastDirty := -1
+	for i := range survivors {
+		if m.dirty(survivors[i].attrs[0]) {
+			lastDirty = i
+		}
+	}
+	trees := make([]*latticeTree, len(survivors))
 	buckets = append(buckets, make([]*bucket, len(survivors))...)
 	runErr = m.forEach(ctx, len(survivors), func(i int, w *worker) error {
-		if !m.owns(survivors[i].attrs[0]) {
+		item := survivors[i]
+		root := item.attrs[0]
+		if !m.owns(root) {
 			return nil
 		}
-		b := &bucket{}
-		buckets[1+i] = b
-		return m.extendSubtree(ctx, survivors[i], survivors[i+1:], b, w)
+		st := &subtree{out: &bucket{}}
+		if !m.dirty(root) {
+			st.old = m.prev.tree(root)
+		}
+		if m.carry && st.old != nil && i > lastDirty {
+			trees[i] = st.old
+			m.em.noteReused(int64(st.old.nodes[0].desc))
+			return nil
+		}
+		item.node, item.rec = -1, -1
+		if st.old != nil {
+			item.node = 0
+		}
+		if p.RecordLattice {
+			st.rec, item.rec = newTree(root, st.old), 0
+		}
+		buckets[1+i] = st.out
+		err := m.extendSubtree(ctx, item, survivors[i+1:], st, w)
+		trees[i] = st.rec
+		return err
 	})
-	return finalizeResult(res, buckets, m.em, runErr)
+	if runErr == nil && p.RecordLattice {
+		// Only a finished walk records a lattice: a Remine takes a set
+		// missing from it for one that was never evaluated.
+		res.lattice = &Lattice{version: g.Version(), trees: make([]*latticeTree, g.NumAttributes()), model: m.model}
+		for i, t := range trees {
+			if t != nil {
+				res.lattice.trees[survivors[i].attrs[0]] = t
+			}
+		}
+	}
+	return m.finalize(res, buckets, old, runErr)
 }
 
 // newMiner validates p and builds the run state of one mining run over
@@ -195,9 +245,6 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 	}
 	// Theorem 5's pruning bound needs εexp(σmin) once.
 	m.expSigmaMin = m.model.Exp(p.SigmaMin)
-	if p.RecordLattice {
-		m.record = newLattice(g.Version())
-	}
 	if p.ShardOwner != nil {
 		m.owner = func(root int32) bool { return p.ShardOwner(g, root) }
 	}
@@ -205,10 +252,11 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 }
 
 // finalizeResult gathers a run's buckets into res, puts the output in
-// canonical order and stamps the final counters. Cancellation and
-// budget exhaustion surface the partial result alongside the error;
-// any other error discards it.
-func finalizeResult(res *Result, buckets []*bucket, em *emitter, err error) (*Result, error) {
+// canonical order, lets carry (when non-nil) merge in the rows a Remine
+// carried, and stamps the final counters. Cancellation and budget
+// exhaustion surface the partial result alongside the error; any other
+// error discards it.
+func finalizeResult(res *Result, buckets []*bucket, em *emitter, err error, carry func(*Result)) (*Result, error) {
 	// The terminal OnProgress fires however the run ends — the Sink
 	// contract promises it, and sinks flush on it.
 	defer em.finish()
@@ -216,8 +264,20 @@ func finalizeResult(res *Result, buckets []*bucket, em *emitter, err error) (*Re
 		return nil, err
 	}
 	res.gather(buckets)
+	if carry != nil {
+		carry(res)
+	}
 	res.Stats = em.snapshot()
 	return res, err
+}
+
+// finalize is finalizeResult for a mine walk.
+func (m *miner) finalize(res *Result, buckets []*bucket, old *Result, err error) (*Result, error) {
+	var carry func(*Result)
+	if m.carry {
+		carry = func(res *Result) { m.mergeCarried(res, old) }
+	}
+	return finalizeResult(res, buckets, m.em, err, carry)
 }
 
 // miner carries the immutable run state shared by all workers.
@@ -236,12 +296,25 @@ type miner struct {
 	// (Params.ShardOwner bound to the mined graph); nil owns everything.
 	owner func(root int32) bool
 
-	// Incremental re-mining state: reuse is the previous run's lattice
-	// and changes the graph update it is valid across (both nil for a
-	// full mine); record, when non-nil, collects this run's lattice.
-	reuse   *Lattice
+	// Incremental re-mining state, zero for a full mine: prev is the
+	// previous run's lattice and changes the update it is valid across;
+	// carry says clean sets are carried rather than replayed; rank is
+	// each frequent single's position in the Eclat order, and empty the
+	// hand-down of a clean set that recorded none.
+	prev    *Lattice
 	changes *graph.ChangeSet
-	record  *Lattice
+	carry   bool
+	rank    []int32
+	empty   *bitset.Set
+}
+
+// subtree is the walk state of one top-level subtree: the previous
+// generation's recorded table of it (nil when there is none), the table
+// this run records (nil when it records none), and the bucket its rows
+// go to.
+type subtree struct {
+	old, rec *latticeTree
+	out      *bucket
 }
 
 // classItem is a node of the attribute-set search tree: the set, its
@@ -258,6 +331,12 @@ type classItem struct {
 	// search-node counts stay independent of worker scheduling. Nil at
 	// level 1 and when sharing is disabled.
 	certs *epsilon.CertStore
+	// node is the item's node in its subtree's previous table (-1 when
+	// it has none) and rec its node in the table this run records (-1
+	// when it records none). carried marks a clean set a Remine took
+	// over without scoring it.
+	node, rec int32
+	carried   bool
 }
 
 // evalOutcome couples an evaluated item with its bucket contributions.
@@ -312,6 +391,10 @@ func (w *worker) childAttrs(item, sib classItem) []int32 {
 
 // owns reports whether this run owns the subtree rooted at root.
 func (m *miner) owns(root int32) bool { return m.owner == nil || m.owner(root) }
+
+// dirty reports whether the update a Remine runs across may have
+// changed attribute a's member set or its induced subgraph.
+func (m *miner) dirty(a int32) bool { return m.changes != nil && m.changes.DirtyAttrs.Contains(int(a)) }
 
 // frequentSingles returns the attribute ids with support ≥ σmin,
 // ascending.
@@ -399,51 +482,100 @@ func (m *miner) forEach(ctx context.Context, n int, fn func(i int, w *worker) er
 
 // extendSubtree explores all attribute sets extending item with
 // attributes from its right-sibling list (Algorithm 3), collecting
-// emissions into out. Each child's attribute list, V(S), candidate
-// restriction and hand-down are carved from w's stacks: a child that
-// does not survive frees them at once, and the survivors' are freed
-// when their subtrees are done.
-func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []classItem, out *bucket, w *worker) error {
+// emissions into st.out and recording the children into st.rec. Each
+// child's attribute list, V(S), candidate restriction and hand-down are
+// carved from w's stacks: a child that does not survive frees them at
+// once, and the survivors' are freed when their subtrees are done.
+//
+// In a Remine a clean child is found in item's previous children block
+// and carried or replayed from it rather than evaluated. A carried
+// child is walked only when a child that was not carried follows it —
+// its own children then include sets that need evaluating — and is
+// otherwise carried with all its descendants.
+func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []classItem, st *subtree, w *worker) error {
+	first, nkids := int32(st.rec.size()), int32(0)
 	if m.p.MaxAttrs > 0 && len(item.attrs) >= m.p.MaxAttrs {
+		st.rec.closeBlock(item.rec, first, 0)
 		return nil
 	}
 	n := m.g.NumVertices()
 	entry := w.mark()
 	defer w.release(entry)
+	base, prev := st.old.block(item.node)
+	j := 0
+	var ev Evaluation
+	var rec *Evaluation
 	for _, sib := range siblings {
 		if ctx.Err() != nil {
 			return quasiclique.Canceled(ctx)
 		}
-		child := w.mark()
-		attrs := w.childAttrs(item, sib)
-		// Incremental runs consult the lattice before doing any tidset
-		// work — a clean cached child costs one map lookup instead of a
-		// bitset intersection plus a coverage search.
-		res, handled, err := m.replay(attrs, item.certs, &w.tally)
-		if err != nil {
-			return err
-		}
-		if !handled {
-			members := w.bits.Push(n)
-			members.AndInto(item.members, sib.members)
-			if members.Count() < m.p.SigmaMin {
-				w.release(child)
+		last := sib.attrs[len(sib.attrs)-1]
+		o := int32(-1)
+		if prev != nil && !m.dirty(last) {
+			// Clean singles keep their relative order, so the previous
+			// block is consumed in step with the siblings.
+			for j < len(prev) && (m.dirty(prev[j].attr) || m.rank[prev[j].attr] < m.rank[last]) {
+				j++
+			}
+			if j < len(prev) && prev[j].attr == last {
+				o = base + int32(j)
+				j++
+			} else if m.carry {
+				// Never evaluated, so V(S), unchanged, is below σmin.
 				continue
 			}
-			// Theorem 3: quasi-cliques of G(S) lie inside both parents'
-			// covered sets, so the search may be restricted to their
-			// intersection.
-			candidates := members
-			if !m.p.DisableVertexPruning {
-				candidates = w.bits.Push(n)
-				candidates.AndInto(item.covered, sib.covered)
+		}
+		child := w.mark()
+		attrs := w.childAttrs(item, sib)
+		var res evalOutcome
+		if o >= 0 && m.carry {
+			nd := &st.old.nodes[o]
+			m.em.noteReused(1)
+			res.survive = m.survives(nd.kmass)
+			res.item.rec = st.rec.carry(st.old, o)
+			if res.survive {
+				members := w.bits.Push(n)
+				members.AndInto(item.members, sib.members)
+				res.item = classItem{attrs: attrs, members: members, covered: st.old.handdown(o, n, m.empty),
+					certs: item.certs, node: o, rec: res.item.rec, carried: true}
 			}
-			res, err = m.evaluate(attrs, members, candidates, item.certs, &w.tally)
+		} else {
+			members := w.bits.Push(n)
+			members.AndInto(item.members, sib.members)
+			sigma := 0
+			if st.rec != nil {
+				ev, rec = Evaluation{}, &ev
+			}
+			var err error
+			if o >= 0 {
+				// Replay: the recorded evaluation is the current one;
+				// only the δ-normalization (recomputed by score) moved.
+				m.em.noteReused(1)
+				sigma = int(st.old.nodes[o].sigma)
+				cached := st.old.evaluation(o, n, m.empty)
+				res, err = m.score(attrs, members, sigma, cached.Estimate, &cached, rec, item.certs, &w.tally)
+			} else {
+				if sigma = members.Count(); sigma < m.p.SigmaMin {
+					w.release(child)
+					continue
+				}
+				// Theorem 3: quasi-cliques of G(S) lie inside both parents'
+				// covered sets, so the search may be restricted to their
+				// intersection.
+				candidates := members
+				if !m.p.DisableVertexPruning {
+					candidates = w.bits.Push(n)
+					candidates.AndInto(item.covered, sib.covered)
+				}
+				res, err = m.evaluate(attrs, members, candidates, sigma, item.certs, rec, &w.tally)
+			}
 			if err != nil {
 				return err
 			}
+			res.item.node, res.item.rec = o, st.rec.add(last, sigma, rec)
 		}
-		m.collect(out, res)
+		nkids++
+		m.collect(st.out, res)
 		if res.survive {
 			w.items = append(w.items, res.item)
 		} else {
@@ -451,26 +583,38 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 		}
 	}
 	children := w.items[entry.items:]
+	walk := -1
 	for i := range children {
-		if err := m.extendSubtree(ctx, children[i], children[i+1:], out, w); err != nil {
+		if !children[i].carried {
+			walk = i
+		}
+	}
+	for i := range children {
+		if c := &children[i]; c.carried && i > walk {
+			st.rec.carryDescendants(c.rec, st.old, c.node)
+			m.em.noteReused(int64(st.old.nodes[c.node].desc))
+			continue
+		}
+		if err := m.extendSubtree(ctx, children[i], children[i+1:], st, w); err != nil {
 			return err
 		}
 	}
+	st.rec.closeBlock(item.rec, first, nkids)
 	return nil
 }
 
 // evaluate computes ε(S) and δ(S) for one attribute set, decides
 // emission and survival, and mines the top-k patterns when S qualifies.
 //
-//   - members is V(S);
+//   - members is V(S), of size sigma;
 //   - candidates ⊆ members restricts the coverage search (Theorem 3).
 //
 // The ε computation itself is delegated to the run's estimator layer
 // (exact coverage search or Hoeffding-bounded vertex sampling); the
 // estimate carries the covered-set hand-down and the |K_S| upper bound
 // the pruning rules below rely on, so Theorems 3–5 stay sound in both
-// modes.
-func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+// modes. A non-nil rec receives the evaluation.
+func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, sigma int, certs *epsilon.CertStore, rec *Evaluation, tl *tally) (evalOutcome, error) {
 	est, err := m.est.EstimateWithCerts(m.g, attrs, members, candidates, certs)
 	if err != nil {
 		return evalOutcome{}, err
@@ -478,14 +622,6 @@ func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, certs *
 	m.em.noteEvaluated()
 	tl.noteSearchNodes(est.Nodes)
 	tl.noteSampled(int64(est.SampledVertices))
-	sigma := members.Count()
-	var rec *Evaluation
-	if m.record != nil {
-		// The lattice outlives the walk, so its entry takes heap copies
-		// of V(S) and of a hand-down that may alias the candidate set.
-		members, est.Handdown = members.Clone(), est.Handdown.Clone()
-		rec = m.recordEntry(attrKey(attrs), members, sigma)
-	}
 	return m.score(attrs, members, sigma, est, nil, rec, certs, tl)
 }
 
@@ -499,41 +635,14 @@ func (m *miner) newCertStore() *epsilon.CertStore {
 	return epsilon.NewCertStore()
 }
 
-// recordEntry returns the evaluation record, for score to fill, that
-// this run's lattice keeps for the set with the given key and member
-// set, or nil when the run does not record one.
-func (m *miner) recordEntry(key string, members *bitset.Set, sigma int) *Evaluation {
-	if m.record == nil {
-		return nil
-	}
-	e := &latticeEntry{members: members, sigma: sigma}
-	m.record.put(key, e)
-	return &e.Evaluation
-}
-
-// replay serves one attribute set below level 1 from the previous run's
-// lattice when the update provably left it unchanged: a set disjoint
-// from the dirty attributes has identical V(S) and G(S) in both graph
-// versions, so the memoized evaluation — member set included, which
-// skips even the Eclat tidset intersection — is the current one. Only
-// the δ-normalization (recomputed by score either way) can differ.
-// handled reports whether the cache answered.
-func (m *miner) replay(attrs []int32, certs *epsilon.CertStore, tl *tally) (out evalOutcome, handled bool, err error) {
-	if m.reuse == nil || m.changes.Touches(attrs) {
-		return evalOutcome{}, false, nil
-	}
-	key := attrKey(attrs)
-	ent, ok := m.reuse.get(key)
-	if !ok {
-		return evalOutcome{}, false, nil
-	}
-	m.em.noteReused()
-	n := m.g.NumVertices()
-	members := grownTo(ent.members, n)
-	est := ent.Estimate
-	est.Handdown = grownTo(est.Handdown, n)
-	out, err = m.score(attrs, members, ent.sigma, est, &ent.Evaluation, m.recordEntry(key, members, ent.sigma), certs, tl)
-	return out, true, err
+// survives applies the Theorem 4 (ε) and Theorem 5 (δ) survival bounds:
+// a superset S' has ε(S')·σ(S') ≤ ε(S)·σ(S) = |K_S|, so S is extended
+// only when |K_S| could still satisfy both output thresholds at support
+// σmin. In sampled mode kmass upper-bounds |K_S| (w.p. 1−δ), keeping
+// the pruning sound at the configured confidence.
+func (m *miner) survives(kmass float64) bool {
+	return m.p.DisableSetPruning ||
+		kmass >= m.p.EpsMin*float64(m.p.SigmaMin) && kmass >= m.p.DeltaMin*m.expSigmaMin*float64(m.p.SigmaMin)
 }
 
 // score turns one ε estimate — freshly computed, or replayed from the
@@ -552,18 +661,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 	if rec != nil {
 		rec.Estimate = est
 	}
-
-	// Theorem 4 (ε) and Theorem 5 (δ) survival bounds: a superset S'
-	// has ε(S')·σ(S') ≤ ε(S)·σ(S) = |K_S|, so S is extended only when
-	// |K_S| could still satisfy both output thresholds at support σmin.
-	// In sampled mode est.KMass upper-bounds |K_S| (w.p. 1−δ), keeping
-	// the pruning sound at the configured confidence.
-	if m.p.DisableSetPruning {
-		out.survive = true
-	} else {
-		out.survive = est.KMass >= m.p.EpsMin*float64(m.p.SigmaMin) &&
-			est.KMass >= m.p.DeltaMin*m.expSigmaMin*float64(m.p.SigmaMin)
-	}
+	out.survive = m.survives(est.KMass)
 
 	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(attrs) >= m.p.minAttrs() {
 		out.emit = true

@@ -173,7 +173,7 @@ func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (e
 	case !owned:
 		tl = new(tally)
 	case src == verdictCarried:
-		m.em.noteReused()
+		m.em.noteReused(1)
 	default:
 		m.em.noteEvaluated()
 		if src == verdictSealed {

@@ -145,10 +145,14 @@ func TestSinglesMemoizedOnce(t *testing.T) {
 			if res.lattice.Size() == 0 {
 				t.Fatalf("%s: empty lattice", label)
 			}
-			for key := range res.lattice.m {
-				if strings.Count(key, ",") < 2 {
-					t.Errorf("%s: lattice memoizes the single %q", label, key)
+			sets := latticeSets(res.lattice)
+			for _, attrs := range sets {
+				if len(attrs) < 2 {
+					t.Errorf("%s: lattice memoizes the single %v", label, attrs)
 				}
+			}
+			if len(sets) != res.lattice.Size() {
+				t.Errorf("%s: lattice blocks hold %d sets, Size reports %d", label, len(sets), res.lattice.Size())
 			}
 			singles := 0
 			for a := int32(0); a < int32(g.NumAttributes()); a++ {

@@ -13,6 +13,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,11 +63,13 @@ type Index struct {
 	// query that needs one, so opening a snapshot stays O(sections)
 	// instead of O(sets). Access only through derived().
 	derivedOnce sync.Once
-	byID        map[string]int32 // set id → sets index
-	patByID     map[string]int32 // pattern id → patterns index
-	patsOf      [][]int32        // sets index → patterns indices, in order
-	root        *trieNode        // attribute-set trie over sorted attr ids
-	attrIDs     map[string]int32 // attribute name → id (for trie walks)
+	byID        idIndex // set id → sets index
+	patByID     idIndex // pattern id → patterns index
+	// The patterns of set i are patOrder[patStart[i]:patStart[i+1]],
+	// in order.
+	patOrder, patStart []int32
+	trie               trie             // attribute-set trie over sorted attr ids
+	attrIDs            map[string]int32 // attribute name → id (for trie walks)
 
 	// Inverted postings on the shared bitset machinery.
 	attrPost map[string]*bitset.Set // attribute name → set indices
@@ -109,16 +112,21 @@ func (x *Index) freeze() {
 		x.setIDs = make([]string, len(x.sets))
 	}
 	x.attrPost = make(map[string]*bitset.Set)
+	var byAttr []*bitset.Set // the postings by attribute id
 	for i := range x.sets {
 		s := &x.sets[i]
 		if x.setIDs[i] == "" {
 			x.setIDs[i] = s.ID()
 		}
-		for _, name := range s.Names {
-			post := x.attrPost[name]
+		for j, a := range s.Attrs {
+			if int(a) >= len(byAttr) {
+				byAttr = slices.Grow(byAttr, int(a)+1-len(byAttr))[:a+1]
+			}
+			post := byAttr[a]
 			if post == nil {
 				post = bitset.New(len(x.sets))
-				x.attrPost[name] = post
+				byAttr[a] = post
+				x.attrPost[s.Names[j]] = post
 			}
 			post.Add(i)
 		}
@@ -178,25 +186,51 @@ func (x *Index) tables() {
 
 func (x *Index) buildDerived() {
 	x.tables()
-	x.byID = make(map[string]int32, len(x.sets))
-	x.root = &trieNode{set: -1}
+	x.byID = newIDIndex(x.setIDs)
+	x.trie = buildTrie(x.sets)
 	x.attrIDs = make(map[string]int32)
+	var seen []bool // by attribute id
 	for i := range x.sets {
 		s := &x.sets[i]
-		x.byID[x.setIDs[i]] = int32(i)
-		x.root.insert(s.Attrs, int32(i))
-		for j, name := range s.Names {
-			x.attrIDs[name] = s.Attrs[j]
+		for j, a := range s.Attrs {
+			if int(a) >= len(seen) {
+				seen = slices.Grow(seen, int(a)+1-len(seen))[:a+1]
+			}
+			if !seen[a] {
+				seen[a] = true
+				x.attrIDs[s.Names[j]] = a
+			}
 		}
 	}
-	x.patByID = make(map[string]int32, len(x.patterns))
-	x.patsOf = make([][]int32, len(x.sets))
+	// A counting sort groups the pattern indices by set, in order.
+	x.patByID = newIDIndex(x.patIDs)
+	owner := make([]int32, len(x.patterns))
+	x.patStart = make([]int32, len(x.sets)+1)
 	for i := range x.patterns {
-		x.patByID[x.patIDs[i]] = int32(i)
-		if si, ok := x.byID[x.patSetIDs[i]]; ok {
-			x.patsOf[si] = append(x.patsOf[si], int32(i))
+		if owner[i] = x.byID.find(x.setIDs, x.patSetIDs[i]); owner[i] >= 0 {
+			x.patStart[owner[i]+1]++
 		}
 	}
+	for i := range x.sets {
+		x.patStart[i+1] += x.patStart[i]
+	}
+	x.patOrder = make([]int32, x.patStart[len(x.sets)])
+	next := slices.Clone(x.patStart[:len(x.sets)])
+	for i, si := range owner {
+		if si >= 0 {
+			x.patOrder[next[si]] = int32(i)
+			next[si]++
+		}
+	}
+}
+
+// patsOf returns the pattern indices of set i, in order; nil when it
+// has none.
+func (x *Index) patsOf(i int) []int32 {
+	if x.patStart[i] == x.patStart[i+1] {
+		return nil
+	}
+	return x.patOrder[x.patStart[i]:x.patStart[i+1]:x.patStart[i+1]]
 }
 
 // NumSets returns the number of indexed attribute sets.
@@ -254,11 +288,7 @@ func (x *Index) PatternSetID(i int) string {
 // or -1.
 func (x *Index) SetIndexByID(id string) int {
 	x.derived()
-	i, ok := x.byID[id]
-	if !ok {
-		return -1
-	}
-	return int(i)
+	return int(x.byID.find(x.setIDs, id))
 }
 
 // PatternsOfSetByIndex returns the pattern indices of the i-th indexed
@@ -266,7 +296,7 @@ func (x *Index) SetIndexByID(id string) int {
 // slice.
 func (x *Index) PatternsOfSetByIndex(i int) []int32 {
 	x.derived()
-	return x.patsOf[i]
+	return x.patsOf(i)
 }
 
 // PatternVertexNames returns the resolved vertex labels of the i-th
@@ -280,8 +310,8 @@ func (x *Index) PatternVertexNames(i int) []string {
 // SetByID finds an attribute set by its stable id.
 func (x *Index) SetByID(id string) (core.AttributeSet, bool) {
 	x.derived()
-	i, ok := x.byID[id]
-	if !ok {
+	i := x.byID.find(x.setIDs, id)
+	if i < 0 {
 		return core.AttributeSet{}, false
 	}
 	return x.sets[i], true
@@ -290,8 +320,8 @@ func (x *Index) SetByID(id string) (core.AttributeSet, bool) {
 // PatternByID finds a pattern by its stable id.
 func (x *Index) PatternByID(id string) (core.Pattern, bool) {
 	x.derived()
-	i, ok := x.patByID[id]
-	if !ok {
+	i := x.patByID.find(x.patIDs, id)
+	if i < 0 {
 		return core.Pattern{}, false
 	}
 	return x.patterns[i], true
@@ -302,11 +332,11 @@ func (x *Index) PatternByID(id string) (core.Pattern, bool) {
 // modify the returned slice.
 func (x *Index) PatternsOfSet(id string) []int32 {
 	x.derived()
-	i, ok := x.byID[id]
-	if !ok {
+	i := x.byID.find(x.setIDs, id)
+	if i < 0 {
 		return nil
 	}
-	return x.patsOf[i]
+	return x.patsOf(int(i))
 }
 
 // attrSet resolves attribute names to their sorted canonical ids. ok is
@@ -333,7 +363,7 @@ func (x *Index) Exact(names []string) int {
 	if !ok {
 		return -1
 	}
-	return int(x.root.exact(attrs))
+	return int(x.trie.exact(attrs))
 }
 
 // Supersets returns the indices of every indexed set that contains all
@@ -345,7 +375,7 @@ func (x *Index) Supersets(names []string) []int {
 		return nil
 	}
 	var out []int
-	x.root.supersets(attrs, func(set int32) { out = append(out, int(set)) })
+	x.trie.supersets(0, attrs, func(set int32) { out = append(out, int(set)) })
 	sort.Ints(out) // trie walks run in path order; callers get index order
 	return out
 }
@@ -364,7 +394,7 @@ func (x *Index) Subsets(names []string) []int {
 	}
 	sortDedup(&attrs)
 	var out []int
-	x.root.subsets(attrs, func(set int32) { out = append(out, int(set)) })
+	x.trie.subsets(0, attrs, func(set int32) { out = append(out, int(set)) })
 	sort.Ints(out)
 	return out
 }

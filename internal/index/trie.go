@@ -1,100 +1,161 @@
 package index
 
-import "slices"
+import (
+	"cmp"
+	"slices"
 
-// trieNode is a node of the attribute-set trie. Each indexed set is a
-// root-to-node path over its sorted attribute ids, so subset and
-// superset queries become ordered walks: every key along a path is
-// strictly larger than its parent's, which is what the pruning in
-// supersets relies on.
+	"github.com/scpm/scpm/internal/core"
+)
+
+// trie is the attribute-set trie. Each indexed set is a root-to-node
+// path over its sorted attribute ids, so subset and superset queries
+// become ordered walks: every key along a path is strictly larger than
+// its parent's, which is what the pruning in supersets relies on. The
+// nodes form one flat, pointer-free table; nodes[0] is the root.
+type trie []trieNode
+
+// trieNode is one node of the trie: the edge label that leads to it,
+// the index of the attribute set ending at it (or -1), and its
+// children, which are the contiguous nodes [first, first+n), sorted by
+// key.
 type trieNode struct {
-	// set is the index of the attribute set ending at this node, or -1.
-	set int32
-	// keys are the child edge labels (attribute ids), sorted ascending;
-	// children is aligned with keys.
-	keys     []int32
-	children []*trieNode
+	key, set, first, n int32
 }
 
-// child returns the child along edge a, or nil.
-func (n *trieNode) child(a int32) *trieNode {
-	i, ok := slices.BinarySearch(n.keys, a)
-	if !ok {
-		return nil
+// buildTrie builds the trie of sets, whose attribute lists are sorted.
+// It orders the sets lexicographically, so the sets below any node are
+// one contiguous run, and then expands the runs node by node, which
+// keeps each node's children contiguous. Were two sets equal, the
+// later one would own the node.
+func buildTrie(sets []core.AttributeSet) trie {
+	// The first four attributes, each plus one, pack into two words:
+	// most comparisons end there.
+	type entry struct {
+		hi, lo uint64
+		set    int32
 	}
-	return n.children[i]
-}
-
-// insert adds the sorted attribute list as a path ending at set index
-// set. Inserting sets in canonical (Result) order yields a
-// deterministic trie, but no ordering is required for correctness.
-func (n *trieNode) insert(attrs []int32, set int32) {
-	for _, a := range attrs {
-		i, ok := slices.BinarySearch(n.keys, a)
-		if !ok {
-			c := &trieNode{set: -1}
-			n.keys = slices.Insert(n.keys, i, a)
-			n.children = slices.Insert(n.children, i, c)
+	order := make([]entry, len(sets))
+	for i := range sets {
+		var k [4]uint64
+		for j, a := range sets[i].Attrs[:min(4, len(sets[i].Attrs))] {
+			k[j] = uint64(a) + 1
 		}
-		n = n.children[i]
+		order[i] = entry{k[0]<<32 | k[1], k[2]<<32 | k[3], int32(i)}
 	}
-	n.set = set
+	slices.SortFunc(order, func(x, y entry) int {
+		if c := cmp.Compare(x.hi, y.hi); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.lo, y.lo); c != 0 {
+			return c
+		}
+		if c := slices.Compare(sets[x.set].Attrs, sets[y.set].Attrs); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.set, y.set)
+	})
+	attrs := func(k int) []int32 { return sets[order[k].set].Attrs }
+
+	t := make(trie, 1, len(sets)+1)
+	t[0] = trieNode{set: -1}
+	// run is the contiguous range of order below a node at some depth.
+	type run struct {
+		node, lo, hi int32
+		depth        int
+	}
+	stack := []run{{0, 0, int32(len(order)), 0}}
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lo := r.lo
+		for lo < r.hi && len(attrs(int(lo))) == r.depth {
+			t[r.node].set = order[lo].set
+			lo++
+		}
+		first := int32(len(t))
+		for lo < r.hi {
+			key := attrs(int(lo))[r.depth]
+			hi := lo + 1
+			for hi < r.hi && attrs(int(hi))[r.depth] == key {
+				hi++
+			}
+			t = append(t, trieNode{key: key, set: -1})
+			stack = append(stack, run{int32(len(t) - 1), lo, hi, r.depth + 1})
+			lo = hi
+		}
+		t[r.node].first, t[r.node].n = first, int32(len(t))-first
+	}
+	return t
+}
+
+// children returns the children of node i.
+func (t trie) children(i int32) []trieNode { return t[t[i].first : t[i].first+t[i].n] }
+
+// child returns the child of node i along edge a, or -1.
+func (t trie) child(i, a int32) int32 {
+	k, ok := slices.BinarySearchFunc(t.children(i), a, func(n trieNode, a int32) int { return cmp.Compare(n.key, a) })
+	if !ok {
+		return -1
+	}
+	return t[i].first + int32(k)
 }
 
 // exact returns the set index stored at the exact path attrs (sorted),
 // or -1.
-func (n *trieNode) exact(attrs []int32) int32 {
+func (t trie) exact(attrs []int32) int32 {
+	i := int32(0)
 	for _, a := range attrs {
-		if n = n.child(a); n == nil {
+		if i = t.child(i, a); i < 0 {
 			return -1
 		}
 	}
-	return n.set
+	return t[i].set
 }
 
-// supersets visits every stored set whose attribute list contains all
-// of attrs (sorted), in ascending set-path order. At each node the walk
-// may descend any edge whose key is ≤ the next required attribute —
-// larger keys can be pruned outright, because path keys only grow and
-// the required attribute could never be matched deeper down.
-func (n *trieNode) supersets(attrs []int32, visit func(set int32)) {
+// supersets visits every set stored below node i whose attribute list
+// contains all of attrs (sorted), in ascending set-path order. At each
+// node the walk may descend any edge whose key is ≤ the next required
+// attribute — larger keys can be pruned outright, because path keys
+// only grow and the required attribute could never be matched deeper
+// down.
+func (t trie) supersets(i int32, attrs []int32, visit func(set int32)) {
 	if len(attrs) == 0 {
-		n.collect(visit)
+		t.collect(i, visit)
 		return
 	}
 	need := attrs[0]
-	for i, k := range n.keys {
+	for k, c := range t.children(i) {
 		switch {
-		case k < need:
-			n.children[i].supersets(attrs, visit)
-		case k == need:
-			n.children[i].supersets(attrs[1:], visit)
+		case c.key < need:
+			t.supersets(t[i].first+int32(k), attrs, visit)
+		case c.key == need:
+			t.supersets(t[i].first+int32(k), attrs[1:], visit)
 		default:
 			return
 		}
 	}
 }
 
-// collect visits every set stored in the subtree.
-func (n *trieNode) collect(visit func(set int32)) {
-	if n.set >= 0 {
-		visit(n.set)
+// collect visits every set stored in the subtree of node i.
+func (t trie) collect(i int32, visit func(set int32)) {
+	if t[i].set >= 0 {
+		visit(t[i].set)
 	}
-	for _, c := range n.children {
-		c.collect(visit)
+	for c := t[i].first; c < t[i].first+t[i].n; c++ {
+		t.collect(c, visit)
 	}
 }
 
-// subsets visits every stored set whose attribute list is contained in
-// attrs (sorted): the walk only descends edges labeled with query
-// attributes, reporting each terminal node it passes.
-func (n *trieNode) subsets(attrs []int32, visit func(set int32)) {
-	if n.set >= 0 {
-		visit(n.set)
+// subsets visits every set stored below node i whose attribute list is
+// contained in attrs (sorted): the walk only descends edges labeled
+// with query attributes, reporting each terminal node it passes.
+func (t trie) subsets(i int32, attrs []int32, visit func(set int32)) {
+	if t[i].set >= 0 {
+		visit(t[i].set)
 	}
-	for i, a := range attrs {
-		if c := n.child(a); c != nil {
-			c.subsets(attrs[i+1:], visit)
+	for k, a := range attrs {
+		if c := t.child(i, a); c >= 0 {
+			t.subsets(c, attrs[k+1:], visit)
 		}
 	}
 }
