@@ -12,7 +12,8 @@ import (
 // burst — OnAttributeSet followed immediately by OnPattern for each of
 // its top-k patterns (best first). With Parallelism ≤ 1 bursts arrive
 // in search order; with workers the burst order is nondeterministic but
-// the per-set grouping still holds.
+// the per-set grouping still holds. A Remine delivers the sets it
+// carries over after the ones it walked, in canonical order.
 //
 // Sink callbacks run on miner goroutines; slow callbacks stall the
 // search, so hand heavy work off to a channel.

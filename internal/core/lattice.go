@@ -49,12 +49,12 @@ type Evaluation struct {
 //
 // The lattice is one flat table per recorded top-level subtree, in
 // Eclat order: a node per evaluated set, each node's children one
-// contiguous block, and each subtree's descendants one contiguous range
-// after its block. Nodes hold no pointers; the few sets with a
-// non-empty hand-down keep it, and their patterns, in a side table. A
-// lattice is immutable once its run returns, so the next generation
-// shares every subtree an update did not reach and copies whole
-// descendant ranges of the ones it did.
+// contiguous block, and each node's descendants one contiguous range
+// that starts with that block. Nodes hold no pointers; the few sets
+// with a non-empty hand-down or a sampled estimate keep the rest of
+// their evaluation in a side table. A lattice is immutable once its
+// run returns, so the next generation shares every subtree an update
+// did not reach and copies whole descendant ranges of the ones it did.
 type Lattice struct {
 	// version is the data version of the graph the lattice was
 	// recorded against; Remine requires the ChangeSet it is given to

@@ -128,8 +128,9 @@ type Params struct {
 	// RecordLattice makes the run memoize every evaluated attribute set
 	// (ε, covered-set hand-downs, mined patterns) into the Result, so a
 	// later Remine can carry clean evaluations over instead of
-	// recomputing them. Costs memory proportional to the number of
-	// evaluated sets times |V| bits; off by default.
+	// recomputing them. Costs 48 bytes per evaluated set, plus the
+	// hand-downs of the sets whose hand-down is not empty; off by
+	// default.
 	RecordLattice bool
 
 	// ProgressEvery sets how many attribute-set evaluations elapse

@@ -8,7 +8,7 @@
 // The Index is self-contained: every name it serves (attribute names,
 // vertex labels) is resolved at build time, so it answers every lookup
 // without consulting the originating graph. Derived structures (trie,
-// postings, id maps) are rebuilt deterministically from the canonical
+// postings, id indexes) are rebuilt deterministically from the canonical
 // set/pattern tables.
 package index
 
@@ -57,8 +57,8 @@ type Index struct {
 	patIDs    []string // patIDs[i] = patterns[i].ID()
 	patSetIDs []string // patSetIDs[i] = patterns[i].SetID()
 
-	// Pointer-shaped lookup structures, built from the canonical tables
-	// by buildDerived. Build pays for them up front; an index assembled
+	// Lookup structures, built from the canonical tables by
+	// buildDerived. Build pays for them up front; an index assembled
 	// by FromParts (the snapshot boot path) defers them to the first
 	// query that needs one, so opening a snapshot stays O(sections)
 	// instead of O(sets). Access only through derived().
@@ -159,8 +159,8 @@ func (x *Index) freeze() {
 	x.derived()
 }
 
-// derived builds the pointer-shaped lookup structures (id maps, trie,
-// per-set pattern lists) exactly once. Build and Rebuild call it eagerly;
+// derived builds the lookup structures (id indexes, trie, per-set
+// pattern lists) exactly once. Build and Rebuild call it eagerly;
 // a lazily assembled index pays on the first lookup that needs one.
 // Safe for concurrent use — callers may race on a cold index and block
 // behind one build.

@@ -14,7 +14,7 @@ import (
 // When the new result holds the same sets and patterns as this index,
 // in the same order, only the rows differ (a graph update moves ExpEps
 // and δ of every set), so the new index takes the new rows and shares
-// every derived structure — ids, postings, id maps, trie, pattern
+// every derived structure — ids, postings, id indexes, trie, pattern
 // lists — with this one. Otherwise both canonical lists are
 // merge-joined, which are in core.CompareAttrs order, and stable set
 // and pattern id strings and resolved pattern vertex-label slices of

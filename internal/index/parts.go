@@ -13,9 +13,9 @@ import (
 // stores all of it verbatim, so a boot skips the id hashing (FNV over
 // every set and pattern) and the posting construction (a pass over
 // every set name and pattern vertex). The row tables arrive through
-// the deferred Rows callback, and the pointer-shaped remainder — trie,
-// id maps, patsOf — is built on the first lookup that needs it, so
-// assembly stays O(postings), not O(sets).
+// the deferred Rows callback, and the remaining lookup structures —
+// trie, id indexes, per-set pattern lists — are built on the first
+// lookup that needs them, so assembly stays O(postings), not O(sets).
 type Parts struct {
 	Mining core.Stats
 	// Dataset shape of the producing graph (DatasetShape).

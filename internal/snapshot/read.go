@@ -361,8 +361,8 @@ func buildGraph(fp *fileParts, full bool) (*graph.Graph, error) {
 }
 
 // buildIndex assembles the index from the carved views. The row
-// tables and the pointer-shaped lookup structures (id maps, trie,
-// per-set pattern lists) are deferred to the first access that needs
+// tables and the lookup structures (id indexes, trie, per-set
+// pattern lists) are deferred to the first access that needs
 // them, keeping the open path free of any O(sets) construction.
 func buildIndex(fp *fileParts, g *graph.Graph) (*index.Index, error) {
 	if err := checkOffsets("set-attr", fp.setAttrOff, len(fp.setAttrs)); err != nil {
