@@ -466,3 +466,53 @@ func TestRemineDeltaMinSurvivalFlips(t *testing.T) {
 		})
 	}
 }
+
+// TestRemineDirtySingleMovesEarlier unsets the most frequent attribute
+// on vertices until it moves before every other single in the Eclat
+// order, and until it is no longer frequent at all. Either way the sets
+// that held it sat in the subtrees of clean roots before it, which no
+// dirty single now follows: those subtrees must still drop them, from
+// the lattice as from the rows.
+func TestRemineDirtySingleMovesEarlier(t *testing.T) {
+	ctx := context.Background()
+	for mode, p := range remineParams() {
+		for _, floor := range []int{p.SigmaMin, p.SigmaMin - 1} {
+			g := remineGraph(t, 91)
+			old, err := Mine(ctx, g, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := int32(0)
+			for a := int32(1); a < int32(g.NumAttributes()); a++ {
+				if g.AttrSupport(a) > g.AttrSupport(top) {
+					top = a
+				}
+			}
+			d := g.NewDelta()
+			for v, left := int32(0), g.AttrSupport(top); left > floor; v++ {
+				if slices.Contains(g.VertexAttrs(v), top) {
+					if err := d.UnsetAttr(g.VertexName(v), g.AttrName(top)); err != nil {
+						t.Fatal(err)
+					}
+					left--
+				}
+			}
+			ng, cs, err := g.Apply(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s support of %s down to %d", mode, g.AttrName(top), floor)
+			scratch, err := Mine(ctx, ng, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, err := Remine(ctx, ng, p, old, cs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualResults(t, label, inc, scratch)
+			requireRemineStats(t, label, inc, scratch)
+			requireSameLattice(t, label, inc.lattice, scratch.lattice)
+		}
+	}
+}

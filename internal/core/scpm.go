@@ -176,7 +176,8 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// A sharded run descends only the subtrees it owns; every attribute
 	// set below an owned root belongs to this shard by the prefix
 	// ownership rule. A Remine carries a clean subtree whole when no
-	// dirty single follows its root: no set below it can change.
+	// dirty single follows its root now and none did before: no set
+	// below it can change.
 	lastDirty := -1
 	for i := range survivors {
 		if m.dirty(survivors[i].attrs[0]) {
@@ -195,7 +196,7 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 		if !m.dirty(root) {
 			st.old = m.prev.tree(root)
 		}
-		if m.carry && st.old != nil && i > lastDirty {
+		if m.carry && st.old != nil && i > lastDirty && !m.dirtyBelow(st.old, 0) {
 			trees[i] = st.old
 			m.em.noteReused(int64(st.old.nodes[0].desc))
 			return nil
@@ -396,6 +397,19 @@ func (m *miner) owns(root int32) bool { return m.owner == nil || m.owner(root) }
 // changed attribute a's member set or its induced subgraph.
 func (m *miner) dirty(a int32) bool { return m.changes != nil && m.changes.DirtyAttrs.Contains(int(a)) }
 
+// dirtyBelow reports whether a set below node i of t holds a dirty
+// attribute. Every set below a node that holds attribute d descends
+// from the node's child extended by d, so the children alone decide.
+func (m *miner) dirtyBelow(t *latticeTree, i int32) bool {
+	_, kids := t.block(i)
+	for k := range kids {
+		if m.dirty(kids[k].attr) {
+			return true
+		}
+	}
+	return false
+}
+
 // frequentSingles returns the attribute ids with support ≥ σmin,
 // ascending.
 func (m *miner) frequentSingles() []int32 {
@@ -489,9 +503,10 @@ func (m *miner) forEach(ctx context.Context, n int, fn func(i int, w *worker) er
 //
 // In a Remine a clean child is found in item's previous children block
 // and carried or replayed from it rather than evaluated. A carried
-// child is walked only when a child that was not carried follows it —
-// its own children then include sets that need evaluating — and is
-// otherwise carried with all its descendants.
+// child is walked when a child that was not carried follows it — its
+// own children then include sets that need evaluating — or when it had
+// a dirty child before the update, which must go; otherwise it is
+// carried with all its descendants.
 func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []classItem, st *subtree, w *worker) error {
 	first, nkids := int32(st.rec.size()), int32(0)
 	if m.p.MaxAttrs > 0 && len(item.attrs) >= m.p.MaxAttrs {
@@ -590,7 +605,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 		}
 	}
 	for i := range children {
-		if c := &children[i]; c.carried && i > walk {
+		if c := &children[i]; c.carried && i > walk && !m.dirtyBelow(st.old, c.node) {
 			st.rec.carryDescendants(c.rec, st.old, c.node)
 			m.em.noteReused(int64(st.old.nodes[c.node].desc))
 			continue
