@@ -175,13 +175,13 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	// independent given its right-sibling list, so subtrees parallelize.
 	// A sharded run descends only the subtrees it owns; every attribute
 	// set below an owned root belongs to this shard by the prefix
-	// ownership rule. A Remine carries a clean subtree whole when no
-	// dirty single follows its root now and none did before: no set
-	// below it can change.
-	lastDirty := -1
+	// ownership rule. A Remine carries a clean subtree whole when no set
+	// below its root can hold a dirty attribute, now or before the
+	// update (reachesDirty).
+	var dirtyRoots []int
 	for i := range survivors {
 		if m.dirty(survivors[i].attrs[0]) {
-			lastDirty = i
+			dirtyRoots = append(dirtyRoots, i)
 		}
 	}
 	trees := make([]*latticeTree, len(survivors))
@@ -196,7 +196,7 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 		if !m.dirty(root) {
 			st.old = m.prev.tree(root)
 		}
-		if m.carry && st.old != nil && i > lastDirty && !m.dirtyBelow(st.old, 0) {
+		if m.carry && st.old != nil && !m.reachesDirty(survivors, i, dirtyRoots) && !m.dirtyBelow(st.old, 0) {
 			trees[i] = st.old
 			m.em.noteReused(int64(st.old.nodes[0].desc))
 			return nil
@@ -396,6 +396,19 @@ func (m *miner) owns(root int32) bool { return m.owner == nil || m.owner(root) }
 // dirty reports whether the update a Remine runs across may have
 // changed attribute a's member set or its induced subgraph.
 func (m *miner) dirty(a int32) bool { return m.changes != nil && m.changes.DirtyAttrs.Contains(int(a)) }
+
+// reachesDirty reports whether the subtree of survivors[i] holds a
+// set with a dirty attribute in this run: whether a dirty single d
+// after it, one of survivors[dirty], has |V({root, d})| ≥ σmin. Every
+// set below the root that holds d descends from {root, d}.
+func (m *miner) reachesDirty(survivors []classItem, i int, dirty []int) bool {
+	for _, j := range dirty {
+		if j > i && survivors[i].members.IntersectCount(survivors[j].members) >= m.p.SigmaMin {
+			return true
+		}
+	}
+	return false
+}
 
 // dirtyBelow reports whether a set below node i of t holds a dirty
 // attribute. Every set below a node that holds attribute d descends
