@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/graph"
@@ -238,6 +239,12 @@ func TestRebuildAfterInsert(t *testing.T) {
 		}
 		nx := x.Rebuild(nres, ng)
 		requireSameAnswers(t, fmt.Sprintf("step %d", step), nx, Build(nres, ng))
+		// Whatever the lists, a set the donor holds keeps its id string.
+		for i, id := range nx.setIDs {
+			if j := x.SetIndexByID(id); j >= 0 && unsafe.StringData(x.setIDs[j]) != unsafe.StringData(id) {
+				t.Fatalf("step %d: set %d re-hashed its id instead of taking the donor's", step, i)
+			}
+		}
 		g, res, x = ng, nres, nx
 	}
 	if changed == 0 {
