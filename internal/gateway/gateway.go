@@ -34,7 +34,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -369,26 +368,38 @@ func (gw *Gateway) decodeKey(raw []byte, ranked bool) (element, error) {
 	return e, nil
 }
 
-// merge orders the shards' elements into one answer — under rank when
-// non-nil, then canonically — and cuts it to the first limit (0 keeps
-// all). Each shard cut its own answer the same way under the same
-// order, so their union holds the global first limit. The sort is
-// stable: the patterns of one set, all sent by the set's owning shard,
-// keep that shard's order.
-func merge(elems []element, rank *core.Ranking, limit int) []element {
-	sort.SliceStable(elems, func(i, j int) bool {
-		a, b := &elems[i].key, &elems[j].key
+// merge orders the shards' element streams into one answer — under
+// rank when non-nil, then canonically — and cuts it to the first limit
+// (0 keeps all). Each shard cut its own answer the same way under the
+// same order, so their union holds the global first limit, and each
+// stream already arrives in that order. A k-way merge that takes ties
+// from the earliest stream therefore yields the stable order of the
+// concatenated streams: the patterns of one set, all sent by the set's
+// owning shard, keep that shard's order.
+func merge(streams [][]element, rank *core.Ranking, limit int) []element {
+	less := func(a, b *core.AttributeSet) bool {
 		if rank != nil {
 			if c := rank.Compare(a, b); c != 0 {
 				return c < 0
 			}
 		}
 		return core.CompareAttrs(a.Attrs, b.Attrs) < 0
-	})
-	if limit > 0 && len(elems) > limit {
-		elems = elems[:limit]
 	}
-	return elems
+	var out []element
+	for limit <= 0 || len(out) < limit {
+		best := -1
+		for i, st := range streams {
+			if len(st) > 0 && (best < 0 || less(&st[0].key, &streams[best][0].key)) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
+	return out
 }
 
 // raws lists the elements' raw JSON — never nil, so an empty answer
@@ -425,18 +436,18 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 			server.WriteErr(w, http.StatusServiceUnavailable, "no shard answered /"+field)
 			return
 		}
-		var elems []element
-		for _, resp := range served {
+		streams := make([][]element, len(served))
+		for i, resp := range served {
 			for line := range bytes.Lines(resp.body) {
 				e, err := gw.decodeKey(bytes.TrimSuffix(line, []byte("\n")), rank != nil)
 				if err != nil {
 					server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /%s element: %v", resp.shard, field, err))
 					return
 				}
-				elems = append(elems, e)
+				streams[i] = append(streams[i], e)
 			}
 		}
-		elems = merge(elems, rank, limit)
+		elems := merge(streams, rank, limit)
 		gw.degrade(w, down)
 		if server.WantNDJSON(r) {
 			var buf bytes.Buffer
@@ -507,8 +518,8 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusBadGateway, "no shard produced a usable /vertices answer")
 		return
 	}
-	var elems []element
-	for _, resp := range served {
+	streams := make([][]element, len(served))
+	for i, resp := range served {
 		var payload struct {
 			Patterns []json.RawMessage `json:"patterns"`
 		}
@@ -522,10 +533,10 @@ func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 				server.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("shard %d: malformed /vertices pattern: %v", resp.shard, err))
 				return
 			}
-			elems = append(elems, e)
+			streams[i] = append(streams[i], e)
 		}
 	}
-	elems = merge(elems, nil, 0)
+	elems := merge(streams, nil, 0)
 	setIDs := []string{}
 	seen := make(map[string]bool)
 	for _, e := range elems {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -622,6 +624,53 @@ func TestGatewayMalformedShardBody(t *testing.T) {
 				len(env) != 1 || env["error"] == "" {
 				t.Fatalf("GET %s with shard body %q: %d %s, want 502 with only the error envelope", path, body, status, got)
 			}
+		}
+	}
+}
+
+// TestMergeIsStableSort checks the k-way merge against a stable sort of
+// the concatenated streams on random ordered streams whose keys tie
+// often, as keys of sets created after the plan do, with and without a
+// ranking and a limit.
+func TestMergeIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		var rank *core.Ranking
+		if r := rng.Intn(4); r < 3 {
+			rk := core.Ranking(r)
+			rank = &rk
+		}
+		less := func(a, b *core.AttributeSet) bool {
+			if rank != nil {
+				if c := rank.Compare(a, b); c != 0 {
+					return c < 0
+				}
+			}
+			return core.CompareAttrs(a.Attrs, b.Attrs) < 0
+		}
+		streams := make([][]element, 1+rng.Intn(3))
+		var all []element
+		for i := range streams {
+			for j := rng.Intn(6); j > 0; j-- {
+				key := core.AttributeSet{
+					Attrs:   []int32{int32(rng.Intn(3)), math.MaxInt32},
+					Support: rng.Intn(3),
+					Epsilon: float64(rng.Intn(3)) / 2,
+					Delta:   float64(rng.Intn(3)),
+				}
+				streams[i] = append(streams[i], element{raw: json.RawMessage(fmt.Sprintf(`"%d.%d"`, i, j)), key: key})
+			}
+			sort.SliceStable(streams[i], func(a, b int) bool { return less(&streams[i][a].key, &streams[i][b].key) })
+			all = append(all, streams[i]...)
+		}
+		sort.SliceStable(all, func(a, b int) bool { return less(&all[a].key, &all[b].key) })
+		limit := rng.Intn(8)
+		if limit > 0 && len(all) > limit {
+			all = all[:limit]
+		}
+		got := merge(streams, rank, limit)
+		if fmt.Sprint(raws(got)) != fmt.Sprint(raws(all)) {
+			t.Fatalf("trial %d: merge = %s, stable sort = %s", trial, raws(got), raws(all))
 		}
 	}
 }

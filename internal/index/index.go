@@ -1,9 +1,9 @@
 // Package index is the read-optimized pattern-serving layer of SCPM: an
 // immutable Index built once from a mining Result (plus the graph that
 // produced it) and then queried concurrently — by stable id, by
-// attribute containment, by subset/superset relation over the
-// attribute-set trie, by vertex membership over inverted postings, or
-// as a top-k ranking.
+// attribute containment over inverted postings, by exact match and
+// subset relation over the attribute-set trie, by vertex membership
+// over inverted postings, or as a top-k ranking.
 //
 // The Index is self-contained: every name it serves (attribute names,
 // vertex labels) is resolved at build time, so it answers every lookup
@@ -74,6 +74,13 @@ type Index struct {
 	// Inverted postings on the shared bitset machinery.
 	attrPost map[string]*bitset.Set // attribute name → set indices
 	vertPost map[string]*bitset.Set // vertex label → pattern indices
+
+	// ranked[r] is the permutation of the set indices under ranking r,
+	// built on first use by Ranked.
+	ranked [core.ByDelta + 1]struct {
+		once sync.Once
+		perm []int32
+	}
 }
 
 // Build constructs an Index from a mining result. The graph must be the
@@ -369,15 +376,36 @@ func (x *Index) Exact(names []string) int {
 // Supersets returns the indices of every indexed set that contains all
 // of the given attribute names (S ⊇ query), ascending. An empty query
 // matches every set.
-func (x *Index) Supersets(names []string) []int {
-	attrs, ok := x.attrSet(names)
-	if !ok {
-		return nil
+func (x *Index) Supersets(names []string) []int { return members(x.Containing(names)) }
+
+// Containing returns the sets that contain all of the given attribute
+// names as a bitset over set indices: the AND of the names' attribute
+// postings, so it needs no trie and works on a snapshot-booted index
+// before its lookup structures are built. It is nil when some name
+// occurs in no indexed set; an empty query yields every set. A
+// one-name query returns the index's own posting, so the caller must
+// not modify the result.
+func (x *Index) Containing(names []string) *bitset.Set {
+	if len(names) == 0 {
+		all := bitset.New(x.nSets)
+		for i := range x.nSets {
+			all.Add(i)
+		}
+		return all
 	}
-	var out []int
-	x.trie.supersets(0, attrs, func(set int32) { out = append(out, int(set)) })
-	sort.Ints(out) // trie walks run in path order; callers get index order
-	return out
+	for _, n := range names {
+		if x.attrPost[n] == nil {
+			return nil
+		}
+	}
+	post := x.attrPost[names[0]]
+	if len(names) > 1 {
+		post = post.Clone()
+		for _, n := range names[1:] {
+			post.IntersectWith(x.attrPost[n])
+		}
+	}
+	return post
 }
 
 // Subsets returns the indices of every indexed set whose attributes are
@@ -399,23 +427,12 @@ func (x *Index) Subsets(names []string) []int {
 	return out
 }
 
-// WithAttr returns the indices of the sets containing the named
-// attribute, ascending — the inverted-posting fast path of the
-// one-attribute containment query.
-func (x *Index) WithAttr(name string) []int {
-	post := x.attrPost[name]
-	if post == nil {
-		return nil
-	}
-	out := make([]int, 0, post.Count())
-	post.ForEach(func(i int) bool { out = append(out, i); return true })
-	return out
-}
-
 // PatternsWithVertex returns the indices of the patterns containing the
 // labeled vertex, ascending.
-func (x *Index) PatternsWithVertex(label string) []int {
-	post := x.vertPost[label]
+func (x *Index) PatternsWithVertex(label string) []int { return members(x.vertPost[label]) }
+
+// members lists the elements of post ascending; nil when post is nil.
+func members(post *bitset.Set) []int {
 	if post == nil {
 		return nil
 	}
@@ -431,8 +448,34 @@ func (x *Index) HasVertex(label string) bool { return x.vertPost[label] != nil }
 // TopSets returns the n best indexed sets under the given ranking
 // (σ, ε or δ), like the paper's case-study tables.
 func (x *Index) TopSets(r core.Ranking, n int) []core.AttributeSet {
-	x.tables()
-	return core.TopSets(x.sets, r, n)
+	perm := x.Ranked(r)
+	out := make([]core.AttributeSet, min(n, len(perm)))
+	for i := range out {
+		out[i] = x.sets[perm[i]]
+	}
+	return out
+}
+
+// Ranked returns the permutation of every set index under r, ties in
+// canonical order: the order core.TopSets ranks in. It is sorted on the
+// first call per ranking and shared by every later one. Build and
+// Rebuild never pay for it, and a Rebuild never carries it over: an
+// update moves εexp and δ of every set, and ε of some, even when the
+// set list stays. The caller must not modify the returned slice.
+func (x *Index) Ranked(r core.Ranking) []int32 {
+	rk := &x.ranked[r]
+	rk.once.Do(func() {
+		x.tables()
+		perm := make([]int32, len(x.sets))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		// The identity is in canonical order, so the stable sort breaks
+		// ties canonically.
+		slices.SortStableFunc(perm, func(a, b int32) int { return r.Compare(&x.sets[a], &x.sets[b]) })
+		rk.perm = perm
+	})
+	return rk.perm
 }
 
 // Stats summarizes the index shape.

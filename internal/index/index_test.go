@@ -145,13 +145,6 @@ func TestSupersetsSubsetsContainment(t *testing.T) {
 	if got := setNames(x, x.Subsets([]string{"B", "Z"})); !reflect.DeepEqual(got, [][]string{{"B"}}) {
 		t.Fatalf("Subsets(B,Z) = %v", got)
 	}
-	// Containment postings agree with the trie.
-	if got := x.WithAttr("A"); !reflect.DeepEqual(got, x.Supersets([]string{"A"})) {
-		t.Fatalf("WithAttr(A) = %v", got)
-	}
-	if x.WithAttr("Z") != nil {
-		t.Fatal("unknown attribute posting must be empty")
-	}
 }
 
 func TestVertexPostings(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 // in the same order, only the rows differ (a graph update moves ExpEps
 // and δ of every set), so the new index takes the new rows and shares
 // every derived structure — ids, postings, id indexes, trie, pattern
-// lists — with this one. Otherwise both canonical lists are
+// lists — with this one, but not the ranked permutations (Ranked),
+// which the new rows reorder. Otherwise both canonical lists are
 // merge-joined, which are in core.CompareAttrs order, and stable set
 // and pattern id strings and resolved pattern vertex-label slices of
 // unchanged content are carried over instead of being re-hashed and

@@ -8,10 +8,9 @@ import (
 )
 
 // trie is the attribute-set trie. Each indexed set is a root-to-node
-// path over its sorted attribute ids, so subset and superset queries
-// become ordered walks: every key along a path is strictly larger than
-// its parent's, which is what the pruning in supersets relies on. The
-// nodes form one flat, pointer-free table; nodes[0] is the root.
+// path over its sorted attribute ids, so exact and subset queries
+// become ordered walks along query attributes. The nodes form one
+// flat, pointer-free table; nodes[0] is the root.
 type trie []trieNode
 
 // trieNode is one node of the trie: the edge label that leads to it,
@@ -110,40 +109,6 @@ func (t trie) exact(attrs []int32) int32 {
 		}
 	}
 	return t[i].set
-}
-
-// supersets visits every set stored below node i whose attribute list
-// contains all of attrs (sorted), in ascending set-path order. At each
-// node the walk may descend any edge whose key is ≤ the next required
-// attribute — larger keys can be pruned outright, because path keys
-// only grow and the required attribute could never be matched deeper
-// down.
-func (t trie) supersets(i int32, attrs []int32, visit func(set int32)) {
-	if len(attrs) == 0 {
-		t.collect(i, visit)
-		return
-	}
-	need := attrs[0]
-	for k, c := range t.children(i) {
-		switch {
-		case c.key < need:
-			t.supersets(t[i].first+int32(k), attrs, visit)
-		case c.key == need:
-			t.supersets(t[i].first+int32(k), attrs[1:], visit)
-		default:
-			return
-		}
-	}
-}
-
-// collect visits every set stored in the subtree of node i.
-func (t trie) collect(i int32, visit func(set int32)) {
-	if t[i].set >= 0 {
-		visit(t[i].set)
-	}
-	for c := t[i].first; c < t[i].first+t[i].n; c++ {
-		t.collect(c, visit)
-	}
 }
 
 // subsets visits every set stored below node i whose attribute list is

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
@@ -506,23 +507,6 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var idxs []int
-	switch {
-	case len(exact) > 0:
-		if i := idx.Exact(exact); i >= 0 {
-			idxs = []int{i}
-		}
-	case len(contains) > 0:
-		idxs = idx.Supersets(contains)
-	case len(within) > 0:
-		idxs = idx.Subsets(within)
-	default:
-		idxs = make([]int, idx.NumSets())
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-
 	minSupport, err := intParam(q, "min_support", 0)
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, err.Error())
@@ -538,32 +522,56 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sets := idx.Sets()
-	kept := idxs[:0]
-	for _, i := range idxs {
-		if sets[i].Support >= minSupport && sets[i].Epsilon >= minEps && sets[i].Delta >= minDelta {
-			kept = append(kept, i)
-		}
-	}
-	idxs = kept
-
-	if rank := q.Get("rank"); rank != "" {
-		ranking, ok := core.ParseRanking(rank)
+	var rank *core.Ranking
+	if name := q.Get("rank"); name != "" {
+		ranking, ok := core.ParseRanking(name)
 		if !ok {
-			WriteErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", rank))
+			WriteErr(w, http.StatusBadRequest, fmt.Sprintf("unknown rank %q (want support, epsilon or delta)", name))
 			return
 		}
-		// idxs ascend in canonical order, so the stable sort breaks
-		// ranking ties canonically.
-		slices.SortStableFunc(idxs, func(a, b int) int { return ranking.Compare(&sets[a], &sets[b]) })
+		rank = &ranking
 	}
 	k, err := intParam(q, "k", 0)
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if k > 0 && len(idxs) > k {
-		idxs = idxs[:k]
+
+	sets := idx.Sets()
+	keep := func(i int) bool {
+		return sets[i].Support >= minSupport && sets[i].Epsilon >= minEps && sets[i].Delta >= minDelta
+	}
+	var idxs []int
+	switch {
+	case len(exact) > 0 || len(within) > 0:
+		// These answers are small: filter them, rank them with a stable
+		// sort (they ascend in canonical order, so ties stay canonical)
+		// and cut.
+		var cand []int
+		if len(exact) > 0 {
+			if i := idx.Exact(exact); i >= 0 {
+				cand = []int{i}
+			}
+		} else {
+			cand = idx.Subsets(within)
+		}
+		for _, i := range cand {
+			if keep(i) {
+				idxs = append(idxs, i)
+			}
+		}
+		if rank != nil {
+			slices.SortStableFunc(idxs, func(a, b int) int { return rank.Compare(&sets[a], &sets[b]) })
+		}
+		if k > 0 && len(idxs) > k {
+			idxs = idxs[:k]
+		}
+	case len(contains) > 0:
+		if cand := idx.Containing(contains); cand != nil {
+			idxs = walkSets(idx, cand, rank, k, keep)
+		}
+	default:
+		idxs = walkSets(idx, nil, rank, k, keep)
 	}
 
 	if WantNDJSON(r) {
@@ -575,6 +583,36 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 		out[i] = setDTOOf(idx, si)
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"sets": out, "total": len(out)})
+}
+
+// walkSets lists the sets of idx in cand (every set when cand is nil)
+// that keep admits, in rank order when rank is set and ascending
+// otherwise, and stops at the first k (0 keeps all). A ranked walk
+// follows the index's ranked permutation, so neither order is sorted
+// per request.
+func walkSets(idx *index.Index, cand *bitset.Set, rank *core.Ranking, k int, keep func(i int) bool) []int {
+	var out []int
+	take := func(i int) bool {
+		if (cand == nil || cand.Contains(i)) && keep(i) {
+			out = append(out, i)
+		}
+		return k == 0 || len(out) < k
+	}
+	switch {
+	case rank != nil:
+		for _, i := range idx.Ranked(*rank) {
+			if !take(int(i)) {
+				break
+			}
+		}
+	case cand != nil:
+		for i := cand.NextSet(0); i >= 0 && take(i); i = cand.NextSet(i + 1) {
+		}
+	default:
+		for i := 0; i < idx.NumSets() && take(i); i++ {
+		}
+	}
+	return out
 }
 
 func (s *Server) handleSetByID(w http.ResponseWriter, r *http.Request) {

@@ -161,9 +161,6 @@ func checkPair(t *testing.T, boot *snapshot.Boot, g *scpm.Graph, x *scpm.Index) 
 	}
 	for _, s := range x.Sets() {
 		for _, name := range s.Names {
-			if !reflect.DeepEqual(lx.WithAttr(name), x.WithAttr(name)) {
-				t.Fatalf("attr posting %q mismatch", name)
-			}
 			if !reflect.DeepEqual(lx.Supersets([]string{name}), x.Supersets([]string{name})) {
 				t.Fatalf("supersets(%q) mismatch", name)
 			}
