@@ -80,12 +80,12 @@ func referenceSets(idx *index.Index, q url.Values) []byte {
 	exact := ParseAttrList(q["attrs"])
 	contains := ParseAttrList(q["contains"])
 	within := ParseAttrList(q["within"])
-	var minSupport, k int
-	var minEps, minDelta float64
-	fmt.Sscan(q.Get("min_support"), &minSupport)
-	fmt.Sscan(q.Get("min_eps"), &minEps)
-	fmt.Sscan(q.Get("min_delta"), &minDelta)
-	fmt.Sscan(q.Get("k"), &k)
+	// randomSetsQuery draws only valid parameters, so none fails to
+	// parse.
+	minSupport, _ := intParam(q, "min_support", 0)
+	minEps, _ := floatParam(q, "min_eps", 0)
+	minDelta, _ := floatParam(q, "min_delta", 0)
+	k, _ := intParam(q, "k", 0)
 	subset := func(a, b []string) bool {
 		for _, n := range a {
 			if !slices.Contains(b, n) {
