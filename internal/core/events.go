@@ -157,13 +157,6 @@ func (e *emitter) noteEvaluated() {
 	e.mu.Unlock()
 }
 
-// emitSet delivers one qualifying set and its patterns as an atomic
-// burst.
-func (e *emitter) emitSet(set AttributeSet, pats []Pattern) {
-	e.noteEmitted(1, int64(len(pats)))
-	e.deliver(&set, pats)
-}
-
 // noteEmitted counts sets qualifying sets with pats patterns between them.
 func (e *emitter) noteEmitted(sets, pats int64) {
 	e.emitted.Add(sets)

@@ -376,16 +376,16 @@ func (m *miner) mergeCarried(res, old *Result) {
 		for ; pi < len(walkedPats) && CompareAttrs(walkedPats[pi].Attrs, s.Attrs) < 0; pi++ {
 			res.Patterns = append(res.Patterns, walkedPats[pi])
 		}
-		row := *s
-		if math.IsNaN(exp[row.Support]) {
-			exp[row.Support] = m.model.Exp(row.Support)
+		set := *s
+		if math.IsNaN(exp[set.Support]) {
+			exp[set.Support] = m.model.Exp(set.Support)
 		}
-		row.ExpEps = exp[row.Support]
-		row.Delta = NormalizeDelta(row.Epsilon, row.ExpEps)
-		res.Sets = append(res.Sets, row)
+		set.ExpEps = exp[set.Support]
+		set.Delta = NormalizeDelta(set.Epsilon, set.ExpEps)
+		res.Sets = append(res.Sets, set)
 		res.Patterns = append(res.Patterns, old.Patterns[lo:op]...)
 		sets, pats = sets+1, pats+int64(op-lo)
-		m.em.deliver(&row, old.Patterns[lo:op])
+		m.em.deliver(&set, old.Patterns[lo:op])
 	}
 	res.Sets = append(res.Sets, walked[i:]...)
 	res.Patterns = append(res.Patterns, walkedPats[pi:]...)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/scpm/scpm/internal/graph"
@@ -68,20 +68,9 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 		if eps < p.EpsMin || delta < p.DeltaMin || len(s.Items) < p.minAttrs() {
 			return true
 		}
-		attrs := append([]int32(nil), s.Items...)
-		sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
-		set := AttributeSet{
-			Attrs:   attrs,
-			Names:   g.AttrSetNames(attrs),
-			Support: sigma,
-			Epsilon: eps,
-			ExpEps:  expEps,
-			Delta:   delta,
-			Covered: len(covered),
-		}
-		b.rows.carve(1)[0] = set
 		var emitted []Pattern
 		if p.K > 0 || p.AllPatterns {
+			attrs := slices.Sorted(slices.Values(s.Items))
 			top := pats
 			if !p.AllPatterns && len(top) > p.K {
 				top = top[:p.K]
@@ -100,13 +89,13 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 					Edges:    q.Edges,
 				})
 			}
-			b.pats = append(b.pats, emitted...)
 		}
-		em.emitSet(set, emitted)
+		set := row{support: int32(sigma), epsilon: eps, expEps: expEps, delta: delta, covered: int32(len(covered))}
+		b.emit(em, g, set, s.Items, emitted)
 		return true
 	})
 	if mineErr != nil {
 		err = mineErr
 	}
-	return finalizeResult(&Result{}, []*bucket{b}, em, err, nil)
+	return finalizeResult(&Result{}, []*bucket{b}, g, em, err, nil)
 }

@@ -232,15 +232,70 @@ func (r *Result) PatternsOf(attrs []int32) []Pattern {
 	return out
 }
 
-// bucket collects the rows one top-level subtree (or level 1) emits.
-// Rows, their Attrs and their Names are carved from chunks that never
-// move, so a bucket's growth copies nothing and a row costs no
-// allocation of its own.
+// bucket collects the rows one top-level subtree (or level 1) emits. A
+// row is a pointer-free record whose ascending ids sit in ids, which
+// holds no pointers either, so the collector has nothing to scan in a
+// bucket until gather builds the result. Rows and ids are carved from
+// chunks that never move, so a bucket's growth copies nothing and a row
+// costs no allocation of its own. names holds the Names of the sets
+// streamed to a sink; it stays empty when the run has none.
 type bucket struct {
-	rows  chunks[AttributeSet]
+	rows  chunks[row]
 	ids   chunks[int32]
 	names chunks[string]
 	pats  []Pattern
+}
+
+// row is a bucket's record of one emitted set: the numeric fields of its
+// AttributeSet and where its ascending ids sit in the bucket,
+// ids[chunk][off : off+size]. It must hold no pointer (see bucket).
+type row struct {
+	epsilon, expEps, delta, epsErr float64
+	support, covered, sampled      int32
+	chunk, off, size               int32
+	estimated                      bool
+}
+
+// put writes r to dst, a zero AttributeSet, with the given ids and
+// names. It stores field by field: building the wide set as a value
+// and copying it costs more than the row itself.
+func (r *row) put(dst *AttributeSet, attrs []int32, names []string) {
+	dst.Attrs, dst.Names = attrs, names
+	dst.Support, dst.Covered, dst.SampledVertices = int(r.support), int(r.covered), int(r.sampled)
+	dst.Epsilon, dst.ExpEps, dst.Delta, dst.EpsilonErr = r.epsilon, r.expEps, r.delta, r.epsErr
+	dst.Estimated = r.estimated
+}
+
+// add stores r as the bucket's next row, with a copy of attrs sorted
+// ascending as its ids, and returns that copy.
+func (b *bucket) add(r row, attrs []int32) []int32 {
+	ids := b.ids.carve(len(attrs))
+	copy(ids, attrs)
+	slices.Sort(ids)
+	k := len(b.ids) - 1
+	r.chunk, r.off, r.size = int32(k), int32(len(b.ids[k])-len(ids)), int32(len(ids))
+	b.rows.carve(1)[0] = r
+	return ids
+}
+
+// emit stores one qualifying set, r with the ids attrs, and its patterns
+// in b, counts them, and streams them to em's sink. The set a sink gets
+// has its ids and names carved from b, so nothing written later changes
+// it.
+func (b *bucket) emit(em *emitter, g *graph.Graph, r row, attrs []int32, pats []Pattern) {
+	ids := b.add(r, attrs)
+	b.pats = append(b.pats, pats...)
+	em.noteEmitted(1, int64(len(pats)))
+	if em.sink == nil {
+		return
+	}
+	names := b.names.carve(len(ids))
+	for i, a := range ids {
+		names[i] = g.AttrName(a)
+	}
+	var set AttributeSet
+	r.put(&set, ids, names)
+	em.deliver(&set, pats)
 }
 
 // rowChunk is the largest chunk, in elements, a bucket allocates.
@@ -267,33 +322,84 @@ func (c *chunks[T]) carve(n int) []T {
 	return last[len(last) : len(last)+n : len(last)+n]
 }
 
-// gather moves the buckets' rows into r in canonical order. The sets
-// are sorted by reference and copied once, straight into place: sorting
-// the wide rows themselves would swap them through reflection.
-func (r *Result) gather(buckets []*bucket) {
-	nSets, nPats := 0, 0
+// eachRow calls fn on every row of buckets in storage order: bucket by
+// bucket, each bucket's rows in the order they were added.
+func eachRow(buckets []*bucket, fn func(b *bucket, r *row)) {
+	for _, b := range buckets {
+		if b == nil {
+			continue
+		}
+		for _, c := range b.rows {
+			for i := range c {
+				fn(b, &c[i])
+			}
+		}
+	}
+}
+
+// gather moves the buckets' rows into r in canonical order, naming each
+// id with name. The rows are grouped by size, and each group's ids are
+// copied into one key block for keySorter to order. One walk over the
+// rows in storage order then writes each row once, straight to its
+// rank. Its Attrs stay in the bucket's id chunks and its Names are
+// carved from chunks in the same order, so a Remine's carried rows keep
+// only the chunks they use alive, not every row a generation stored.
+func (r *Result) gather(buckets []*bucket, name func(int32) string) {
+	// A set of s ids is row j of group s, in storage order: its ids are
+	// keys[at[s]+j*s:][:s], and its rank is first[s] plus rank[first[s]+j],
+	// its rank inside the group.
+	var count []int
+	eachRow(buckets, func(_ *bucket, rw *row) {
+		for int(rw.size) >= len(count) {
+			count = append(count, 0)
+		}
+		count[rw.size]++
+	})
+	first, at, next := make([]int, len(count)), make([]int, len(count)), make([]int, len(count))
+	nSets, nIDs, largest := 0, 0, 0
+	for s, c := range count {
+		first[s], at[s] = nSets, nIDs
+		nSets, nIDs, largest = nSets+c, nIDs+s*c, max(largest, c)
+	}
+	keys := make([]int32, nIDs)
+	var top int32
+	eachRow(buckets, func(b *bucket, rw *row) {
+		s := int(rw.size)
+		ids := b.ids[rw.chunk][rw.off : rw.off+rw.size]
+		copy(keys[at[s]+next[s]*s:], ids)
+		next[s]++
+		if s > 0 {
+			top = max(top, ids[s-1])
+		}
+	})
+	rank := make([]uint32, nSets)
+	ks := newKeySorter(top, largest)
+	for s, c := range count {
+		group := rank[first[s] : first[s]+c]
+		for x, j := range ks.order(keys[at[s]:at[s]+s*c], s, c) {
+			group[j] = uint32(x)
+		}
+	}
+	r.Sets = make([]AttributeSet, nSets)
+	var names chunks[string]
+	clear(next)
+	eachRow(buckets, func(b *bucket, rw *row) {
+		s := int(rw.size)
+		j := next[s]
+		next[s]++
+		ids := b.ids[rw.chunk][rw.off : rw.off+rw.size : rw.off+rw.size]
+		ns := names.carve(s)
+		for k, a := range ids {
+			ns[k] = name(a)
+		}
+		rw.put(&r.Sets[first[s]+int(rank[first[s]+j])], ids, ns)
+	})
+
+	nPats := 0
 	for _, b := range buckets {
 		if b != nil {
-			for _, c := range b.rows {
-				nSets += len(c)
-			}
 			nPats += len(b.pats)
 		}
-	}
-	order := make([]*AttributeSet, 0, nSets)
-	for _, b := range buckets {
-		if b != nil {
-			for _, c := range b.rows {
-				for i := range c {
-					order = append(order, &c[i])
-				}
-			}
-		}
-	}
-	slices.SortFunc(order, func(a, b *AttributeSet) int { return CompareAttrs(a.Attrs, b.Attrs) })
-	r.Sets = make([]AttributeSet, len(order))
-	for i, s := range order {
-		r.Sets[i] = *s
 	}
 	r.Patterns = make([]Pattern, 0, nPats)
 	for _, b := range buckets {
@@ -315,6 +421,66 @@ func (r *Result) gather(buckets []*bucket) {
 		}
 		return lessVertices(a.Vertices, b.Vertices)
 	})
+}
+
+// radixBits is the digit width of keySorter's radix passes: an id
+// position takes one pass per radixBits bits of the largest id, so one
+// pass for up to 2,048 attributes.
+const radixBits = 11
+
+// keySorter orders the rows of size groups lexicographically by their
+// ids. It keeps its counters and permutation buffers across groups.
+type keySorter struct {
+	digits    int
+	hist      []int32
+	perm, tmp []uint32
+}
+
+// newKeySorter returns a keySorter for ids up to top and groups of up
+// to largest rows.
+func newKeySorter(top int32, largest int) *keySorter {
+	digits := 1
+	for uint64(top)>>(digits*radixBits) != 0 {
+		digits++
+	}
+	return &keySorter{digits: digits, hist: make([]int32, 1<<radixBits),
+		perm: make([]uint32, largest), tmp: make([]uint32, largest)}
+}
+
+// order returns the stable permutation that sorts the m rows of keys,
+// row j being keys[j*s:(j+1)*s], lexicographically: x-th in order is
+// row order[x]. It is a least-significant-digit radix sort, digit by
+// digit from the last id position to the first. The returned slice is
+// overwritten by the next call.
+func (k *keySorter) order(keys []int32, s, m int) []uint32 {
+	perm, tmp := k.perm[:m], k.tmp[:m]
+	for j := range perm {
+		perm[j] = uint32(j)
+	}
+	const mask = 1<<radixBits - 1
+	hist := k.hist
+	for p := s - 1; p >= 0 && m > 1; p-- {
+		for shift := 0; shift < k.digits*radixBits; shift += radixBits {
+			clear(hist)
+			for i := p; i < len(keys); i += s {
+				hist[uint32(keys[i])>>shift&mask]++
+			}
+			if hist[uint32(keys[p])>>shift&mask] == int32(m) {
+				continue // every row has this digit: the pass moves none
+			}
+			sum := int32(0)
+			for d, c := range hist {
+				hist[d], sum = sum, sum+c
+			}
+			for _, j := range perm {
+				d := uint32(keys[int(j)*s+p]) >> shift & mask
+				tmp[hist[d]] = j
+				hist[d]++
+			}
+			perm, tmp = tmp, perm
+		}
+	}
+	return perm
 }
 
 // CompareAttrs is the canonical attribute-set order: size first, then

@@ -108,15 +108,15 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 		if reused[i] {
 			how = src
 		}
-		out, nv, err := m.replayVerdict(v, how, &tl)
+		nv, err := m.replayVerdict(&level1[i], v, how, &tl)
 		if err != nil {
 			if runErr == nil {
 				runErr = err
 			}
 			break
 		}
-		level1[i], table[i] = out, nv
-		m.collect(buckets[0], out)
+		table[i] = nv
+		m.collect(buckets[0], &level1[i])
 	}
 	m.em.merge(&tl)
 	if p.RecordLattice {
@@ -252,19 +252,19 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 	return m, nil
 }
 
-// finalizeResult gathers a run's buckets into res, puts the output in
-// canonical order, lets carry (when non-nil) merge in the rows a Remine
-// carried, and stamps the final counters. Cancellation and budget
+// finalizeResult gathers a run's buckets over g into res in canonical
+// order, lets carry (when non-nil) merge in the rows a Remine carried,
+// and stamps the final counters. Cancellation and budget
 // exhaustion surface the partial result alongside the error; any other
 // error discards it.
-func finalizeResult(res *Result, buckets []*bucket, em *emitter, err error, carry func(*Result)) (*Result, error) {
+func finalizeResult(res *Result, buckets []*bucket, g *graph.Graph, em *emitter, err error, carry func(*Result)) (*Result, error) {
 	// The terminal OnProgress fires however the run ends — the Sink
 	// contract promises it, and sinks flush on it.
 	defer em.finish()
 	if err != nil && !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrBudget) {
 		return nil, err
 	}
-	res.gather(buckets)
+	res.gather(buckets, g.AttrName)
 	if carry != nil {
 		carry(res)
 	}
@@ -278,7 +278,7 @@ func (m *miner) finalize(res *Result, buckets []*bucket, old *Result, err error)
 	if m.carry {
 		carry = func(res *Result) { m.mergeCarried(res, old) }
 	}
-	return finalizeResult(res, buckets, m.em, err, carry)
+	return finalizeResult(res, buckets, m.g, m.em, err, carry)
 }
 
 // miner carries the immutable run state shared by all workers.
@@ -341,13 +341,16 @@ type classItem struct {
 }
 
 // evalOutcome couples an evaluated item with its bucket contributions.
+// score fills one in place: at 160 bytes it is too wide to return by
+// value on every evaluation.
 type evalOutcome struct {
 	item    classItem
 	survive bool
 	// emit reports that the set passed the output thresholds; set is
-	// then its row, minus the Attrs and Names collect fills in.
+	// then its row, minus the place of its ids, which the bucket fills
+	// in.
 	emit bool
-	set  AttributeSet
+	set  row
 	pats []Pattern
 }
 
@@ -533,6 +536,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 	j := 0
 	var ev Evaluation
 	var rec *Evaluation
+	var res evalOutcome
 	for _, sib := range siblings {
 		if ctx.Err() != nil {
 			return quasiclique.Canceled(ctx)
@@ -555,11 +559,10 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 		}
 		child := w.mark()
 		attrs := w.childAttrs(item, sib)
-		var res evalOutcome
 		if o >= 0 && m.carry {
 			nd := &st.old.nodes[o]
 			m.em.noteReused(1)
-			res.survive = m.survives(nd.kmass)
+			res.emit, res.survive = false, m.survives(nd.kmass)
 			res.item.rec = st.rec.carry(st.old, o)
 			if res.survive {
 				members := w.bits.Push(n)
@@ -581,7 +584,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 				m.em.noteReused(1)
 				sigma = int(st.old.nodes[o].sigma)
 				cached := st.old.evaluation(o, n, m.empty)
-				res, err = m.score(attrs, members, sigma, cached.Estimate, &cached, rec, item.certs, &w.tally)
+				err = m.score(&res, attrs, members, sigma, &cached.Estimate, &cached, rec, item.certs, &w.tally)
 			} else {
 				if sigma = members.Count(); sigma < m.p.SigmaMin {
 					w.release(child)
@@ -595,7 +598,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 					candidates = w.bits.Push(n)
 					candidates.AndInto(item.covered, sib.covered)
 				}
-				res, err = m.evaluate(attrs, members, candidates, sigma, item.certs, rec, &w.tally)
+				err = m.evaluate(&res, attrs, members, candidates, sigma, item.certs, rec, &w.tally)
 			}
 			if err != nil {
 				return err
@@ -603,7 +606,7 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 			res.item.node, res.item.rec = o, st.rec.add(last, sigma, rec)
 		}
 		nkids++
-		m.collect(st.out, res)
+		m.collect(st.out, &res)
 		if res.survive {
 			w.items = append(w.items, res.item)
 		} else {
@@ -641,16 +644,17 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 // (exact coverage search or Hoeffding-bounded vertex sampling); the
 // estimate carries the covered-set hand-down and the |K_S| upper bound
 // the pruning rules below rely on, so Theorems 3–5 stay sound in both
-// modes. A non-nil rec receives the evaluation.
-func (m *miner) evaluate(attrs []int32, members, candidates *bitset.Set, sigma int, certs *epsilon.CertStore, rec *Evaluation, tl *tally) (evalOutcome, error) {
+// modes. The outcome goes to out, and a non-nil rec receives the
+// evaluation.
+func (m *miner) evaluate(out *evalOutcome, attrs []int32, members, candidates *bitset.Set, sigma int, certs *epsilon.CertStore, rec *Evaluation, tl *tally) error {
 	est, err := m.est.EstimateWithCerts(m.g, attrs, members, candidates, certs)
 	if err != nil {
-		return evalOutcome{}, err
+		return err
 	}
 	m.em.noteEvaluated()
 	tl.noteSearchNodes(est.Nodes)
 	tl.noteSampled(int64(est.SampledVertices))
-	return m.score(attrs, members, sigma, est, nil, rec, certs, tl)
+	return m.score(out, attrs, members, sigma, &est, nil, rec, certs, tl)
 }
 
 // newCertStore returns a fresh certificate store, or nil when sharing
@@ -677,31 +681,34 @@ func (m *miner) survives(kmass float64) bool {
 // memoized evaluation cached — into the evaluation outcome: survival
 // under Theorems 4–5, emission against the output thresholds, and
 // pattern mining for qualifying sets, reusing cached's exact hand-down
-// and patterns where it has them. A non-nil rec receives the
-// evaluation: est, plus the exact hand-down and patterns this run used.
-func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon.Estimate, cached, rec *Evaluation, certs *epsilon.CertStore, tl *tally) (evalOutcome, error) {
+// and patterns where it has them. The outcome goes to out: score sets
+// every field of it, except the row of a set it does not emit. A non-nil
+// rec receives the evaluation: est, plus the exact hand-down and
+// patterns this run used.
+func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigma int, est *epsilon.Estimate, cached, rec *Evaluation, certs *epsilon.CertStore, tl *tally) error {
 	eps := est.Epsilon
 	expEps := m.model.Exp(sigma)
 	delta := NormalizeDelta(eps, expEps)
 
-	out := evalOutcome{item: classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}}
+	out.item = classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}
+	out.emit, out.pats = false, nil
 
 	if rec != nil {
-		rec.Estimate = est
+		rec.Estimate = *est
 	}
 	out.survive = m.survives(est.KMass)
 
 	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(attrs) >= m.p.minAttrs() {
 		out.emit = true
-		out.set = AttributeSet{
-			Support:         sigma,
-			Epsilon:         eps,
-			ExpEps:          expEps,
-			Delta:           delta,
-			Covered:         est.Covered,
-			Estimated:       est.Estimated,
-			EpsilonErr:      est.ErrBound,
-			SampledVertices: est.SampledVertices,
+		out.set = row{
+			support:   int32(sigma),
+			epsilon:   eps,
+			expEps:    expEps,
+			delta:     delta,
+			covered:   int32(est.Covered),
+			estimated: est.Estimated,
+			epsErr:    est.ErrBound,
+			sampled:   int32(est.SampledVertices),
 		}
 		// Patterns are mined from K_S. An estimated evaluation does not
 		// know K_S, so it is computed lazily here — restricted to the
@@ -716,7 +723,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 				} else {
 					exact, err := m.exactEst.EstimateWithCerts(m.g, attrs, members, est.Handdown, certs)
 					if err != nil {
-						return evalOutcome{}, err
+						return err
 					}
 					tl.noteSearchNodes(exact.Nodes)
 					base = exact.Handdown
@@ -738,7 +745,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 				} else {
 					pats, err := m.topPatterns(attrs, base)
 					if err != nil {
-						return evalOutcome{}, err
+						return err
 					}
 					out.pats = pats
 				}
@@ -748,7 +755,7 @@ func (m *miner) score(attrs []int32, members *bitset.Set, sigma int, est epsilon
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // topPatterns mines the top-k quasi-cliques of G(S) — or, in SCORP
@@ -787,22 +794,10 @@ func (m *miner) topPatterns(attrs []int32, covered *bitset.Set) ([]Pattern, erro
 	return out, nil
 }
 
-// collect moves an outcome's emissions into a result bucket, carving
-// the row's ascending attribute ids and their names from the bucket's
-// chunks, and streams them to the sink.
-func (m *miner) collect(b *bucket, out evalOutcome) {
-	if !out.emit {
-		return
+// collect moves an outcome's emissions into a result bucket and
+// streams them to the sink.
+func (m *miner) collect(b *bucket, out *evalOutcome) {
+	if out.emit {
+		b.emit(m.em, m.g, out.set, out.item.attrs, out.pats)
 	}
-	set := &b.rows.carve(1)[0]
-	*set = out.set
-	set.Attrs = b.ids.carve(len(out.item.attrs))
-	copy(set.Attrs, out.item.attrs)
-	slices.Sort(set.Attrs)
-	set.Names = b.names.carve(len(set.Attrs))
-	for i, a := range set.Attrs {
-		set.Names[i] = m.g.AttrName(a)
-	}
-	b.pats = append(b.pats, out.pats...)
-	m.em.emitSet(*set, out.pats)
 }

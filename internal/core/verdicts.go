@@ -132,7 +132,8 @@ func (m *miner) evaluateLevel1(ctx context.Context, singles []int32, table []*Le
 		}
 		local.noteSearchNodes(est.Nodes)
 		v := &Level1Verdict{Attr: a}
-		if _, err := m.score(attrs, members, members.Count(), est, nil, &v.Evaluation, store, &local); err != nil {
+		var out evalOutcome
+		if err := m.score(&out, attrs, members, members.Count(), &est, nil, &v.Evaluation, store, &local); err != nil {
 			return err
 		}
 		v.Nodes, v.Certs = local.nodes, store.Frozen()
@@ -157,15 +158,15 @@ const (
 )
 
 // replayVerdict is the one path from a level-1 verdict to the single's
-// outcome. The member set comes from the graph's attribute posting and
-// the verdict routes through score like a lattice replay, so no
-// coverage search runs unless the null model moved δ across a threshold
-// the verdict was not scored against. A single the run owns is
+// outcome, which goes to out. The member set comes from the graph's
+// attribute posting and the verdict routes through score like a lattice
+// replay, so no coverage search runs unless the null model moved δ
+// across a threshold the verdict was not scored against. A single the run owns is
 // emitted and counted (as src says); any other single only feeds the
 // owned subtrees' right-sibling lists. The returned verdict is v,
 // completed with whatever score had to compute — the entry the run's
 // own table keeps, and the only place the run memoizes the single.
-func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (evalOutcome, *Level1Verdict, error) {
+func (m *miner) replayVerdict(out *evalOutcome, v *Level1Verdict, src verdictSource, tl *tally) (*Level1Verdict, error) {
 	attrs := []int32{v.Attr}
 	members := m.g.AttrMembers(v.Attr)
 	owned := m.owns(v.Attr)
@@ -185,14 +186,13 @@ func (m *miner) replayVerdict(v *Level1Verdict, src verdictSource, tl *tally) (e
 	est := v.Estimate
 	est.Handdown = grownTo(est.Handdown, m.g.NumVertices())
 	nv := &Level1Verdict{Attr: v.Attr, Certs: v.Certs}
-	out, err := m.score(attrs, members, members.Count(), est, &v.Evaluation, &nv.Evaluation, nil, tl)
-	if err != nil {
-		return evalOutcome{}, nil, err
+	if err := m.score(out, attrs, members, members.Count(), &est, &v.Evaluation, &nv.Evaluation, nil, tl); err != nil {
+		return nil, err
 	}
 	if !owned {
 		out.emit, out.pats = false, nil
 	}
-	return out, nv, nil
+	return nv, nil
 }
 
 // verdictTable collects the filled slots of a level-1 table.
