@@ -52,3 +52,12 @@ func TestMineAllocsPerSet(t *testing.T) {
 		t.Errorf("%.3f allocations per evaluated set, ceiling %v", perSet, maxAllocsPerSet)
 	}
 }
+
+// TestSetIDAllocs checks that SetID allocates only the id it returns
+// for a set of up to 16 names.
+func TestSetIDAllocs(t *testing.T) {
+	names := []string{"venue:KDD", "term:graph", "term:mining", "author:7"}
+	if n := testing.AllocsPerRun(100, func() { SetID(names) }); n != 1 {
+		t.Errorf("SetID makes %v allocations, want 1", n)
+	}
+}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sort"
@@ -57,14 +55,39 @@ func (s AttributeSet) ID() string { return SetID(s.Names) }
 // attribute names (any order): the FNV-1a 64-bit hash of the sorted
 // names, NUL-separated, rendered as 16 hex digits.
 func SetID(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	h := fnv.New64a()
+	var buf [16]string
+	sorted := append(buf[:0], names...)
+	slices.Sort(sorted)
+	h := uint64(fnvOffset)
 	for _, n := range sorted {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
+		h = fnvString(h, n) * fnvPrime // the NUL separator: (h ^ 0) * fnvPrime
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return hex16(h)
+}
+
+// The 64-bit FNV-1a parameters, hashed by hand so a string goes in
+// without a []byte copy.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString folds the bytes of s into the FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// hex16 renders h as 16 lowercase hex digits, as %016x does.
+func hex16(h uint64) string {
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[h&15]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // String renders the set like the paper's tables.
@@ -99,14 +122,13 @@ func (p Pattern) SetID() string { return SetID(p.Names) }
 // deterministic for a given dataset — the same (S, Q) pair hashes
 // identically in every run and export.
 func (p Pattern) ID() string {
-	h := fnv.New64a()
-	h.Write([]byte(p.SetID()))
-	var buf [4]byte
+	h := fnvString(fnvOffset, p.SetID())
 	for _, v := range p.Vertices {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		h.Write(buf[:])
+		for b := 0; b < 32; b += 8 { // little-endian bytes
+			h = (h ^ uint64(uint32(v)>>b&0xff)) * fnvPrime
+		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return hex16(h)
 }
 
 // Density returns min_v deg_Q(v)/(|Q|−1) — the γ column of Table 1.

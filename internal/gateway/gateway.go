@@ -4,9 +4,11 @@
 // — and merging the answers so clients see the same responses a
 // single-process server would produce.
 //
-// Routing follows the manifest's ownership rule. Queries whose answer
-// lives on exactly one shard (/epsilon, /sets/{id}) go to that shard
-// alone and are proxied verbatim; enumeration queries (/sets,
+// Routing follows the manifest's ownership rule. /epsilon, whose answer
+// lives on exactly one shard, goes to that shard alone and is proxied
+// verbatim. /sets/{id} scatters to every shard, because a set id is a
+// hash of the set's names that the manifest cannot route, and relays
+// the one shard that holds the set. Enumeration queries (/sets,
 // /patterns, /vertices/{v}) scatter to every shard and merge the raw
 // shard elements: the gateway decodes only each element's merge key
 // (attribute names, and σ/ε/δ when ranked) and orders the elements
@@ -21,8 +23,9 @@
 // A slow or dead replica degrades, not fails, scatter queries: after
 // one bounded retry (Config.RetryBackoff) its slice is dropped from
 // the merge and the response carries the PartialHeader header naming
-// the missing shards (see docs/FILE_FORMATS.md). Only a single-owner
-// query whose owning shard is down answers 503.
+// the missing shards (see docs/FILE_FORMATS.md). Only an /epsilon
+// query whose owning shard is down, or a /sets/{id} that no reachable
+// shard holds while some shard is down, answers 503.
 package gateway
 
 import (
@@ -463,9 +466,10 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 	}
 }
 
-// handleSetByID scatters GET /sets/{id}: the owning shard answers 200
-// and its response is relayed verbatim; uniform 404 from every live
-// shard means the id does not exist.
+// handleSetByID scatters GET /sets/{id} (a set id is a hash the
+// manifest cannot route): the shard holding the set answers 200 and
+// its response is relayed verbatim; uniform 404 from every live shard
+// means the id does not exist.
 func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
 	path := "/sets/" + r.PathValue("id")
 	resps := gw.scatter(r.Context(), http.MethodGet, path, nil)

@@ -22,18 +22,46 @@ type idEntry struct {
 
 // newIDIndex indexes ids, the id of every row.
 func newIDIndex(ids []string) idIndex {
+	// A least-significant-digit radix sort by hash: its counting passes
+	// are stable, so rows with equal hashes stay in row order. The
+	// histograms of every digit are counted while hashing.
+	var count [idPasses][1 << idDigit]int32
 	t := make(idIndex, len(ids))
 	for i, id := range ids {
-		t[i] = idEntry{maphash.String(idSeed, id), int32(i)}
-	}
-	slices.SortFunc(t, func(a, b idEntry) int {
-		if c := cmp.Compare(a.h, b.h); c != 0 {
-			return c
+		h := maphash.String(idSeed, id)
+		t[i] = idEntry{h, int32(i)}
+		for p := range count {
+			count[p][h>>(p*idDigit)&idMask]++
 		}
-		return cmp.Compare(a.row, b.row)
-	})
+	}
+	src, dst := t, make(idIndex, len(t))
+	for p := range count {
+		pos := int32(0)
+		for d, c := range count[p] {
+			count[p][d] = pos
+			pos += c
+		}
+		shift := p * idDigit
+		for _, e := range src {
+			d := e.h >> shift & idMask
+			dst[count[p][d]] = e
+			count[p][d]++
+		}
+		src, dst = dst, src
+	}
+	if idPasses%2 == 1 {
+		copy(t, src)
+	}
 	return t
 }
+
+// The radix sort of newIDIndex takes idPasses passes over digits of
+// idDigit bits.
+const (
+	idDigit  = 11
+	idPasses = (64 + idDigit - 1) / idDigit
+	idMask   = 1<<idDigit - 1
+)
 
 // find returns the last row of ids, the table t indexes, whose id is
 // id, or -1.

@@ -119,6 +119,45 @@ func TestMetricsRemineLifecycle(t *testing.T) {
 	}
 }
 
+// TestMetricsMiningInactiveAtSwap: the mining-active gauge must read
+// 0 by the time a remine's generation is published, so a scrape taken
+// from the swap hook itself (the earliest moment a client can observe
+// the new generation) sees it cleared.
+func TestMetricsMiningInactiveAtSwap(t *testing.T) {
+	g := graph.PaperExample()
+	p := core.Params{SigmaMin: 3, Gamma: 0.6, MinSize: 4, EpsMin: 0.5, K: 10, RecordLattice: true}
+	res, err := core.Mine(t.Context(), g, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s *Server
+	scrapes := make(chan string, 1)
+	s, err = New(Config{
+		Index:     index.Build(res, g),
+		Graph:     g,
+		Estimator: p.NewEstimator(),
+		Result:    res,
+		Params:    &p,
+		OnSwap: func(SwapEvent) {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			scrapes <- rec.Body.String()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postUpdates(t, s, `{"op":"add_vertex","vertex":"v99","attrs":["A"]}`+"\n", http.StatusAccepted)
+	select {
+	case body := <-scrapes:
+		if v := metricValue(t, body, "scpm_mining_active"); v != 0 {
+			t.Fatalf("mining active seen from the swap hook = %v, want 0", v)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the background remine to swap")
+	}
+}
+
 // TestMetricsRemineFailure: a remine that cannot finish must count
 // under outcome="error" and flip the readiness gauge off.
 func TestMetricsRemineFailure(t *testing.T) {
@@ -132,6 +171,9 @@ func TestMetricsRemineFailure(t *testing.T) {
 	}
 	if v := metricValue(t, body, "scpm_ready"); v != 0 {
 		t.Fatalf("ready gauge after failed remine = %v, want 0", v)
+	}
+	if v := metricValue(t, body, "scpm_mining_active"); v != 0 {
+		t.Fatalf("mining active after failed remine = %v, want 0", v)
 	}
 	if v := metricValue(t, body, "scpm_generation_served"); v != 1 {
 		t.Fatalf("served generation = %v, want 1", v)

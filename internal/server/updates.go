@@ -225,26 +225,12 @@ func (s *Server) remineLoop() {
 	}
 }
 
-// remineOnce runs one incremental remine + index rebuild + swap. The
-// remine streams its progress into the mining gauges, so a /metrics
-// scrape mid-remine shows search nodes and reuse rates advancing.
+// remineOnce runs one incremental remine + index rebuild + swap.
 func (s *Server) remineOnce(g *graph.Graph, cs *graph.ChangeSet) error {
-	gen := s.gen.Load()
 	start := time.Now()
-	s.metrics.mining.Active.Set(1)
-	defer s.metrics.mining.Active.Set(0)
-	res, err := core.Remine(context.Background(), g, *s.params, gen.res, cs, s.miningSink())
+	ngen, err := s.nextGeneration(g, cs)
 	if err != nil {
 		return err
-	}
-	observeMiningStats(s.metrics.mining, res.Stats)
-	idx := gen.idx.Rebuild(res, g)
-	ngen := &generation{
-		version: g.Version(),
-		g:       g,
-		res:     res,
-		idx:     idx,
-		model:   s.params.NewModel(g),
 	}
 	s.gen.Store(ngen)
 	s.cache.invalidate(cs.DirtyAttrs, ngen.version)
@@ -254,21 +240,44 @@ func (s *Server) remineOnce(g *graph.Graph, cs *graph.ChangeSet) error {
 	s.logf("remine published",
 		slog.Uint64("from_version", cs.FromVersion),
 		slog.Uint64("to_version", cs.ToVersion),
-		slog.Int("sets", len(res.Sets)),
-		slog.Int64("reused", res.Stats.ReusedSets),
-		slog.Int64("recomputed", res.Stats.RecomputedSets),
+		slog.Int("sets", len(ngen.res.Sets)),
+		slog.Int64("reused", ngen.res.Stats.ReusedSets),
+		slog.Int64("recomputed", ngen.res.Stats.RecomputedSets),
 		slog.Duration("duration", time.Since(start).Round(time.Millisecond)))
 	if s.onSwap != nil {
 		s.onSwap(SwapEvent{
 			Version:        ngen.version,
 			Graph:          g,
-			Result:         res,
-			Index:          idx,
+			Result:         ngen.res,
+			Index:          ngen.idx,
 			Changes:        cs,
 			RemineDuration: time.Since(start),
 		})
 	}
 	return nil
+}
+
+// nextGeneration re-mines g incrementally from the served generation's
+// result and builds the generation that publishes it. The remine streams
+// its progress into the mining gauges, so a /metrics scrape mid-remine
+// shows search nodes and reuse rates advancing; the active gauge is
+// cleared when nextGeneration returns, before anything is published.
+func (s *Server) nextGeneration(g *graph.Graph, cs *graph.ChangeSet) (*generation, error) {
+	s.metrics.mining.Active.Set(1)
+	defer s.metrics.mining.Active.Set(0)
+	gen := s.gen.Load()
+	res, err := core.Remine(context.Background(), g, *s.params, gen.res, cs, s.miningSink())
+	if err != nil {
+		return nil, err
+	}
+	observeMiningStats(s.metrics.mining, res.Stats)
+	return &generation{
+		version: g.Version(),
+		g:       g,
+		res:     res,
+		idx:     gen.idx.Rebuild(res, g),
+		model:   s.params.NewModel(g),
+	}, nil
 }
 
 // handleVersion is GET /version: the data version at the head, the
