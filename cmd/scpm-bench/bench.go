@@ -40,8 +40,11 @@ import (
 // (v3 snapshot cold-boot wall and heap, contents cross-checked); v9
 // renamed its materialize_ms/materialize_heap_bytes columns to
 // full_boot_ms/full_boot_heap_bytes, the full boot through the same
-// decode path as the lazy one.
-const benchSchema = "scpm-bench/v9"
+// decode path as the lazy one; v10 removed the serve and update
+// sections (-exp serve and -exp update are gone: perfbench's
+// dblp-query and dblp-update workloads measure those paths) and the
+// shard section's gateway object (perfbench's dblp-gateway does).
+const benchSchema = "scpm-bench/v10"
 
 // benchRun is one (dataset, scale, estimator mode) measurement.
 type benchRun struct {
@@ -79,19 +82,17 @@ type benchRun struct {
 }
 
 // benchReport is the full content of one BENCH_<dataset>.json file.
-// Mining suites fill Runs; -exp serve fills Serve; -exp update fills
-// Update; -exp shard fills Shard; -exp boot fills Boot.
+// Mining suites fill Runs; -exp shard fills Shard; -exp boot fills
+// Boot.
 type benchReport struct {
-	Schema  string        `json:"schema"`
-	Dataset string        `json:"dataset"`
-	Go      string        `json:"go"`
-	GOOS    string        `json:"goos"`
-	GOARCH  string        `json:"goarch"`
-	Runs    []benchRun    `json:"runs,omitempty"`
-	Serve   *serveReport  `json:"serve,omitempty"`
-	Update  *updateReport `json:"update,omitempty"`
-	Shard   *shardReport  `json:"shard,omitempty"`
-	Boot    *bootReport   `json:"boot,omitempty"`
+	Schema  string       `json:"schema"`
+	Dataset string       `json:"dataset"`
+	Go      string       `json:"go"`
+	GOOS    string       `json:"goos"`
+	GOARCH  string       `json:"goarch"`
+	Runs    []benchRun   `json:"runs,omitempty"`
+	Shard   *shardReport `json:"shard,omitempty"`
+	Boot    *bootReport  `json:"boot,omitempty"`
 }
 
 // runBenchSuite generates each dataset at every scale, mines it with

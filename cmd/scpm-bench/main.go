@@ -13,24 +13,16 @@
 // (CiteSeer), fig4, fig7, fig9 (expected ε curves), fig8 (performance),
 // fig10 (sensitivity), ablation.
 //
-// Two extra experiment ids are not part of "all" (which stays
+// Four more experiment ids are not part of "all" (which stays
 // stdout-only):
 //
 //   - "approx" compares exact and sampled ε estimation on one dataset
 //     (-approx-dataset): per-set |ε̂−ε| accuracy against the Hoeffding
 //     bound and the wall-clock speedup, per sampling configuration;
-//   - "serve" benchmarks the query-serving subsystem on the quickstart
-//     dataset: index build time, snapshot size and queries/sec per
-//     endpoint, written to BENCH_serve.json;
-//   - "update" measures the dynamic-graph path: after a single-edge or
-//     single-attribute delta, a full re-mine of the updated graph is
-//     timed against the incremental Remine from the previous result's
-//     lattice, per dataset (-update-datasets), into BENCH_update.json;
 //   - "shard" measures the sharded deployment: mining each dataset
 //     (-shard-datasets) as 1, 2 and 4 lattice partitions in parallel
-//     (merge verified against the single-process result) and the
-//     scatter-gather gateway's throughput fronting two replicas versus
-//     a direct server, into BENCH_shard.json;
+//     (merge verified against the single-process result), into
+//     BENCH_shard.json;
 //   - "boot" measures the v3 snapshot cold-boot path: each dataset
 //     (-boot-datasets) is mined, written as a v3 snapshot and booted
 //     twice through the one snapshot.Open path — a full boot (every
@@ -38,7 +30,8 @@
 //     lazy default boot (best of -repeats, loaded contents
 //     cross-checked) — recording wall, heap and resident bytes per
 //     boot into BENCH_boot.json;
-//   - "bench" mines the synthetic datasets at several scales — once per
+//   - "bench" mines the synthetic datasets (-bench-datasets, by
+//     default the two that CI gates) at several scales — once per
 //     ε-estimator mode (exact and sampled) — and writes one
 //     BENCH_<dataset>.json per dataset with wall time, search nodes,
 //     sampled-vertex counts, result counts and allocation figures, so
@@ -72,7 +65,7 @@ func runMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scpm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment id (table1..table4, fig4, fig7, fig8, fig9, fig10, ablation, approx, bench, serve, update, shard, boot, all)")
+		exp     = fs.String("exp", "all", "experiment id (table1..table4, fig4, fig7, fig8, fig9, fig10, ablation, approx, bench, shard, boot, all)")
 		scale   = fs.Float64("scale", 1.0, "dataset scale factor")
 		repeats = fs.Int("repeats", 3, "timing repetitions for fig8 (best-of)")
 		samples = fs.Int("samples", 100, "simulation samples per support value for fig4/7/9")
@@ -81,13 +74,10 @@ func runMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		benchOut      = fs.String("out", ".", "directory for the BENCH_<dataset>.json files written by -exp bench")
 		benchScales   = fs.String("bench-scales", "0.1,0.2,0.4", "comma-separated dataset scales for -exp bench")
-		benchDatasets = fs.String("bench-datasets", "dblp,lastfm,citeseer,dense", "comma-separated datasets for -exp bench")
+		benchDatasets = fs.String("bench-datasets", "dblp,dense", "comma-separated datasets for -exp bench")
 		benchParallel = fs.Int("parallel", 1, "mining worker goroutines for -exp bench (recorded in the JSON; result and search-node columns are identical for every value)")
 
 		approxDataset = fs.String("approx-dataset", "dense", "dataset for -exp approx (exact vs sampled ε)")
-
-		updateDatasets = fs.String("update-datasets", "dblp,dense", "comma-separated datasets for -exp update")
-		updateScale    = fs.Float64("update-scale", 0.2, "dataset scale for -exp update")
 
 		shardDatasets = fs.String("shard-datasets", "dblp,dense", "comma-separated datasets for -exp shard")
 		shardScale    = fs.Float64("shard-scale", 0.2, "dataset scale for -exp shard")
@@ -204,10 +194,6 @@ func runMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, r.Format())
 		case "bench":
 			return runBenchSuite(ctx, *benchDatasets, *benchScales, *benchParallel, *benchOut, stdout)
-		case "serve":
-			return runServeBench(ctx, *benchOut, stdout)
-		case "update":
-			return runUpdateBench(ctx, *updateDatasets, *updateScale, *repeats, *benchOut, stdout)
 		case "shard":
 			return runShardBench(ctx, *shardDatasets, *shardScale, *repeats, *benchOut, stdout)
 		case "boot":

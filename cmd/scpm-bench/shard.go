@@ -4,18 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
-	scpm "github.com/scpm/scpm"
 	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/experiments"
-	"github.com/scpm/scpm/internal/gateway"
 	"github.com/scpm/scpm/internal/shard"
 )
 
@@ -58,49 +54,18 @@ type shardMineRun struct {
 	MergeVerified bool `json:"merge_verified"`
 }
 
-// shardGatewayEndpoint compares one endpoint's throughput through the
-// scatter-gather gateway (which fans out over loopback HTTP to the
-// replicas) against the same query on a direct in-process server.
-type shardGatewayEndpoint struct {
-	Name       string  `json:"name"`
-	Path       string  `json:"path"`
-	Requests   int     `json:"requests"`
-	GatewayQPS float64 `json:"gateway_qps"`
-	DirectQPS  float64 `json:"direct_qps"`
-	// Overhead is DirectQPS/GatewayQPS — the fan-out cost factor.
-	Overhead float64 `json:"overhead"`
-}
-
-// shardGatewayReport is the serving half of BENCH_shard.json: gateway
-// throughput fronting Shards httptest replicas on the quickstart
-// dataset versus a direct single-process server.
-type shardGatewayReport struct {
-	Shards     int                    `json:"shards"`
-	Workers    int                    `json:"workers"`
-	Endpoints  []shardGatewayEndpoint `json:"endpoints"`
-	GatewayQPS float64                `json:"gateway_qps"`
-	DirectQPS  float64                `json:"direct_qps"`
-}
-
 // shardReport is the "shard" section of BENCH_shard.json.
 type shardReport struct {
-	Repeats int                 `json:"repeats"`
-	Mining  []shardMineRun      `json:"mining"`
-	Gateway *shardGatewayReport `json:"gateway"`
+	Repeats int            `json:"repeats"`
+	Mining  []shardMineRun `json:"mining"`
 }
 
 // shardBenchCounts are the shard widths the mining half measures, per
 // the sharding design's target deployment sizes.
 var shardBenchCounts = []int{1, 2, 4}
 
-// shardBenchRequests is the per-endpoint request count of the gateway
-// half; smaller than the serve experiment's because every gateway
-// request crosses loopback HTTP to the replicas.
-const shardBenchRequests = 2000
-
 // runShardBench measures the sharded mining path (shard.MineAll at 1,
-// 2 and 4 partitions vs single-process core.Mine, merge verified) and
-// the scatter-gather gateway's query throughput vs a direct server,
+// 2 and 4 partitions vs single-process core.Mine, merge verified),
 // writing BENCH_shard.json.
 func runShardBench(ctx context.Context, datasets string, scale float64, repeats int, outDir string, stdout io.Writer) error {
 	if repeats < 1 {
@@ -133,12 +98,6 @@ func runShardBench(ctx context.Context, datasets string, scale float64, repeats 
 				r.SingleMS, r.Speedup, r.Sets, r.ReusedVerdicts, r.MergeVerified)
 		}
 	}
-	gw, err := shardGatewayBench(ctx, stdout)
-	if err != nil {
-		return fmt.Errorf("shard gateway: %w", err)
-	}
-	report.Shard.Gateway = gw
-
 	path := filepath.Join(outDir, "BENCH_shard.json")
 	if err := writeBenchReport(path, report); err != nil {
 		return err
@@ -247,104 +206,18 @@ func sameMinedResult(want, got *core.Result) error {
 	return nil
 }
 
-// shardGatewayBench boots two sharded replicas of the quickstart
-// dataset behind httptest servers, fronts them with the scatter-gather
-// gateway, and measures the gateway handler's throughput per endpoint
-// against a direct single-process server handler. The gateway itself
-// is driven in-process, so the measured overhead is the fan-out,
-// loopback HTTP and merge cost.
-func shardGatewayBench(ctx context.Context, stdout io.Writer) (*shardGatewayReport, error) {
-	const n = 2
-	g := scpm.PaperExample()
-	opts := []scpm.Option{
-		scpm.WithSigmaMin(3), scpm.WithGamma(0.6), scpm.WithMinSize(4),
-		scpm.WithEpsMin(0.5), scpm.WithTopK(10),
-	}
-	man, err := shard.BuildManifest(g, 3, n, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	urls := make([]string, n)
-	for k := 0; k < n; k++ {
-		h, _, err := shardHandler(ctx, g, append(opts[:len(opts):len(opts)], scpm.WithShard(k, n))...)
-		if err != nil {
-			return nil, err
+// bestOfMS returns the fastest of n timed calls in milliseconds.
+func bestOfMS(n int, fn func() error) float64 {
+	best := 0.0
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		if fn() != nil {
+			return 0
 		}
-		ts := httptest.NewServer(h)
-		defer ts.Close()
-		urls[k] = ts.URL
-	}
-	direct, res, err := shardHandler(ctx, g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	gw, err := gateway.New(gateway.Config{Manifest: man, Shards: urls, Timeout: 30 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-
-	setID := res.Sets[0].ID()
-	endpoints := []shardGatewayEndpoint{
-		{Name: "sets", Path: "/sets"},
-		{Name: "sets_ranked", Path: "/sets?rank=epsilon&k=2"},
-		{Name: "set_by_id", Path: "/sets/" + setID},
-		{Name: "epsilon", Path: "/epsilon?attrs=A,B"},
-		{Name: "vertices", Path: "/vertices/6"},
-	}
-	workers := runtime.GOMAXPROCS(0)
-	report := &shardGatewayReport{Shards: n, Workers: workers}
-	var gwRequests, directRequests int
-	var gwSeconds, directSeconds float64
-	for i := range endpoints {
-		ep := &endpoints[i]
-		// Warm both paths (ε caches, connection pools) before timing.
-		if code := driveOnce(gw, ep.Path); code != 200 {
-			return nil, fmt.Errorf("warmup GET %s via gateway returned %d", ep.Path, code)
+		ms := float64(time.Since(start).Microseconds()) / 1000
+		if i == 0 || ms < best {
+			best = ms
 		}
-		if code := driveOnce(direct, ep.Path); code != 200 {
-			return nil, fmt.Errorf("warmup GET %s direct returned %d", ep.Path, code)
-		}
-		gwWall, err := driveEndpoint(ctx, gw, ep.Path, shardBenchRequests, workers)
-		if err != nil {
-			return nil, err
-		}
-		directWall, err := driveEndpoint(ctx, direct, ep.Path, shardBenchRequests, workers)
-		if err != nil {
-			return nil, err
-		}
-		ep.Requests = shardBenchRequests
-		ep.GatewayQPS = float64(shardBenchRequests) / gwWall.Seconds()
-		ep.DirectQPS = float64(shardBenchRequests) / directWall.Seconds()
-		ep.Overhead = ep.DirectQPS / ep.GatewayQPS
-		gwRequests += shardBenchRequests
-		directRequests += shardBenchRequests
-		gwSeconds += gwWall.Seconds()
-		directSeconds += directWall.Seconds()
-		fmt.Fprintf(stdout, "shard gateway %-12s %7d req %10.0f qps (direct %10.0f qps, %4.1fx)\n",
-			ep.Name, ep.Requests, ep.GatewayQPS, ep.DirectQPS, ep.Overhead)
 	}
-	report.Endpoints = endpoints
-	report.GatewayQPS = float64(gwRequests) / gwSeconds
-	report.DirectQPS = float64(directRequests) / directSeconds
-	return report, nil
-}
-
-// shardHandler mines the quickstart graph with the given options and
-// returns a ready server handler for it.
-func shardHandler(ctx context.Context, g *scpm.Graph, opts ...scpm.Option) (http.Handler, *scpm.Result, error) {
-	miner, err := scpm.NewMiner(opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := miner.Mine(ctx, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := scpm.NewIndex(res, g)
-	h, err := scpm.NewServerHandler(idx, g, miner.Params(), scpm.ServerConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, res, nil
+	return best
 }

@@ -25,7 +25,7 @@
 // serving mode and scpm-serve -manifest consume; replicas booting from
 // it replay the sealed evaluations instead of repeating them. The
 // mining flags (-gamma, -minsize, -eps, …) must match what the
-// replicas will run with; -seal=false writes a plan-only v1 manifest:
+// replicas will run with:
 //
 //	scpm-gateway -plan 2 -attrs graph.attrs -edges graph.edges \
 //	             -sigma 100 -out manifest.json
@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sigmaMin     = fs.Int("sigma", 100, "plan mode: minimum support σmin the shards will mine with")
 		out          = fs.String("out", "manifest.json", "plan mode: manifest output path")
 		snapshots    = fs.String("snapshots", "", "plan mode: comma-separated per-shard snapshot paths to record in the manifest")
-		seal         = fs.Bool("seal", true, "plan mode: evaluate level 1 once and seal the verdicts into a v2 manifest (false writes a plan-only v1 manifest)")
 		gamma        = fs.Float64("gamma", 0.5, "plan mode: quasi-clique density γmin the shards will mine with")
 		minSize      = fs.Int("minsize", 5, "plan mode: minimum quasi-clique size")
 		epsMin       = fs.Float64("eps", 0, "plan mode: minimum structural correlation εmin")
@@ -125,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "scpm-gateway:", err)
 			return 2
 		}
-		return runPlan(ctx, *planN, *attrsPath, *edgesPath, *example, miner.Params(), *seal, *out, *snapshots, stdout, stderr)
+		return runPlan(ctx, *planN, *attrsPath, *edgesPath, *example, miner.Params(), *out, *snapshots, stdout, stderr)
 	}
 
 	if *manifestPath == "" {
@@ -184,9 +183,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // runPlan loads the dataset, partitions its lattice and writes the
-// sealed manifest — v2 with every level-1 verdict baked in unless
-// -seal=false asked for a plan-only v1.
-func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p scpm.Params, seal bool, out, snapshots string, stdout, stderr io.Writer) int {
+// sealed v2 manifest with every level-1 verdict baked in.
+func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p scpm.Params, out, snapshots string, stdout, stderr io.Writer) int {
 	g, err := loadGraph(attrsPath, edgesPath, example)
 	if err != nil {
 		fmt.Fprintln(stderr, "scpm-gateway:", err)
@@ -198,12 +196,7 @@ func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p
 			snaps = append(snaps, strings.TrimSpace(s))
 		}
 	}
-	var man *shard.Manifest
-	if seal {
-		man, err = shard.BuildManifestSealed(ctx, g, p, n, snaps)
-	} else {
-		man, err = shard.BuildManifest(g, p.SigmaMin, n, snaps)
-	}
+	man, err := shard.BuildManifestSealed(ctx, g, p, n, snaps)
 	if err != nil {
 		fmt.Fprintln(stderr, "scpm-gateway:", err)
 		return 2
@@ -218,9 +211,7 @@ func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p
 	}
 	fmt.Fprintf(stdout, "scpm-gateway: planned %d frequent roots over %d shards (roots per shard: %v)\n",
 		len(man.Roots), n, perShard)
-	if man.Level1 != nil {
-		fmt.Fprintf(stdout, "scpm-gateway: sealed %d level-1 verdicts (%s)\n", len(man.Level1.Verdicts), man.Format)
-	}
+	fmt.Fprintf(stdout, "scpm-gateway: sealed %d level-1 verdicts (%s)\n", len(man.Level1.Verdicts), man.Format)
 	fmt.Fprintf(stdout, "scpm-gateway: wrote manifest %s\n", out)
 	return 0
 }

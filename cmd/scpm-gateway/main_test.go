@@ -26,6 +26,9 @@ func TestGatewayPlanMode(t *testing.T) {
 	if man.Shards != 2 || len(man.Roots) == 0 {
 		t.Fatalf("planned manifest: %+v", man)
 	}
+	if man.Format != shard.ManifestFormatV2 || man.Level1 == nil {
+		t.Fatalf("planned manifest is %q with level-1 seal %v, want a sealed %q", man.Format, man.Level1 != nil, shard.ManifestFormatV2)
+	}
 	if !strings.Contains(stdout.String(), "wrote manifest") {
 		t.Fatalf("stdout: %s", stdout.String())
 	}
@@ -37,6 +40,8 @@ func TestGatewayFlagErrors(t *testing.T) {
 		{"-manifest", "no-such-file"},       // unreadable manifest
 		{"-plan", "2"},                      // plan without dataset
 		{"-plan", "2", "-example", "bogus"}, // unknown example
+		// -plan always seals: there is no plan-only manifest flag.
+		{"-plan", "2", "-example", "paper", "-seal=false", "-out", filepath.Join(t.TempDir(), "manifest.json")},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

@@ -120,8 +120,11 @@ type SealedPattern struct {
 	Edges    int     `json:"edges"`
 }
 
-// BuildManifest plans g into n shards and renders the plan as a sealed
-// manifest. snapshots, when non-nil, must carry one path per shard.
+// BuildManifest plans g into n shards and renders the plan as a
+// checksummed, plan-only v1 manifest (no level-1 verdicts);
+// BuildManifestSealed builds on it to write the v2 manifest that
+// deployments use. snapshots, when non-nil, must carry one path per
+// shard.
 func BuildManifest(g *graph.Graph, sigmaMin, n int, snapshots []string) (*Manifest, error) {
 	if snapshots != nil && len(snapshots) != n {
 		return nil, fmt.Errorf("shard: %d snapshot paths for %d shards", len(snapshots), n)
