@@ -20,10 +20,11 @@ import (
 
 // bootRun is one dataset's cold-boot comparison on the same v3
 // snapshot, both through snapshot.Open: a full boot (every section
-// checksum verified, then the row tables, id maps, trie and a vertex
-// label touched, so nothing is left for the first query) versus the
-// lazy default boot (mapped views, table checksum only). Both load
-// the same contents; the columns quantify what the lazy path defers.
+// checksum and the set order verified, then the row tables, id maps
+// and a vertex label touched, so nothing is left for the first query)
+// versus the lazy default boot (mapped views, table checksum only).
+// Both load the same contents; the columns quantify what the lazy path
+// defers.
 type bootRun struct {
 	Dataset       string  `json:"dataset"`
 	Scale         float64 `json:"scale"`
@@ -213,9 +214,9 @@ func bootLazy(path string) (*snapshot.Boot, error) {
 }
 
 // bootFull is the fully-resident boot through the same Open: every
-// section checksum verified, then the row tables (Sets), the id maps
-// and trie (one SetIndexByID lookup) and a vertex label built or
-// touched, so the first query pays nothing.
+// section checksum and the canonical set order verified, then the row
+// tables (Sets), the id maps (one SetIndexByID lookup) and a vertex
+// label built or touched, so the first query pays nothing.
 func bootFull(path string) (*snapshot.Boot, error) {
 	b, err := snapshot.Open(path, snapshot.Options{Verify: snapshot.VerifyFull})
 	if err != nil {

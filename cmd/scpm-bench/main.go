@@ -26,10 +26,10 @@
 //   - "boot" measures the v3 snapshot cold-boot path: each dataset
 //     (-boot-datasets) is mined, written as a v3 snapshot and booted
 //     twice through the one snapshot.Open path — a full boot (every
-//     section checksum, row tables, id maps and trie built) versus the
-//     lazy default boot (best of -repeats, loaded contents
-//     cross-checked) — recording wall, heap and resident bytes per
-//     boot into BENCH_boot.json;
+//     section checksum and the set order verified, row tables and id
+//     maps built) versus the lazy default boot (best of -repeats,
+//     loaded contents cross-checked) — recording wall, heap and
+//     resident bytes per boot into BENCH_boot.json;
 //   - "bench" mines the synthetic datasets (-bench-datasets, by
 //     default the two that CI gates) at several scales — once per
 //     ε-estimator mode (exact and sampled) — and writes one

@@ -95,10 +95,11 @@
 //
 // # Serving mined results
 //
-// A Result can be frozen into an Index — stable-id lookups, an
-// attribute-set trie (exact/subset/superset), inverted postings,
-// top-k rankings and versioned binary snapshots — and served over HTTP
-// with on-demand ε answers for attribute sets the run never emitted:
+// A Result can be frozen into an Index — stable-id lookups, exact and
+// subset searches of the canonical set table, superset lookups over
+// inverted postings, top-k rankings and versioned binary snapshots —
+// and served over HTTP with on-demand ε answers for attribute sets the
+// run never emitted:
 //
 //	idx := scpm.NewIndex(res, g)
 //	h, _ := scpm.NewServerHandler(idx, g, miner.Params(), scpm.ServerConfig{})

@@ -12,54 +12,6 @@ import (
 	"github.com/scpm/scpm/internal/core"
 )
 
-// buildTrieRef is the comparison-sort trie builder buildTrie replaced,
-// kept as its reference: it sorts the sets lexicographically (ties by
-// set index), so the sets below any node are one contiguous run, and
-// expands the runs node by node.
-func buildTrieRef(sets []core.AttributeSet) trie {
-	order := make([]int32, len(sets))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		if c := slices.Compare(sets[x].Attrs, sets[y].Attrs); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	attrs := func(k int32) []int32 { return sets[order[k]].Attrs }
-
-	t := make(trie, 1, len(sets)+1)
-	t[0] = trieNode{set: -1}
-	type run struct {
-		node, lo, hi int32
-		depth        int
-	}
-	stack := []run{{0, 0, int32(len(order)), 0}}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		lo := r.lo
-		for lo < r.hi && len(attrs(lo)) == r.depth {
-			t[r.node].set = order[lo]
-			lo++
-		}
-		first := int32(len(t))
-		for lo < r.hi {
-			key := attrs(lo)[r.depth]
-			hi := lo + 1
-			for hi < r.hi && attrs(hi)[r.depth] == key {
-				hi++
-			}
-			t = append(t, trieNode{key: key, set: -1})
-			stack = append(stack, run{int32(len(t) - 1), lo, hi, r.depth + 1})
-			lo = hi
-		}
-		t[r.node].first, t[r.node].n = first, int32(len(t))-first
-	}
-	return t
-}
-
 // newIDIndexRef is the comparison-sort id index newIDIndex replaced,
 // kept as its reference: rows sorted by (hash, row).
 func newIDIndexRef(ids []string) idIndex {
@@ -76,13 +28,17 @@ func newIDIndexRef(ids []string) idIndex {
 	return t
 }
 
-// checkDerived fails unless buildTrie and newIDIndex produce exactly
-// the tables of their references on sets and ids, and find returns the
-// last row of every id.
+// checkDerived fails unless newIDIndex produces exactly the table of
+// its reference on ids and find returns the last row of every id, and
+// unless Exact and Subsets answer as a scan does on sets put in
+// canonical order.
 func checkDerived(t *testing.T, sets []core.AttributeSet, ids []string) {
 	t.Helper()
-	if got, want := buildTrie(sets), buildTrieRef(sets); !slices.Equal(got, want) {
-		t.Fatalf("buildTrie differs from the reference over %d sets:\n got %v\nwant %v", len(sets), got, want)
+	table := canonical(sets)
+	x := tableIndex(table)
+	rng := rand.New(rand.NewSource(int64(len(sets))))
+	for _, q := range tableQueries(rng, table, 50) {
+		checkLookups(t, x, q)
 	}
 	got, want := newIDIndex(ids), newIDIndexRef(ids)
 	if !slices.Equal(got, want) {
@@ -141,9 +97,9 @@ func scaled(sets []core.AttributeSet, f, off int32) []core.AttributeSet {
 	return out
 }
 
-// TestDerivedTablesMatchReference checks the trie and the id index
-// against the comparison-sort builders they replaced, element for
-// element.
+// TestDerivedTablesMatchReference checks the id index against the
+// comparison-sort builder it replaced, element for element, and the set
+// table searches against a scan.
 func TestDerivedTablesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	t.Run("empty", func(t *testing.T) {
@@ -170,16 +126,6 @@ func TestDerivedTablesMatchReference(t *testing.T) {
 			}
 		})
 	}
-	t.Run("duplicate sets", func(t *testing.T) {
-		sets := randomSets(rng, 400, 6, 3) // 41 distinct lists, so most repeat
-		checkDerived(t, sets, idsOf(sets))
-		x := buildTrie(sets)
-		for i, s := range sets {
-			if got := x.exact(s.Attrs); got < int32(i) || core.CompareAttrs(sets[got].Attrs, s.Attrs) != 0 {
-				t.Fatalf("set %d %v is owned by %d, want its last copy", i, s.Attrs, got)
-			}
-		}
-	})
 	t.Run("large attribute ids", func(t *testing.T) {
 		sets := randomSets(rng, 1500, 50, 5)
 		for _, big := range []struct{ f, off int32 }{{1 << 6, 1 << 11}, {1 << 15, 1 << 21}, {1, 1<<21 - 25}} {
@@ -207,18 +153,19 @@ func TestDerivedTablesMatchReference(t *testing.T) {
 		x := Build(res, g)
 		checkDerived(t, x.sets, x.setIDs)
 		checkDerived(t, nil, x.patIDs)
-		if !slices.Equal(x.trie, buildTrieRef(x.sets)) || !slices.Equal(x.byID, newIDIndexRef(x.setIDs)) || !slices.Equal(x.patByID, newIDIndexRef(x.patIDs)) {
+		if !slices.Equal(x.byID, newIDIndexRef(x.setIDs)) || !slices.Equal(x.patByID, newIDIndexRef(x.patIDs)) {
 			t.Fatal("Build's tables differ from the references")
 		}
 	})
 }
 
 // FuzzDerivedTables decodes bytes into attribute lists and id strings
-// and checks the trie and id index against their references. Byte 0xff
-// ends a list; any other byte adds an id (its low 7 bits, shifted left
-// by 14 when the high bit is set, so ids reach 2^21). Lists are taken
-// as decoded — unsorted and repeating — because the two builders agree
-// on any lists. A set's id string is its list's bytes. Run locally with
+// and checks the id index against its reference, and Exact and Subsets
+// on the lists, put in canonical order, against a scan. Byte 0xff ends
+// a list; any other byte adds an id (its low 7 bits, shifted left by 14
+// when the high bit is set, so ids reach 2^21). The id strings are
+// taken as decoded, repeats included. A set's id string is its list's
+// bytes. Run locally with
 //
 //	go test -run '^$' -fuzz FuzzDerivedTables ./internal/index
 func FuzzDerivedTables(f *testing.F) {

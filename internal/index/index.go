@@ -2,14 +2,14 @@
 // immutable Index built once from a mining Result (plus the graph that
 // produced it) and then queried concurrently — by stable id, by
 // attribute containment over inverted postings, by exact match and
-// subset relation over the attribute-set trie, by vertex membership
+// subset relation over the canonical set table, by vertex membership
 // over inverted postings, or as a top-k ranking.
 //
 // The Index is self-contained: every name it serves (attribute names,
 // vertex labels) is resolved at build time, so it answers every lookup
-// without consulting the originating graph. Derived structures (trie,
-// postings, id indexes) are rebuilt deterministically from the canonical
-// set/pattern tables.
+// without consulting the originating graph. Derived structures
+// (postings, id indexes) are rebuilt deterministically from the
+// canonical set/pattern tables.
 package index
 
 import (
@@ -27,11 +27,13 @@ import (
 // snapshot's tables with FromParts; all methods are safe for concurrent
 // use.
 type Index struct {
-	// Canonical tables, in Result order (sets by size then
-	// lexicographic attribute ids; patterns grouped per set). When
-	// hydrate is non-nil they start empty and are filled exactly once,
-	// on first access — route every read through tables(). nSets and
-	// nPatterns always hold the table sizes, hydrated or not.
+	// Canonical tables, in Result order (sets strictly ascending by
+	// core.CompareAttrs — size, then ascending ids — each set's ids
+	// ascending; patterns grouped per set). Exact and Subsets search
+	// the set table in that order. When hydrate is non-nil they start
+	// empty and are filled exactly once, on first access — route every
+	// read through tables(). nSets and nPatterns always hold the table
+	// sizes, hydrated or not.
 	sets      []core.AttributeSet
 	patterns  []core.Pattern
 	nSets     int
@@ -68,8 +70,7 @@ type Index struct {
 	// The patterns of set i are patOrder[patStart[i]:patStart[i+1]],
 	// in order.
 	patOrder, patStart []int32
-	trie               trie             // attribute-set trie over sorted attr ids
-	attrIDs            map[string]int32 // attribute name → id (for trie walks)
+	attrIDs            map[string]int32 // attribute name → id (for set table searches)
 
 	// Inverted postings on the shared bitset machinery.
 	attrPost map[string]*bitset.Set // attribute name → set indices
@@ -85,8 +86,9 @@ type Index struct {
 
 // Build constructs an Index from a mining result. The graph must be the
 // one res was mined from — it resolves pattern vertex ids to labels so
-// the index (and its snapshots) are self-contained. res is not retained;
-// its tables are copied.
+// the index (and its snapshots) are self-contained. res.Sets must be in
+// canonical order, as Mine, Remine and MergeResults produce it. res is
+// not retained; its tables are copied.
 func Build(res *core.Result, g *graph.Graph) *Index {
 	x := &Index{
 		sets:         append([]core.AttributeSet(nil), res.Sets...),
@@ -166,9 +168,10 @@ func (x *Index) freeze() {
 	x.derived()
 }
 
-// derived builds the lookup structures (id indexes, trie, per-set
-// pattern lists) exactly once. Build and Rebuild call it eagerly;
-// a lazily assembled index pays on the first lookup that needs one.
+// derived builds the lookup structures (id indexes, attribute ids,
+// per-set pattern lists) exactly once. Build and Rebuild call it
+// eagerly; a lazily assembled index pays on the first lookup that needs
+// one.
 // Safe for concurrent use — callers may race on a cold index and block
 // behind one build.
 func (x *Index) derived() { x.derivedOnce.Do(x.buildDerived) }
@@ -194,7 +197,6 @@ func (x *Index) tables() {
 func (x *Index) buildDerived() {
 	x.tables()
 	x.byID = newIDIndex(x.setIDs)
-	x.trie = buildTrie(x.sets)
 	x.attrIDs = make(map[string]int32)
 	var seen []bool // by attribute id
 	for i := range x.sets {
@@ -363,14 +365,25 @@ func (x *Index) attrSet(names []string) (attrs []int32, ok bool) {
 	return attrs, true
 }
 
+// sortDedup sorts *attrs ascending and removes duplicates in place.
+func sortDedup(attrs *[]int32) {
+	slices.Sort(*attrs)
+	*attrs = slices.Compact(*attrs)
+}
+
 // Exact returns the index of the set whose attributes are exactly the
-// given names (any order), or -1.
+// given names (any order), or -1: one binary search of the canonical
+// set table.
 func (x *Index) Exact(names []string) int {
 	attrs, ok := x.attrSet(names)
 	if !ok {
 		return -1
 	}
-	return int(x.trie.exact(attrs))
+	i, found := slices.BinarySearchFunc(x.sets, attrs, func(s core.AttributeSet, q []int32) int { return core.CompareAttrs(s.Attrs, q) })
+	if !found {
+		return -1
+	}
+	return i
 }
 
 // Supersets returns the indices of every indexed set that contains all
@@ -380,8 +393,8 @@ func (x *Index) Supersets(names []string) []int { return members(x.Containing(na
 
 // Containing returns the sets that contain all of the given attribute
 // names as a bitset over set indices: the AND of the names' attribute
-// postings, so it needs no trie and works on a snapshot-booted index
-// before its lookup structures are built. It is nil when some name
+// postings, so it works on a snapshot-booted index before its row
+// tables and lookup structures are built. It is nil when some name
 // occurs in no indexed set; an empty query yields every set. A
 // one-name query returns the index's own posting, so the caller must
 // not modify the result.
@@ -409,7 +422,9 @@ func (x *Index) Containing(names []string) *bitset.Set {
 }
 
 // Subsets returns the indices of every indexed set whose attributes are
-// all among the given names (S ⊆ query), ascending.
+// all among the given names (S ⊆ query), ascending. It walks the
+// canonical set table, where the sets of each size k ≤ |query| are one
+// contiguous run.
 func (x *Index) Subsets(names []string) []int {
 	x.derived()
 	attrs := make([]int32, 0, len(names))
@@ -422,9 +437,45 @@ func (x *Index) Subsets(names []string) []int {
 	}
 	sortDedup(&attrs)
 	var out []int
-	x.trie.subsets(0, attrs, func(set int32) { out = append(out, int(set)) })
-	sort.Ints(out)
+	for k, lo := 0, 0; k <= len(attrs) && lo < len(x.sets); k++ {
+		hi := lo + sort.Search(len(x.sets)-lo, func(i int) bool { return len(x.sets[lo+i].Attrs) > k })
+		out = x.subsetsIn(out, lo, hi, 0, k, attrs)
+		lo = hi
+	}
 	return out
+}
+
+// subsetsIn appends to out, ascending, the sets in [lo, hi) whose ids
+// from position d on are among q (sorted). The sets in [lo, hi) have k
+// ids and share their first d, so they are sorted by their d-th id, and
+// the sets whose d-th id is one q[j] form one range that a binary search
+// finds; its sets continue from q[j+1:].
+func (x *Index) subsetsIn(out []int, lo, hi, d, k int, q []int32) []int {
+	if d == k {
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	for ; len(q) >= k-d && lo < hi && x.idAt(hi-1, d) >= q[0]; q = q[1:] {
+		a := q[0]
+		from := lo + sort.Search(hi-lo, func(i int) bool { return x.idAt(lo+i, d) >= a })
+		to := from + sort.Search(hi-from, func(i int) bool { return x.idAt(from+i, d) > a })
+		out = x.subsetsIn(out, from, to, d+1, k, q[1:])
+		lo = to
+	}
+	return out
+}
+
+// idAt returns the d-th attribute id of set i, or -1 past its end. The
+// range check keeps the table searches in bounds on a table out of
+// canonical order (a corrupt snapshot opened without full
+// verification), where they answer wrongly but never panic.
+func (x *Index) idAt(i, d int) int32 {
+	if a := x.sets[i].Attrs; d < len(a) {
+		return a[d]
+	}
+	return -1
 }
 
 // PatternsWithVertex returns the indices of the patterns containing the

@@ -14,8 +14,8 @@ import (
 // When the new result holds the same sets and patterns as this index,
 // in the same order, only the rows differ (a graph update moves ExpEps
 // and δ of every set), so the new index takes the new rows and shares
-// every derived structure — ids, postings, id indexes, trie, pattern
-// lists — with this one, but not the ranked permutations (Ranked),
+// every derived structure — ids, postings, id indexes, pattern lists —
+// with this one, but not the ranked permutations (Ranked),
 // which the new rows reorder. Otherwise both canonical lists are
 // merge-joined, which are in core.CompareAttrs order, and stable set
 // and pattern id strings and resolved pattern vertex-label slices of
@@ -26,7 +26,8 @@ import (
 // attribute ids, attribute names and vertex ids/labels are append-only
 // across Graph.Apply — so a set or pattern with the same attribute ids
 // (and, for patterns, the same vertex ids) is the same content and
-// keeps the same id. g must be the graph res was mined from. Unlike
+// keeps the same id. g must be the graph res was mined from, and
+// res.Sets must be in canonical order, as Build requires. Unlike
 // Build, Rebuild takes res's row tables by reference, so the caller
 // must not modify them afterwards. The receiver is not modified, and
 // may be queried while Rebuild runs.
@@ -44,7 +45,7 @@ func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 		nx.nSets, nx.nPatterns = x.nSets, x.nPatterns
 		nx.patVerts, nx.setIDs, nx.patIDs, nx.patSetIDs = x.patVerts, x.setIDs, x.patIDs, x.patSetIDs
 		nx.attrPost, nx.vertPost = x.attrPost, x.vertPost
-		nx.byID, nx.patByID, nx.patOrder, nx.patStart, nx.trie, nx.attrIDs = x.byID, x.patByID, x.patOrder, x.patStart, x.trie, x.attrIDs
+		nx.byID, nx.patByID, nx.patOrder, nx.patStart, nx.attrIDs = x.byID, x.patByID, x.patOrder, x.patStart, x.attrIDs
 		nx.derivedOnce.Do(func() {})
 		return nx
 	}
@@ -58,7 +59,7 @@ func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 		for j < len(x.sets) && core.CompareAttrs(x.sets[j].Attrs, s.Attrs) < 0 {
 			j++
 		}
-		if j < len(x.sets) && slices.Equal(x.sets[j].Attrs, s.Attrs) && slices.Equal(x.sets[j].Names, s.Names) {
+		if j < len(x.sets) && sameSlice(x.sets[j].Attrs, s.Attrs) && sameSlice(x.sets[j].Names, s.Names) {
 			nx.setIDs[i] = x.setIDs[j]
 		}
 	}
@@ -70,8 +71,8 @@ func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 		for j < len(x.patterns) && core.CompareAttrs(x.patterns[j].Attrs, p.Attrs) < 0 {
 			j++
 		}
-		for k := j; k < len(x.patterns) && slices.Equal(x.patterns[k].Attrs, p.Attrs); k++ {
-			if slices.Equal(x.patterns[k].Vertices, p.Vertices) && slices.Equal(x.patterns[k].Names, p.Names) {
+		for k := j; k < len(x.patterns) && sameSlice(x.patterns[k].Attrs, p.Attrs); k++ {
+			if sameSlice(x.patterns[k].Vertices, p.Vertices) && sameSlice(x.patterns[k].Names, p.Names) {
 				nx.patIDs[i], nx.patSetIDs[i], nx.patVerts[i] = x.patIDs[k], x.patSetIDs[k], x.patVerts[k]
 				break
 			}
@@ -99,7 +100,7 @@ func (x *Index) sameContent(res *core.Result) bool {
 	}
 	for i := range res.Patterns {
 		a, b := &res.Patterns[i], &x.patterns[i]
-		if !slices.Equal(a.Attrs, b.Attrs) || !slices.Equal(a.Names, b.Names) || !slices.Equal(a.Vertices, b.Vertices) {
+		if !sameSlice(a.Attrs, b.Attrs) || !sameSlice(a.Names, b.Names) || !sameSlice(a.Vertices, b.Vertices) {
 			return false
 		}
 	}

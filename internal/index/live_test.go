@@ -65,7 +65,6 @@ func TestRebuildReusesInternedContent(t *testing.T) {
 		"vertex labels":   &nx.patVerts[0] == &x.patVerts[0],
 		"set id map":      &nx.byID[0] == &x.byID[0],
 		"pattern id map":  &nx.patByID[0] == &x.patByID[0],
-		"trie":            &nx.trie[0] == &x.trie[0],
 		"pattern lists":   &nx.patStart[0] == &x.patStart[0],
 		"attribute posts": reflect.ValueOf(nx.attrPost).Pointer() == reflect.ValueOf(x.attrPost).Pointer(),
 		"vertex posts":    reflect.ValueOf(nx.vertPost).Pointer() == reflect.ValueOf(x.vertPost).Pointer(),

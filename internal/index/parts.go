@@ -14,8 +14,9 @@ import (
 // every set and pattern) and the posting construction (a pass over
 // every set name and pattern vertex). The row tables arrive through
 // the deferred Rows callback, and the remaining lookup structures —
-// trie, id indexes, per-set pattern lists — are built on the first
-// lookup that needs them, so assembly stays O(postings), not O(sets).
+// id indexes, attribute ids, per-set pattern lists — are built on the
+// first lookup that needs them, so assembly stays O(postings), not
+// O(sets).
 type Parts struct {
 	Mining core.Stats
 	// Dataset shape of the producing graph (DatasetShape).
@@ -35,7 +36,9 @@ type Parts struct {
 	// constructing the index — and its output must be aligned, fully
 	// populated (every id non-empty) and sized NSets/NPatterns, the
 	// table sizes that let postings be capacity-checked without
-	// hydrating.
+	// hydrating. Sets should be in canonical order, as Build requires;
+	// Exact and Subsets on a table out of order stay in bounds but may
+	// answer wrongly.
 	Rows             func() Rows
 	NSets, NPatterns int
 }

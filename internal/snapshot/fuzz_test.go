@@ -20,8 +20,8 @@ var typedErrors = []error{
 // checksums so the mutation reaches structural validation, and opens
 // it with full verification. Every failure must be one of the typed
 // errors; every success must survive reading the whole pair back —
-// rows, labels, neighbour ranges, an id lookup and a re-encode —
-// without panicking.
+// rows, labels, neighbour ranges, an id lookup, the exact and subset
+// lookups of the first set and a re-encode — without panicking.
 //
 //	go test -run '^$' -fuzz FuzzSnapshotOpen -fuzztime 30s ./internal/snapshot
 func FuzzSnapshotOpen(f *testing.F) {
@@ -57,6 +57,8 @@ func FuzzSnapshotOpen(f *testing.F) {
 		}
 		if len(sets) > 0 {
 			x.SetIndexByID(x.SetID(0))
+			x.Exact(sets[0].Names)
+			x.Subsets(sets[0].Names)
 		}
 		// Encode may reject an inconsistent pair; it must not panic.
 		_, _ = snapshot.Encode(g, x)

@@ -30,8 +30,9 @@ const (
 	// a full pass would fault the whole mapped file in and defeat lazy
 	// paging.
 	VerifyTable Verify = iota
-	// VerifyFull additionally checks every section CRC and runs the
-	// per-element graph scans.
+	// VerifyFull additionally checks every section CRC, runs the
+	// per-element graph scans and checks that the set table is in
+	// canonical order.
 	VerifyFull
 )
 
@@ -97,7 +98,7 @@ func assemble(m *mmapio.Mapping, verify Verify) (*Boot, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := buildIndex(fp, g)
+	x, err := buildIndex(fp, g, full)
 	if err != nil {
 		return nil, err
 	}
@@ -361,12 +362,18 @@ func buildGraph(fp *fileParts, full bool) (*graph.Graph, error) {
 }
 
 // buildIndex assembles the index from the carved views. The row
-// tables and the lookup structures (id indexes, trie, per-set
-// pattern lists) are deferred to the first access that needs
-// them, keeping the open path free of any O(sets) construction.
-func buildIndex(fp *fileParts, g *graph.Graph) (*index.Index, error) {
+// tables and the lookup structures (id indexes, attribute ids, per-set
+// pattern lists) are deferred to the first access that needs them,
+// keeping the open path free of any O(sets) construction. With
+// checkOrder it also checks the set table's canonical order.
+func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, error) {
 	if err := checkOffsets("set-attr", fp.setAttrOff, len(fp.setAttrs)); err != nil {
 		return nil, err
+	}
+	if checkOrder {
+		if err := checkSetOrder(fp.setAttrOff, fp.setAttrs); err != nil {
+			return nil, err
+		}
 	}
 	if err := checkOffsets("pat-attr", fp.patAttrOff, len(fp.patAttrs)); err != nil {
 		return nil, err
@@ -500,6 +507,25 @@ func checkIDs(what string, ids []int32, n int) error {
 	for _, v := range ids {
 		if v < 0 || int(v) >= n {
 			return fmt.Errorf("%w: %s id %d out of range [0,%d)", ErrCorrupt, what, v, n)
+		}
+	}
+	return nil
+}
+
+// checkSetOrder rejects a set table out of canonical order, the order
+// the index searches it in: each set's ids strictly ascending and the
+// sets strictly ascending by core.CompareAttrs. offs is a checked
+// offset table over attrs.
+func checkSetOrder(offs []int64, attrs []int32) error {
+	for i := 0; i+1 < len(offs); i++ {
+		s := attrs[offs[i]:offs[i+1]]
+		for j := 1; j < len(s); j++ {
+			if s[j] <= s[j-1] {
+				return fmt.Errorf("%w: set %d ids not strictly ascending at %d", ErrCorrupt, i, j)
+			}
+		}
+		if i > 0 && core.CompareAttrs(attrs[offs[i-1]:offs[i]], s) >= 0 {
+			return fmt.Errorf("%w: sets %d and %d out of canonical order", ErrCorrupt, i-1, i)
 		}
 	}
 	return nil

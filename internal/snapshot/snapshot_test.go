@@ -454,6 +454,77 @@ func TestHostileVersionAndMagic(t *testing.T) {
 	}
 }
 
+// TestHostileSetOrder opens resealed copies of the quickstart snapshot
+// whose set table is out of canonical order: two sets swapped, one
+// set's ids descending, and the sets' sizes out of order. Full
+// verification must reject each as corrupt. The lazy open does not look
+// at the order; on it the set table searches may answer wrongly but
+// must not panic.
+func TestHostileSetOrder(t *testing.T) {
+	golden := filepath.Join("testdata", "quickstart.scpmidx")
+	// section returns the payload of table entry i.
+	section := func(b []byte, i int) []byte {
+		base := headerSize + i*entrySize
+		off := binary.LittleEndian.Uint64(b[base+8:])
+		n := binary.LittleEndian.Uint64(b[base+16:])
+		return b[off : off+n]
+	}
+	// setAttrs returns the set-attrs section (entry 11): the ids of
+	// {A}, {B} and {A,B}, four int32s a, b, a, b.
+	setAttrs := func(b []byte) []byte {
+		ids := section(b, 11)
+		if len(ids) != 16 || !bytes.Equal(ids[0:4], ids[8:12]) || !bytes.Equal(ids[4:8], ids[12:16]) {
+			t.Fatalf("quickstart set ids are % x, want {A}, {B}, {A,B}", ids)
+		}
+		return ids
+	}
+	swap := func(ids []byte, i, j int) {
+		for k := 0; k < 4; k++ {
+			ids[4*i+k], ids[4*j+k] = ids[4*j+k], ids[4*i+k]
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"swapped sets", func(b []byte) { swap(setAttrs(b), 0, 1) }},
+		{"descending ids", func(b []byte) { swap(setAttrs(b), 2, 3) }},
+		{"sizes out of order", func(b []byte) {
+			// Offsets 0, 1, 3, 4 (entry 10) over b, a, b, a: {B},
+			// {A,B}, {A}.
+			ids := setAttrs(b)
+			swap(ids, 0, 1)
+			swap(ids, 2, 3)
+			binary.LittleEndian.PutUint64(section(b, 10)[16:], 3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := patch(t, golden, func(b []byte) []byte {
+				tc.mutate(b)
+				reseal(b)
+				return b
+			})
+			if _, err := snapshot.Open(bad, snapshot.Options{Verify: snapshot.VerifyFull}); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("full verify err = %v, want ErrCorrupt", err)
+			}
+			boot, err := snapshot.Open(bad, snapshot.Options{Verify: snapshot.VerifyTable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer boot.Close()
+			x := boot.Index
+			all := []string{"zzz"}
+			for _, s := range x.Sets() {
+				x.Exact(s.Names)
+				x.Subsets(s.Names)
+				all = append(all, s.Names...)
+			}
+			x.Exact(all)
+			x.Subsets(all)
+		})
+	}
+}
+
 // TestV2CompatSignal pins what a retired v2 (index-only) snapshot gets:
 // the typed ErrRegenerate, at both verification levels, never a
 // misleading "corrupt" or "not a snapshot".

@@ -12,9 +12,9 @@ import (
 )
 
 // Index is a read-optimized, concurrently-queryable view of one mining
-// run's output: stable-id lookups, an attribute-set trie
-// (exact/subset/superset), inverted postings (attribute → sets, vertex
-// → patterns) and top-k rankings. Build one with NewIndex, or restore
+// run's output: stable-id lookups, exact and subset searches of the
+// canonical set table, inverted postings (attribute → sets, vertex →
+// patterns) and top-k rankings. Build one with NewIndex, or restore
 // one together with its graph with OpenSnapshot; all methods are safe
 // for concurrent use.
 type Index = index.Index

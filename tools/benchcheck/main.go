@@ -23,7 +23,12 @@
 //     representative dataset — small snapshots boot in microseconds
 //     either way, so their ratios are noise) must meet the -boot-floor
 //     (default 10, the lazy-boot acceptance criterion); and no row may
-//     fall more than -boot-tolerance below its baseline speedup.
+//     fall more than -boot-tolerance below its baseline speedup. A boot
+//     speedup is a ratio of two wall times on one machine, so
+//     -candidate may list several boot reports, comma-separated: each
+//     row is then gated on its median speedup over them (the lower
+//     middle for an even count), and is verified only when every run
+//     verified it.
 //
 // Wall-clock and allocation columns are advisory only: CI machines are
 // too noisy to gate on, so deltas are printed benchstat-style for the
@@ -33,15 +38,18 @@
 //
 //	benchcheck -baseline BENCH_dense.json -candidate out/BENCH_dense.json
 //	benchcheck -baseline BENCH_shard.json -candidate out/BENCH_shard.json
-//	benchcheck -baseline BENCH_boot.json -candidate out/BENCH_boot.json
+//	benchcheck -baseline BENCH_boot.json -candidate a/BENCH_boot.json,b/BENCH_boot.json,c/BENCH_boot.json
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
 
 // run mirrors the benchRun columns the gate consumes; unknown fields
@@ -93,7 +101,7 @@ type report struct {
 
 func main() {
 	baseline := flag.String("baseline", "", "committed baseline BENCH_*.json")
-	candidate := flag.String("candidate", "", "freshly generated BENCH_*.json to check")
+	candidate := flag.String("candidate", "", "freshly generated BENCH_*.json to check; for boot reports, a comma-separated list gated on each row's median")
 	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional search_nodes growth over baseline")
 	shardTolerance := flag.Float64("shard-tolerance", 0.25, "allowed fractional shard-speedup decline below baseline")
 	bootFloor := flag.Float64("boot-floor", 10, "minimum lazy-vs-full boot speedup for the largest-snapshot row")
@@ -130,6 +138,56 @@ func load(path string) (report, error) {
 	return r, nil
 }
 
+// loadCandidates loads the candidate report. A comma-separated list of
+// boot reports loads as one report whose row for each boot is the run
+// with the median speedup among the reports' rows for it (the lower
+// middle for an even count), verified only when every report holds a
+// verified row for it.
+func loadCandidates(paths string, out io.Writer) (report, error) {
+	list := strings.Split(paths, ",")
+	var reps []report
+	for _, p := range list {
+		r, err := load(p)
+		if err != nil {
+			return report{}, err
+		}
+		if len(list) > 1 && (r.Boot == nil || len(r.Runs) > 0 || r.Shard != nil || len(reps) > 0 && r.Dataset != reps[0].Dataset) {
+			return report{}, fmt.Errorf("%s: only boot reports of one dataset can be gated together", p)
+		}
+		reps = append(reps, r)
+	}
+	if len(reps) == 1 {
+		return reps[0], nil
+	}
+	var order []string
+	byKey := make(map[string][]bootRun)
+	for _, r := range reps {
+		for _, row := range r.Boot.Runs {
+			k := bootKey(row)
+			if byKey[k] == nil {
+				order = append(order, k)
+			}
+			byKey[k] = append(byKey[k], row)
+		}
+	}
+	merged := reps[0]
+	merged.Boot = &bootSection{}
+	for _, k := range order {
+		rows := byKey[k]
+		slices.SortFunc(rows, func(a, b bootRun) int { return cmp.Compare(a.Speedup, b.Speedup) })
+		median := rows[(len(rows)-1)/2]
+		median.Verified = len(rows) == len(reps)
+		speedups := make([]string, len(rows))
+		for i, row := range rows {
+			median.Verified = median.Verified && row.Verified
+			speedups[i] = fmt.Sprintf("%.1fx", row.Speedup)
+		}
+		fmt.Fprintf(out, "%-20s  boot speedups of %d runs %s: median %.1fx\n", k, len(reps), strings.Join(speedups, " "), median.Speedup)
+		merged.Boot.Runs = append(merged.Boot.Runs, median)
+	}
+	return merged, nil
+}
+
 // gates bundles the per-section thresholds.
 type gates struct {
 	tolerance      float64 // search_nodes growth
@@ -146,7 +204,7 @@ func check(basePath, candPath string, g gates, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cand, err := load(candPath)
+	cand, err := loadCandidates(candPath, out)
 	if err != nil {
 		return err
 	}

@@ -242,6 +242,54 @@ func TestBootGateFailsWhenMmapSlower(t *testing.T) {
 	}
 }
 
+// bootRuns writes one boot report per dblp speedup, dense at 5x, and
+// returns their paths comma-separated.
+func bootRuns(t *testing.T, dir string, verified []bool, dblp ...float64) string {
+	t.Helper()
+	paths := make([]string, len(dblp))
+	for i, sp := range dblp {
+		paths[i] = writeBootReport(t, dir, fmt.Sprintf("cand%d.json", i), sp, 5, verified[i])
+	}
+	return strings.Join(paths, ",")
+}
+
+func TestBootGateOnMedianOfRuns(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBootReport(t, dir, "base.json", 100, 5, true)
+	all := []bool{true, true, true}
+	// One run at −40% alone would fail; the median run is at −5%.
+	var out bytes.Buffer
+	if err := check(base, bootRuns(t, dir, all, 60, 100, 95), defGates(), &out); err != nil {
+		t.Fatalf("median within tolerance rejected: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "60.0x 95.0x 100.0x: median 95.0x") {
+		t.Fatalf("missing median line:\n%s", out.String())
+	}
+	// Two runs at −30% or worse put the median below the tolerance.
+	out.Reset()
+	if err := check(base, bootRuns(t, dir, all, 60, 100, 70), defGates(), &out); err == nil {
+		t.Fatalf("median at −30%% accepted:\n%s", out.String())
+	}
+	// A row one run failed to cross-check fails, whatever the median.
+	out.Reset()
+	if err := check(base, bootRuns(t, dir, []bool{true, false, true}, 100, 100, 100), defGates(), &out); err == nil {
+		t.Fatalf("row unverified in one run accepted:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "cross-checked") {
+		t.Fatalf("missing verification verdict:\n%s", out.String())
+	}
+}
+
+func TestSeveralCandidatesOnlyForBootReports(t *testing.T) {
+	dir := t.TempDir()
+	base := writeReport(t, dir, "base.json", "dblp", 1000)
+	cands := writeReport(t, dir, "a.json", "dblp", 1000) + "," + writeReport(t, dir, "b.json", "dblp", 1000)
+	var out bytes.Buffer
+	if err := check(base, cands, defGates(), &out); err == nil || !strings.Contains(err.Error(), "only boot reports") {
+		t.Fatalf("several search-node candidates: err = %v, want the boot-only refusal", err)
+	}
+}
+
 func TestShardGateNewRowFloorOnly(t *testing.T) {
 	dir := t.TempDir()
 	base := writeShardReport(t, dir, "base.json", [3]float64{0.95, 1.60, 2.10})
