@@ -86,8 +86,8 @@ func (sl *Slab) Carve(n, k int) []Set {
 }
 
 // Stack hands out sets in last-in, first-out order from reusable
-// storage: Push carves a set, and Release frees every set pushed since
-// a Mark. The zero value is ready to use. A depth-first walk that
+// storage: PushAnd carves a set, and Release frees every set pushed
+// since a Mark. The zero value is ready to use. A depth-first walk that
 // builds a few sets per node — the miner's Eclat walk, with V(S), the
 // Theorem-3 candidate restriction and the hand-down of each attribute
 // set — pays for storage only while its deepest path grows, instead of
@@ -109,12 +109,12 @@ func (st *Stack) Release(mk StackMark) {
 	st.words, st.sets = st.words[:mk.words], st.sets[:mk.sets]
 }
 
-// Push returns an empty set of capacity n carved from the stack.
-func (st *Stack) Push(n int) *Set {
-	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative capacity %d", n))
-	}
-	need := (n + wordBits - 1) / wordBits
+// PushAnd returns a set holding a ∩ b carved from the stack, and its
+// count, in one pass over the words: the slot is written, not cleared
+// first. a and b must share one capacity, which the new set gets.
+func (st *Stack) PushAnd(a, b *Set) (*Set, int) {
+	a.mustMatch(b)
+	need := len(a.words)
 	top := len(st.words)
 	if cap(st.words)-top < need {
 		// Live sets keep the old array; the new one starts at the same
@@ -122,11 +122,26 @@ func (st *Stack) Push(n int) *Set {
 		st.words = make([]uint64, top, 2*cap(st.words)+need)
 	}
 	w := st.words[top : top+need : top+need]
-	clear(w)
 	st.words = st.words[:top+need]
 	// A growing append leaves the live headers in the old array too.
-	st.sets = append(st.sets, Set{words: w, n: n})
-	return &st.sets[len(st.sets)-1]
+	st.sets = append(st.sets, Set{words: w, n: a.n})
+	x, y := a.words[:len(w)], b.words[:len(w)]
+	var c0, c1, c2, c3 int
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		w0, w1, w2, w3 := x[i]&y[i], x[i+1]&y[i+1], x[i+2]&y[i+2], x[i+3]&y[i+3]
+		w[i], w[i+1], w[i+2], w[i+3] = w0, w1, w2, w3
+		c0 += bits.OnesCount64(w0)
+		c1 += bits.OnesCount64(w1)
+		c2 += bits.OnesCount64(w2)
+		c3 += bits.OnesCount64(w3)
+	}
+	c := c0 + c1 + c2 + c3
+	for ; i < len(w); i++ {
+		w[i] = x[i] & y[i]
+		c += bits.OnesCount64(w[i])
+	}
+	return &st.sets[len(st.sets)-1], c
 }
 
 // FromSlice returns a set of capacity n containing every value of vs.

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"bytes"
 	"math/bits"
 	"testing"
 )
@@ -17,9 +18,10 @@ func fromBytes(n int, data []byte) *Set {
 	return s
 }
 
-// FuzzBitsetKernels differentially checks the word-at-a-time kernels
-// against naive per-bit reference loops over Contains, which exercise
-// none of the word-level shortcuts. Run locally with
+// FuzzBitsetKernels differentially checks the word-at-a-time kernels,
+// Stack.PushAnd among them, against naive per-bit reference loops over
+// Contains, which exercise none of the word-level shortcuts. Run
+// locally with
 //
 //	go test -fuzz FuzzBitsetKernels ./internal/bitset
 func FuzzBitsetKernels(f *testing.F) {
@@ -28,6 +30,8 @@ func FuzzBitsetKernels(f *testing.F) {
 	f.Add(uint16(64), []byte{0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa}, []byte{0x55})
 	f.Add(uint16(129), []byte{}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03})
 	f.Add(uint16(513), []byte{0x10, 0x00, 0x20}, []byte{0x10, 0x00, 0x20})
+	// Dense words on every lane of the four-word unrolled loops.
+	f.Add(uint16(330), bytes.Repeat([]byte{0xff}, 42), bytes.Repeat([]byte{0x5a}, 42))
 	f.Fuzz(func(t *testing.T, n16 uint16, ab, bb []byte) {
 		n := int(n16)%700 + 1
 		a := fromBytes(n, ab)
@@ -79,6 +83,30 @@ func FuzzBitsetKernels(f *testing.F) {
 		ac := a.Clone()
 		if got := ac.AndWithCount(b); got != interCount || !ac.Equal(scratch) {
 			t.Fatalf("AndWithCount = %d (equal=%v), want %d", got, ac.Equal(scratch), interCount)
+		}
+
+		// The fused stack push: a ∩ b and its count, written over storage
+		// a released set left dirty, and unchanged by later pushes that
+		// grow the stack.
+		var st Stack
+		first, c := st.PushAnd(a, b)
+		if c != interCount || !first.Equal(scratch) {
+			t.Fatalf("PushAnd = %d (equal=%v), want %d", c, first.Equal(scratch), interCount)
+		}
+		mk := st.Mark()
+		st.PushAnd(u, u)
+		st.Release(mk)
+		second, c := st.PushAnd(b, a)
+		if c != interCount || !second.Equal(scratch) {
+			t.Fatalf("PushAnd over released storage = %d (equal=%v), want %d", c, second.Equal(scratch), interCount)
+		}
+		for grown := cap(st.words); cap(st.words) == grown; {
+			if s, c := st.PushAnd(a, b); c != interCount || !s.Equal(scratch) {
+				t.Fatalf("PushAnd at depth %d = %d, want %d", len(st.sets), c, interCount)
+			}
+		}
+		if !first.Equal(scratch) || !second.Equal(scratch) || first.Count() != interCount || second.Count() != interCount {
+			t.Fatal("a live pushed set changed when the stack grew")
 		}
 
 		// ContainsAll must agree with the subset relation of the AND.

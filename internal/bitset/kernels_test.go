@@ -120,18 +120,19 @@ func TestNewSlabNegativePanics(t *testing.T) {
 	NewSlab(-1, 2)
 }
 
-// TestStackLIFO: pushed sets are empty and independent, survive the
-// stack's growth, and Release frees exactly the sets pushed after the
-// mark, whose storage the next Push reuses cleared.
+// TestStackLIFO: pushed sets are independent, survive the stack's
+// growth, and Release frees exactly the sets pushed after the mark,
+// whose storage the next push overwrites.
 func TestStackLIFO(t *testing.T) {
 	var st Stack
-	bottom := st.Push(130)
+	empty := New(130)
+	bottom, _ := st.PushAnd(empty, empty)
 	bottom.Add(129)
 	mk := st.Mark()
 	var live []*Set
 	for i := 0; i < 50; i++ { // enough to grow both backing arrays
-		s := st.Push(130)
-		if !s.IsEmpty() || s.Len() != 130 {
+		s, c := st.PushAnd(empty, empty)
+		if c != 0 || !s.IsEmpty() || s.Len() != 130 {
 			t.Fatalf("push %d: not an empty set of capacity 130: %v", i, s)
 		}
 		s.Add(i)
@@ -149,10 +150,11 @@ func TestStackLIFO(t *testing.T) {
 	if got := st.Mark(); got != mk {
 		t.Fatalf("Release left the top at %+v, want %+v", got, mk)
 	}
-	st.Push(130).Add(7)
+	s, _ := st.PushAnd(empty, empty)
+	s.Add(7)
 	st.Release(mk)
-	if s := st.Push(130); !s.IsEmpty() {
-		t.Fatalf("reused storage not cleared: %v", s)
+	if s, _ := st.PushAnd(empty, empty); !s.IsEmpty() {
+		t.Fatalf("reused storage not overwritten: %v", s)
 	}
 	if bottom.Count() != 1 || !bottom.Contains(129) {
 		t.Fatalf("set below the mark changed after reuse: %v", bottom)

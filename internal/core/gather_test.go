@@ -33,7 +33,7 @@ func gatherReference(buckets []*bucket) []AttributeSet {
 }
 
 // randomBuckets fills 0–5 buckets, some nil or empty, with rows of
-// 1–20 distinct ids: small ids in some buckets, ids up to 2^24 in
+// 1–20 distinct ascending ids: small ids in some buckets, ids up to 2^24 in
 // others, so a radix sort needs three digits per position and skips the
 // digits every row shares. A tenth of the rows repeat an earlier row's
 // ids and three tenths replace one id of an earlier row's, so rows tie
@@ -80,8 +80,9 @@ func randomBuckets(rng *rand.Rand, rows int) []*bucket {
 					}
 				}
 			}
+			slices.Sort(attrs)
 			seen = append(seen, attrs)
-			b.add(row{support: int32(idx), epsilon: rng.Float64()}, attrs)
+			b.add(&row{support: int32(idx), epsilon: rng.Float64()}, attrs)
 			idx++
 		}
 	}
@@ -95,7 +96,7 @@ func randomBuckets(rng *rand.Rand, rows int) []*bucket {
 // Mine and Remine collect.
 func TestGatherMatchesSortReference(t *testing.T) {
 	one := &bucket{}
-	one.add(row{support: 7}, []int32{1 << 21, 3})
+	one.add(&row{support: 7}, []int32{3, 1 << 21})
 	cases := map[string][]*bucket{
 		"nil":        nil,
 		"nil bucket": {nil},

@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
-	"github.com/scpm/scpm/internal/nullmodel"
 )
 
 // Evaluation is the memoized evaluation of one attribute set S. The
@@ -64,9 +62,10 @@ type Lattice struct {
 	// trees holds the recorded subtree of every top-level root the run
 	// owned, indexed by the root's attribute id; nil elsewhere.
 	trees []*latticeTree
-	// model is the null model the sets were scored under: with δmin > 0
-	// a Remine carries clean sets only while εexp agrees with it.
-	model nullmodel.Model
+	// exp is the εexp table of the run that recorded the lattice, over
+	// the null model the sets were scored under: with δmin > 0 a Remine
+	// carries clean sets only while εexp agrees with it.
+	exp *expTable
 }
 
 // latticeTree is the recorded subtree of one top-level root. nodes[0]
@@ -301,21 +300,15 @@ func grownTo(s *bitset.Set, n int) *bitset.Set {
 // from the lattice's at σmin or at any support a recorded set has —
 // the only way a clean set's survival or emission can flip.
 func (m *miner) expMoved(l *Lattice) bool {
-	if l.model == nil || l.model.Exp(m.p.SigmaMin) != m.expSigmaMin {
+	if l.exp == nil || l.exp.at(m.p.SigmaMin) != m.expSigmaMin {
 		return true
 	}
-	seen := bitset.New(m.g.NumVertices() + 1)
 	for _, t := range l.trees {
 		if t == nil {
 			continue
 		}
 		for _, nd := range t.nodes[1:] {
-			s := int(nd.sigma)
-			if seen.Contains(s) {
-				continue
-			}
-			seen.Add(s)
-			if l.model.Exp(s) != m.model.Exp(s) {
+			if s := int(nd.sigma); l.exp.at(s) != m.exp.at(s) {
 				return true
 			}
 		}
@@ -345,17 +338,15 @@ func (m *miner) carries(attrs []int32) bool {
 
 // mergeCarried merges the rows of old a Remine carried into res, which
 // holds the rows its walk collected, and streams them to the sink. A
-// carried row keeps its evaluation; only ExpEps and δ follow the null
-// model. Both sides are in canonical order and hold disjoint sets, so
-// one linear pass merges them.
+// carried row keeps its evaluation and its Names; only ExpEps and δ
+// follow the null model. Both sides are in canonical order and hold
+// disjoint sets, so one linear pass merges them. The merged sets' ids
+// are then copied into one arena of this generation, so no result keeps
+// an older generation's arena alive.
 func (m *miner) mergeCarried(res, old *Result) {
 	walked, walkedPats := res.Sets, res.Patterns
 	res.Sets = make([]AttributeSet, 0, len(old.Sets)+len(walked))
 	res.Patterns = make([]Pattern, 0, len(old.Patterns)+len(walkedPats))
-	exp := make([]float64, m.g.NumVertices()+1)
-	for i := range exp {
-		exp[i] = math.NaN()
-	}
 	i, pi, op := 0, 0, 0
 	var sets, pats int64
 	for k := range old.Sets {
@@ -377,10 +368,7 @@ func (m *miner) mergeCarried(res, old *Result) {
 			res.Patterns = append(res.Patterns, walkedPats[pi])
 		}
 		set := *s
-		if math.IsNaN(exp[set.Support]) {
-			exp[set.Support] = m.model.Exp(set.Support)
-		}
-		set.ExpEps = exp[set.Support]
+		set.ExpEps = m.exp.at(set.Support)
 		set.Delta = NormalizeDelta(set.Epsilon, set.ExpEps)
 		res.Sets = append(res.Sets, set)
 		res.Patterns = append(res.Patterns, old.Patterns[lo:op]...)
@@ -390,6 +378,17 @@ func (m *miner) mergeCarried(res, old *Result) {
 	res.Sets = append(res.Sets, walked[i:]...)
 	res.Patterns = append(res.Patterns, walkedPats[pi:]...)
 	m.em.noteEmitted(sets, pats)
+	n := 0
+	for k := range res.Sets {
+		n += len(res.Sets[k].Attrs)
+	}
+	arena := make([]int32, 0, n)
+	for k := range res.Sets {
+		s := &res.Sets[k]
+		at := len(arena)
+		arena = append(arena, s.Attrs...)
+		s.Attrs = arena[at:len(arena):len(arena)]
+	}
 }
 
 // Remine incrementally re-mines g — a graph obtained from a previous

@@ -124,7 +124,7 @@ func MergeResults(parts ...*Result) (*Result, error) {
 // disjoint and the union shares every one of them.
 func mergeLattices(parts []*Result) (*Lattice, error) {
 	first := parts[0].lattice
-	out := &Lattice{version: first.version, trees: make([]*latticeTree, len(first.trees)), model: first.model}
+	out := &Lattice{version: first.version, trees: make([]*latticeTree, len(first.trees)), exp: first.exp}
 	for i, part := range parts {
 		l := part.lattice
 		if l.version != out.version {

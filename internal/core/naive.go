@@ -25,7 +25,7 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 	}
 	start := time.Now()
 	em := newEmitter(sink, p.ProgressEvery, start)
-	model := p.model(g)
+	exp := newExpTable(p.model(g), g.NumVertices())
 	qp := p.QuasiCliqueParams()
 	opts := p.qcOptions()
 	opts.Ctx = ctx
@@ -63,14 +63,14 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 		if sigma > 0 {
 			eps = float64(len(covered)) / float64(sigma)
 		}
-		expEps := model.Exp(sigma)
+		expEps := exp.at(sigma)
 		delta := NormalizeDelta(eps, expEps)
 		if eps < p.EpsMin || delta < p.DeltaMin || len(s.Items) < p.minAttrs() {
 			return true
 		}
+		attrs := slices.Sorted(slices.Values(s.Items))
 		var emitted []Pattern
 		if p.K > 0 || p.AllPatterns {
-			attrs := slices.Sorted(slices.Values(s.Items))
 			top := pats
 			if !p.AllPatterns && len(top) > p.K {
 				top = top[:p.K]
@@ -91,7 +91,7 @@ func MineNaive(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*Resul
 			}
 		}
 		set := row{support: int32(sigma), epsilon: eps, expEps: expEps, delta: delta, covered: int32(len(covered))}
-		b.emit(em, g, set, s.Items, emitted)
+		b.emit(em, g, &set, attrs, emitted)
 		return true
 	})
 	if mineErr != nil {

@@ -12,6 +12,11 @@ import (
 )
 
 // AttributeSet is one mined attribute set with its correlation metrics.
+//
+// Attrs and Names are read-only. The sets of one Result may share their
+// backing arrays (a set's Names can be the prefix of a larger set's),
+// and each slice's capacity is its length, so appending to one copies
+// it; writing an element in place changes other sets too.
 type AttributeSet struct {
 	// Attrs are the attribute ids, ascending.
 	Attrs []int32
@@ -58,8 +63,14 @@ func SetID(names []string) string {
 	var buf [16]string
 	sorted := append(buf[:0], names...)
 	slices.Sort(sorted)
+	return SetIDSorted(sorted)
+}
+
+// SetIDSorted is SetID for names already in ascending order, which it
+// hashes as they are.
+func SetIDSorted(names []string) string {
 	h := uint64(fnvOffset)
-	for _, n := range sorted {
+	for _, n := range names {
 		h = fnvString(h, n) * fnvPrime // the NUL separator: (h ^ 0) * fnvPrime
 	}
 	return hex16(h)
@@ -288,23 +299,23 @@ func (r *row) put(dst *AttributeSet, attrs []int32, names []string) {
 	dst.Estimated = r.estimated
 }
 
-// add stores r as the bucket's next row, with a copy of attrs sorted
-// ascending as its ids, and returns that copy.
-func (b *bucket) add(r row, attrs []int32) []int32 {
+// add stores r as the bucket's next row, with a copy of attrs, which
+// ascend, as its ids, and returns that copy.
+func (b *bucket) add(r *row, attrs []int32) []int32 {
 	ids := b.ids.carve(len(attrs))
 	copy(ids, attrs)
-	slices.Sort(ids)
 	k := len(b.ids) - 1
-	r.chunk, r.off, r.size = int32(k), int32(len(b.ids[k])-len(ids)), int32(len(ids))
-	b.rows.carve(1)[0] = r
+	dst := &b.rows.carve(1)[0]
+	*dst = *r
+	dst.chunk, dst.off, dst.size = int32(k), int32(len(b.ids[k])-len(ids)), int32(len(ids))
 	return ids
 }
 
-// emit stores one qualifying set, r with the ids attrs, and its patterns
-// in b, counts them, and streams them to em's sink. The set a sink gets
-// has its ids and names carved from b, so nothing written later changes
-// it.
-func (b *bucket) emit(em *emitter, g *graph.Graph, r row, attrs []int32, pats []Pattern) {
+// emit stores one qualifying set, r with the ascending ids attrs, and
+// its patterns in b, counts them, and streams them to em's sink. The set
+// a sink gets has its ids and names carved from b, so nothing written
+// later changes it.
+func (b *bucket) emit(em *emitter, g *graph.Graph, r *row, attrs []int32, pats []Pattern) {
 	ids := b.add(r, attrs)
 	b.pats = append(b.pats, pats...)
 	em.noteEmitted(1, int64(len(pats)))
@@ -361,62 +372,13 @@ func eachRow(buckets []*bucket, fn func(b *bucket, r *row)) {
 
 // gather moves the buckets' rows into r in canonical order, naming each
 // id with name. The rows are grouped by size, and each group's ids are
-// copied into one key block for keySorter to order. One walk over the
-// rows in storage order then writes each row once, straight to its
-// rank. Its Attrs stay in the bucket's id chunks and its Names are
-// carved from chunks in the same order, so a Remine's carried rows keep
-// only the chunks they use alive, not every row a generation stored.
+// copied into its block of one arena, which holds no other generation's
+// ids, for keySorter to order. Each group's rows are then written to
+// r.Sets in rank order, and its block is permuted in place into the
+// same order. nameSets then fills Names. The buckets are not read after
+// the arena is filled and the rows are written, so their chunks can be
+// collected while the sets are named.
 func (r *Result) gather(buckets []*bucket, name func(int32) string) {
-	// A set of s ids is row j of group s, in storage order: its ids are
-	// keys[at[s]+j*s:][:s], and its rank is first[s] plus rank[first[s]+j],
-	// its rank inside the group.
-	var count []int
-	eachRow(buckets, func(_ *bucket, rw *row) {
-		for int(rw.size) >= len(count) {
-			count = append(count, 0)
-		}
-		count[rw.size]++
-	})
-	first, at, next := make([]int, len(count)), make([]int, len(count)), make([]int, len(count))
-	nSets, nIDs, largest := 0, 0, 0
-	for s, c := range count {
-		first[s], at[s] = nSets, nIDs
-		nSets, nIDs, largest = nSets+c, nIDs+s*c, max(largest, c)
-	}
-	keys := make([]int32, nIDs)
-	var top int32
-	eachRow(buckets, func(b *bucket, rw *row) {
-		s := int(rw.size)
-		ids := b.ids[rw.chunk][rw.off : rw.off+rw.size]
-		copy(keys[at[s]+next[s]*s:], ids)
-		next[s]++
-		if s > 0 {
-			top = max(top, ids[s-1])
-		}
-	})
-	rank := make([]uint32, nSets)
-	ks := newKeySorter(top, largest)
-	for s, c := range count {
-		group := rank[first[s] : first[s]+c]
-		for x, j := range ks.order(keys[at[s]:at[s]+s*c], s, c) {
-			group[j] = uint32(x)
-		}
-	}
-	r.Sets = make([]AttributeSet, nSets)
-	var names chunks[string]
-	clear(next)
-	eachRow(buckets, func(b *bucket, rw *row) {
-		s := int(rw.size)
-		j := next[s]
-		next[s]++
-		ids := b.ids[rw.chunk][rw.off : rw.off+rw.size : rw.off+rw.size]
-		ns := names.carve(s)
-		for k, a := range ids {
-			ns[k] = name(a)
-		}
-		rw.put(&r.Sets[first[s]+int(rank[first[s]+j])], ids, ns)
-	})
-
 	nPats := 0
 	for _, b := range buckets {
 		if b != nil {
@@ -443,6 +405,118 @@ func (r *Result) gather(buckets []*bucket, name func(int32) string) {
 		}
 		return lessVertices(a.Vertices, b.Vertices)
 	})
+
+	// A set of s ids is row j of group s, in storage order: until its
+	// group is permuted its ids are arena[at[s]+j*s:][:s], its row is
+	// rows[first[s]+j], and its rank is first[s] plus its rank inside
+	// the group.
+	var count []int
+	eachRow(buckets, func(_ *bucket, rw *row) {
+		for int(rw.size) >= len(count) {
+			count = append(count, 0)
+		}
+		count[rw.size]++
+	})
+	first, at, next := make([]int, len(count)), make([]int, len(count)), make([]int, len(count))
+	nSets, nIDs, largest := 0, 0, 0
+	for s, c := range count {
+		first[s], at[s] = nSets, nIDs
+		nSets, nIDs, largest = nSets+c, nIDs+s*c, max(largest, c)
+	}
+	arena := make([]int32, nIDs)
+	rows := make([]*row, nSets)
+	var top int32
+	eachRow(buckets, func(b *bucket, rw *row) {
+		s := int(rw.size)
+		ids := b.ids[rw.chunk][rw.off : rw.off+rw.size]
+		copy(arena[at[s]+next[s]*s:], ids)
+		rows[first[s]+next[s]] = rw
+		next[s]++
+		if s > 0 {
+			top = max(top, ids[s-1])
+		}
+	})
+	r.Sets = make([]AttributeSet, nSets)
+	ks := newKeySorter(top, largest)
+	buf := make([]int32, len(count))
+	for s, c := range count {
+		block := arena[at[s] : at[s]+s*c]
+		perm := ks.order(block, s, c)
+		for x, j := range perm {
+			rows[first[s]+int(j)].put(&r.Sets[first[s]+x], block[x*s:(x+1)*s:(x+1)*s], nil)
+		}
+		permute(block, s, perm, buf[:s])
+	}
+	r.nameSets(arena, count, first, at, name)
+}
+
+// nameSets fills the Names of r's sets from the largest down. The sets
+// of s ids are r.Sets[first[s]:][:count[s]], in canonical order, with
+// their ids at arena[at[s]:][:s*count[s]]. A set that is the [:s] prefix
+// of a set one larger takes that set's Names[:s:s]; both size groups are
+// in lexicographic order, so one linear merge finds these pairs. Every
+// other set's names are carved from chunks. Each Names has its length as
+// its capacity. (Naming each group while gather writes it measured
+// slower.)
+func (r *Result) nameSets(arena []int32, count, first, at []int, name func(int32) string) {
+	var names chunks[string]
+	for s := len(count) - 1; s > 0; s-- {
+		group := r.Sets[first[s] : first[s]+count[s]]
+		var upper []AttributeSet // the group one larger, already named
+		var up []int32           // and its ids
+		if s+1 < len(count) {
+			upper = r.Sets[first[s+1] : first[s+1]+count[s+1]]
+			up = arena[at[s+1] : at[s+1]+(s+1)*count[s+1]]
+		}
+		ids := arena[at[s] : at[s]+s*count[s]]
+		q := 0
+		for i := range group {
+			key := ids[i*s : (i+1)*s]
+			for q < len(upper) && CompareAttrs(up[q*(s+1):q*(s+1)+s], key) < 0 {
+				q++
+			}
+			if q < len(upper) && CompareAttrs(up[q*(s+1):q*(s+1)+s], key) == 0 {
+				group[i].Names = upper[q].Names[:s:s]
+				continue
+			}
+			ns := names.carve(s)
+			for k, a := range key {
+				ns[k] = name(a)
+			}
+			group[i].Names = ns
+		}
+	}
+}
+
+// permute reorders the rows of s ids in block so that row x becomes the
+// row perm[x] was. It follows each cycle of perm once, holding one row in
+// buf, and leaves perm the identity.
+func permute(block []int32, s int, perm []uint32, buf []int32) {
+	for x := range perm {
+		if int(perm[x]) == x {
+			continue
+		}
+		// Rows hold a handful of ids: element loops beat copy calls.
+		for k, a := range block[x*s : (x+1)*s] {
+			buf[k] = a
+		}
+		y := x
+		for {
+			j := int(perm[y])
+			perm[y] = uint32(y)
+			dst := block[y*s : (y+1)*s]
+			if j == x {
+				for k := range dst {
+					dst[k] = buf[k]
+				}
+				break
+			}
+			for k, a := range block[j*s : (j+1)*s] {
+				dst[k] = a
+			}
+			y = j
+		}
+	}
 }
 
 // radixBits is the digit width of keySorter's radix passes: an id

@@ -13,7 +13,6 @@ import (
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
 	"github.com/scpm/scpm/internal/graph"
-	"github.com/scpm/scpm/internal/nullmodel"
 	"github.com/scpm/scpm/internal/quasiclique"
 )
 
@@ -216,7 +215,7 @@ func mine(ctx context.Context, g *graph.Graph, p Params, sink Sink, old *Result,
 	if runErr == nil && p.RecordLattice {
 		// Only a finished walk records a lattice: a Remine takes a set
 		// missing from it for one that was never evaluated.
-		res.lattice = &Lattice{version: g.Version(), trees: make([]*latticeTree, g.NumAttributes()), model: m.model}
+		res.lattice = &Lattice{version: g.Version(), trees: make([]*latticeTree, g.NumAttributes()), exp: m.exp}
 		for i, t := range trees {
 			if t != nil {
 				res.lattice.trees[survivors[i].attrs[0]] = t
@@ -241,11 +240,11 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 		qcOpts:   qcOpts,
 		est:      p.estimator(qcOpts),
 		exactEst: epsilon.NewExact(p.QuasiCliqueParams(), qcOpts),
-		model:    p.model(g),
+		exp:      newExpTable(p.model(g), g.NumVertices()),
 		em:       newEmitter(sink, p.ProgressEvery, time.Now()),
 	}
 	// Theorem 5's pruning bound needs εexp(σmin) once.
-	m.expSigmaMin = m.model.Exp(p.SigmaMin)
+	m.expSigmaMin = m.exp.at(p.SigmaMin)
 	if p.ShardOwner != nil {
 		m.owner = func(root int32) bool { return p.ShardOwner(g, root) }
 	}
@@ -289,7 +288,7 @@ type miner struct {
 	qcOpts      quasiclique.Options
 	est         epsilon.Estimator
 	exactEst    *epsilon.Exact
-	model       nullmodel.Model
+	exp         *expTable
 	em          *emitter
 	expSigmaMin float64
 
@@ -320,9 +319,12 @@ type subtree struct {
 
 // classItem is a node of the attribute-set search tree: the set, its
 // member vertices and its covered set K_S (Theorem 3 hands K_S down to
-// restrict the children's quasi-clique searches).
+// restrict the children's quasi-clique searches). attrs lists the set
+// in Eclat order, which the sampled estimator's per-set seed depends
+// on, and ids lists it ascending, as the result stores it.
 type classItem struct {
 	attrs   []int32
+	ids     []int32
 	members *bitset.Set
 	covered *bitset.Set
 	// certs is the coverage certificate store shared by this item's
@@ -364,8 +366,8 @@ type worker struct {
 	// bits holds the V(S), Theorem-3 candidate and hand-down sets of
 	// the items on the open walk path and their pending siblings.
 	bits bitset.Stack
-	// attrs holds those items' Eclat-order attribute lists, and items
-	// the children lists of the open levels.
+	// attrs holds those items' attribute lists, in Eclat order and
+	// ascending, and items the children lists of the open levels.
 	attrs []int32
 	items []classItem
 }
@@ -386,11 +388,19 @@ func (w *worker) release(mk workerMark) {
 }
 
 // childAttrs forms, on the worker's stack, the attribute set of the
-// child obtained by extending item with its sibling's last attribute.
-func (w *worker) childAttrs(item, sib classItem) []int32 {
+// child obtained by extending item with its sibling's last attribute:
+// attrs in Eclat order, and ids ascending by one insertion into item's.
+func (w *worker) childAttrs(item *classItem, last int32) (attrs, ids []int32) {
 	start := len(w.attrs)
-	w.attrs = append(append(w.attrs, item.attrs...), sib.attrs[len(sib.attrs)-1])
-	return w.attrs[start:len(w.attrs):len(w.attrs)]
+	w.attrs = append(append(w.attrs, item.attrs...), last)
+	mid := len(w.attrs)
+	i := len(item.ids)
+	for i > 0 && item.ids[i-1] > last {
+		i--
+	}
+	w.attrs = append(append(append(w.attrs, item.ids[:i]...), last), item.ids[i:]...)
+	end := len(w.attrs)
+	return w.attrs[start:mid:mid], w.attrs[mid:end:end]
 }
 
 // owns reports whether this run owns the subtree rooted at root.
@@ -537,7 +547,8 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 	var ev Evaluation
 	var rec *Evaluation
 	var res evalOutcome
-	for _, sib := range siblings {
+	for k := range siblings {
+		sib := &siblings[k]
 		if ctx.Err() != nil {
 			return quasiclique.Canceled(ctx)
 		}
@@ -558,22 +569,20 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 			}
 		}
 		child := w.mark()
-		attrs := w.childAttrs(item, sib)
+		attrs, ids := w.childAttrs(&item, last)
 		if o >= 0 && m.carry {
 			nd := &st.old.nodes[o]
 			m.em.noteReused(1)
 			res.emit, res.survive = false, m.survives(nd.kmass)
 			res.item.rec = st.rec.carry(st.old, o)
 			if res.survive {
-				members := w.bits.Push(n)
-				members.AndInto(item.members, sib.members)
-				res.item = classItem{attrs: attrs, members: members, covered: st.old.handdown(o, n, m.empty),
+				members, _ := w.bits.PushAnd(item.members, sib.members)
+				res.item = classItem{attrs: attrs, ids: ids, members: members, covered: st.old.handdown(o, n, m.empty),
 					certs: item.certs, node: o, rec: res.item.rec, carried: true}
 			}
 		} else {
-			members := w.bits.Push(n)
-			members.AndInto(item.members, sib.members)
-			sigma := 0
+			members, sigma := w.bits.PushAnd(item.members, sib.members)
+			res.item = classItem{attrs: attrs, ids: ids, members: members, certs: item.certs}
 			if st.rec != nil {
 				ev, rec = Evaluation{}, &ev
 			}
@@ -584,9 +593,9 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 				m.em.noteReused(1)
 				sigma = int(st.old.nodes[o].sigma)
 				cached := st.old.evaluation(o, n, m.empty)
-				err = m.score(&res, attrs, members, sigma, &cached.Estimate, &cached, rec, item.certs, &w.tally)
+				err = m.score(&res, sigma, &cached.Estimate, &cached, rec, &w.tally)
 			} else {
-				if sigma = members.Count(); sigma < m.p.SigmaMin {
+				if sigma < m.p.SigmaMin {
 					w.release(child)
 					continue
 				}
@@ -595,10 +604,9 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 				// intersection.
 				candidates := members
 				if !m.p.DisableVertexPruning {
-					candidates = w.bits.Push(n)
-					candidates.AndInto(item.covered, sib.covered)
+					candidates, _ = w.bits.PushAnd(item.covered, sib.covered)
 				}
-				err = m.evaluate(&res, attrs, members, candidates, sigma, item.certs, rec, &w.tally)
+				err = m.evaluate(&res, candidates, sigma, rec, &w.tally)
 			}
 			if err != nil {
 				return err
@@ -637,8 +645,9 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 // evaluate computes ε(S) and δ(S) for one attribute set, decides
 // emission and survival, and mines the top-k patterns when S qualifies.
 //
-//   - members is V(S), of size sigma;
-//   - candidates ⊆ members restricts the coverage search (Theorem 3).
+//   - out.item is S, as score takes it, with its members V(S) of size
+//     sigma;
+//   - candidates ⊆ V(S) restricts the coverage search (Theorem 3).
 //
 // The ε computation itself is delegated to the run's estimator layer
 // (exact coverage search or Hoeffding-bounded vertex sampling); the
@@ -646,15 +655,16 @@ func (m *miner) extendSubtree(ctx context.Context, item classItem, siblings []cl
 // the pruning rules below rely on, so Theorems 3–5 stay sound in both
 // modes. The outcome goes to out, and a non-nil rec receives the
 // evaluation.
-func (m *miner) evaluate(out *evalOutcome, attrs []int32, members, candidates *bitset.Set, sigma int, certs *epsilon.CertStore, rec *Evaluation, tl *tally) error {
-	est, err := m.est.EstimateWithCerts(m.g, attrs, members, candidates, certs)
+func (m *miner) evaluate(out *evalOutcome, candidates *bitset.Set, sigma int, rec *Evaluation, tl *tally) error {
+	set := &out.item
+	est, err := m.est.EstimateWithCerts(m.g, set.attrs, set.members, candidates, set.certs)
 	if err != nil {
 		return err
 	}
 	m.em.noteEvaluated()
 	tl.noteSearchNodes(est.Nodes)
 	tl.noteSampled(int64(est.SampledVertices))
-	return m.score(out, attrs, members, sigma, &est, nil, rec, certs, tl)
+	return m.score(out, sigma, &est, nil, rec, tl)
 }
 
 // newCertStore returns a fresh certificate store, or nil when sharing
@@ -677,20 +687,22 @@ func (m *miner) survives(kmass float64) bool {
 		kmass >= m.p.EpsMin*float64(m.p.SigmaMin) && kmass >= m.p.DeltaMin*m.expSigmaMin*float64(m.p.SigmaMin)
 }
 
-// score turns one ε estimate — freshly computed, or replayed from the
-// memoized evaluation cached — into the evaluation outcome: survival
-// under Theorems 4–5, emission against the output thresholds, and
-// pattern mining for qualifying sets, reusing cached's exact hand-down
-// and patterns where it has them. The outcome goes to out: score sets
-// every field of it, except the row of a set it does not emit. A non-nil
-// rec receives the evaluation: est, plus the exact hand-down and
-// patterns this run used.
-func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigma int, est *epsilon.Estimate, cached, rec *Evaluation, certs *epsilon.CertStore, tl *tally) error {
+// score turns one ε estimate of the set out.item — freshly computed, or
+// replayed from the memoized evaluation cached — into the evaluation
+// outcome: survival under Theorems 4–5, emission against the output
+// thresholds, and pattern mining for qualifying sets, reusing cached's
+// exact hand-down and patterns where it has them. The caller fills
+// out.item's attribute lists, members and certificate store; score sets
+// its hand-down and every other field of out, except the row of a set
+// it does not emit. A non-nil rec receives the evaluation: est, plus
+// the exact hand-down and patterns this run used.
+func (m *miner) score(out *evalOutcome, sigma int, est *epsilon.Estimate, cached, rec *Evaluation, tl *tally) error {
+	set := &out.item
 	eps := est.Epsilon
-	expEps := m.model.Exp(sigma)
+	expEps := m.exp.at(sigma)
 	delta := NormalizeDelta(eps, expEps)
 
-	out.item = classItem{attrs: attrs, members: members, covered: est.Handdown, certs: certs}
+	set.covered = est.Handdown
 	out.emit, out.pats = false, nil
 
 	if rec != nil {
@@ -698,7 +710,7 @@ func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigm
 	}
 	out.survive = m.survives(est.KMass)
 
-	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(attrs) >= m.p.minAttrs() {
+	if eps >= m.p.EpsMin && delta >= m.p.DeltaMin && len(set.attrs) >= m.p.minAttrs() {
 		out.emit = true
 		out.set = row{
 			support:   int32(sigma),
@@ -721,7 +733,7 @@ func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigm
 				if cached != nil && cached.Exact != nil {
 					base = grownTo(cached.Exact, m.g.NumVertices())
 				} else {
-					exact, err := m.exactEst.EstimateWithCerts(m.g, attrs, members, est.Handdown, certs)
+					exact, err := m.exactEst.EstimateWithCerts(m.g, set.attrs, set.members, est.Handdown, set.certs)
 					if err != nil {
 						return err
 					}
@@ -734,7 +746,7 @@ func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigm
 				// singles it does not own too: a sibling's child in an
 				// owned subtree intersects this hand-down, so it must
 				// match the single-process one bit for bit.
-				out.item.covered = base
+				set.covered = base
 				if rec != nil {
 					rec.Exact = base
 				}
@@ -743,7 +755,7 @@ func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigm
 				if cached != nil && cached.HasPatterns {
 					out.pats = cached.Patterns
 				} else {
-					pats, err := m.topPatterns(attrs, base)
+					pats, err := m.topPatterns(set.ids, base)
 					if err != nil {
 						return err
 					}
@@ -758,12 +770,11 @@ func (m *miner) score(out *evalOutcome, attrs []int32, members *bitset.Set, sigm
 	return nil
 }
 
-// topPatterns mines the top-k quasi-cliques of G(S) — or, in SCORP
-// mode, all of them. Since every quasi-clique lives inside K_S, the
-// search runs on the covered set.
-func (m *miner) topPatterns(attrs []int32, covered *bitset.Set) ([]Pattern, error) {
-	attrs = slices.Clone(attrs)
-	slices.Sort(attrs)
+// topPatterns mines the top-k quasi-cliques of G(S), whose ascending ids
+// are ids — or, in SCORP mode, all of them. Since every quasi-clique
+// lives inside K_S, the search runs on the covered set.
+func (m *miner) topPatterns(ids []int32, covered *bitset.Set) ([]Pattern, error) {
+	attrs := slices.Clone(ids)
 	sub := m.g.InducedByMembers(covered)
 	qg := quasiclique.NewGraphCSR(sub.CSR())
 	var top []quasiclique.Pattern
@@ -798,6 +809,6 @@ func (m *miner) topPatterns(attrs []int32, covered *bitset.Set) ([]Pattern, erro
 // streams them to the sink.
 func (m *miner) collect(b *bucket, out *evalOutcome) {
 	if out.emit {
-		b.emit(m.em, m.g, out.set, out.item.attrs, out.pats)
+		b.emit(m.em, m.g, &out.set, out.item.ids, out.pats)
 	}
 }

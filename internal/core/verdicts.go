@@ -132,8 +132,8 @@ func (m *miner) evaluateLevel1(ctx context.Context, singles []int32, table []*Le
 		}
 		local.noteSearchNodes(est.Nodes)
 		v := &Level1Verdict{Attr: a}
-		var out evalOutcome
-		if err := m.score(&out, attrs, members, members.Count(), &est, nil, &v.Evaluation, store, &local); err != nil {
+		out := evalOutcome{item: classItem{attrs: attrs, ids: attrs, members: members, certs: store}}
+		if err := m.score(&out, members.Count(), &est, nil, &v.Evaluation, &local); err != nil {
 			return err
 		}
 		v.Nodes, v.Certs = local.nodes, store.Frozen()
@@ -186,7 +186,8 @@ func (m *miner) replayVerdict(out *evalOutcome, v *Level1Verdict, src verdictSou
 	est := v.Estimate
 	est.Handdown = grownTo(est.Handdown, m.g.NumVertices())
 	nv := &Level1Verdict{Attr: v.Attr, Certs: v.Certs}
-	if err := m.score(out, attrs, members, members.Count(), &est, &v.Evaluation, &nv.Evaluation, nil, tl); err != nil {
+	out.item = classItem{attrs: attrs, ids: attrs, members: members}
+	if err := m.score(out, members.Count(), &est, &v.Evaluation, &nv.Evaluation, tl); err != nil {
 		return nil, err
 	}
 	if !owned {

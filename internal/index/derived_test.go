@@ -30,12 +30,17 @@ func newIDIndexRef(ids []string) idIndex {
 
 // checkDerived fails unless newIDIndex produces exactly the table of
 // its reference on ids and find returns the last row of every id, and
-// unless Exact and Subsets answer as a scan does on sets put in
-// canonical order.
+// unless, on sets put in canonical order, every set's id is its ID()
+// and Exact and Subsets answer as a scan does.
 func checkDerived(t *testing.T, sets []core.AttributeSet, ids []string) {
 	t.Helper()
 	table := canonical(sets)
 	x := tableIndex(table)
+	for i := range table {
+		if got, want := x.SetID(i), table[i].ID(); got != want {
+			t.Fatalf("set %d %v: id %s, want %s", i, table[i].Names, got, want)
+		}
+	}
 	rng := rand.New(rand.NewSource(int64(len(sets))))
 	for _, q := range tableQueries(rng, table, 50) {
 		checkLookups(t, x, q)

@@ -15,6 +15,7 @@ package index
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/scpm/scpm/internal/bitset"
@@ -124,9 +125,6 @@ func (x *Index) freeze() {
 	var byAttr []*bitset.Set // the postings by attribute id
 	for i := range x.sets {
 		s := &x.sets[i]
-		if x.setIDs[i] == "" {
-			x.setIDs[i] = s.ID()
-		}
 		for j, a := range s.Attrs {
 			if int(a) >= len(byAttr) {
 				byAttr = slices.Grow(byAttr, int(a)+1-len(byAttr))[:a+1]
@@ -140,6 +138,7 @@ func (x *Index) freeze() {
 			post.Add(i)
 		}
 	}
+	setIDs(x.sets, x.setIDs, len(byAttr))
 
 	if x.patIDs == nil {
 		x.patIDs = make([]string, len(x.patterns))
@@ -166,6 +165,53 @@ func (x *Index) freeze() {
 		}
 	}
 	x.derived()
+}
+
+// setIDs fills every empty ids[i] with sets[i].ID(), whose attribute
+// ids are below nAttrs. SetID hashes a set's names in sorted order, and
+// every set names an id the same way, so the names are sorted once, as
+// a rank per attribute id, and each set's ids are ordered by rank with
+// no string comparison.
+func setIDs(sets []core.AttributeSet, ids []string, nAttrs int) {
+	names := make([]string, nAttrs)
+	seen := make([]bool, nAttrs)
+	for i := range sets {
+		for j, a := range sets[i].Attrs {
+			names[a], seen[a] = sets[i].Names[j], true
+		}
+	}
+	byName := make([]int32, 0, nAttrs)
+	for a, ok := range seen {
+		if ok {
+			byName = append(byName, int32(a))
+		}
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int32, nAttrs)
+	for r, a := range byName {
+		rank[a] = int32(r)
+	}
+	var buf [16]string
+	var ranks [16]int32
+	for i := range sets {
+		if ids[i] != "" {
+			continue
+		}
+		attrs := sets[i].Attrs
+		if len(attrs) > len(buf) {
+			ids[i] = sets[i].ID()
+			continue
+		}
+		// Insertion by rank: a set has a handful of ids.
+		for k, a := range attrs {
+			r, j := rank[a], k
+			for ; j > 0 && ranks[j-1] > r; j-- {
+				ranks[j], buf[j] = ranks[j-1], buf[j-1]
+			}
+			ranks[j], buf[j] = r, names[a]
+		}
+		ids[i] = core.SetIDSorted(buf[:len(attrs)])
+	}
 }
 
 // derived builds the lookup structures (id indexes, attribute ids,

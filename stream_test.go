@@ -228,24 +228,25 @@ func TestStreamEventOrder(t *testing.T) {
 	}
 }
 
-// cancelingModel wraps the analytical null model and cancels the run's
-// context after a fixed number of evaluations — a deterministic way to
-// interrupt mining mid-search.
-type cancelingModel struct {
-	inner  scpm.NullModel
+// cancelingSink cancels the run's context once it has received a fixed
+// number of attribute sets — a deterministic way to interrupt mining
+// mid-search. (A run consults its null model once per distinct support,
+// too few times to count on.)
+type cancelingSink struct {
 	cancel context.CancelCauseFunc
 	left   int
 }
 
-func (c *cancelingModel) Exp(sigma int) float64 {
+func (c *cancelingSink) OnAttributeSet(scpm.AttributeSet) {
 	c.left--
 	if c.left == 0 {
 		c.cancel(errTestCause)
 	}
-	return c.inner.Exp(sigma)
 }
 
-func (c *cancelingModel) Name() string { return "canceling-" + c.inner.Name() }
+func (c *cancelingSink) OnPattern(scpm.Pattern) {}
+
+func (c *cancelingSink) OnProgress(scpm.Stats) {}
 
 var errTestCause = errors.New("test cause: enough mining")
 
@@ -265,15 +266,10 @@ func TestCancelMidMine(t *testing.T) {
 		t.Fatalf("need a graph with several qualifying sets, got %d", len(full.Sets))
 	}
 
-	model := &cancelingModel{
-		inner:  scpm.NewAnalyticalModel(g, plain.Params()),
-		cancel: cancel,
-		left:   len(full.Sets)/2 + 1,
-	}
-	_, m := generated(t, scpm.WithNullModel(model))
+	sink := &cancelingSink{cancel: cancel, left: len(full.Sets)/2 + 1}
 
 	start := time.Now()
-	res, err := m.Mine(ctx, g)
+	res, err := plain.MineWithProgress(ctx, g, sink)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancellation took %v, not bounded", elapsed)
 	}
