@@ -159,7 +159,7 @@ func shardMineOne(ctx context.Context, name string, scale float64, repeats int) 
 		}
 		var merged *core.Result
 		mergeMS := bestOfMS(repeats, func() error {
-			merged, err = shard.Merge(parts...)
+			merged, err = core.MergeResults(parts...)
 			return err
 		})
 		if err != nil {

@@ -48,6 +48,7 @@ import (
 
 	scpm "github.com/scpm/scpm"
 	"github.com/scpm/scpm/internal/gateway"
+	"github.com/scpm/scpm/internal/graph"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/server"
 	"github.com/scpm/scpm/internal/shard"
@@ -230,15 +231,5 @@ func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
 	if attrsPath == "" || edgesPath == "" {
 		return nil, errors.New("plan mode needs -attrs and -edges (or -example paper)")
 	}
-	af, err := os.Open(attrsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	ef, err := os.Open(edgesPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ef.Close()
-	return scpm.ReadDataset(af, ef)
+	return graph.ReadDatasetFiles(attrsPath, edgesPath)
 }

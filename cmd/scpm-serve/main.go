@@ -81,6 +81,7 @@ import (
 	"time"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/graph"
 	"github.com/scpm/scpm/internal/mmapio"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/server"
@@ -390,22 +391,7 @@ func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
 	if example != "" {
 		return scpm.PaperExample(), nil
 	}
-	return readDatasetFiles(attrsPath, edgesPath)
-}
-
-// readDatasetFiles opens and parses one attribute/edge file pair.
-func readDatasetFiles(attrsPath, edgesPath string) (*scpm.Graph, error) {
-	af, err := os.Open(attrsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	ef, err := os.Open(edgesPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ef.Close()
-	return scpm.ReadDataset(af, ef)
+	return graph.ReadDatasetFiles(attrsPath, edgesPath)
 }
 
 // buildIndex takes the index of the opened v3 snapshot when there is

@@ -42,6 +42,7 @@ import (
 	"syscall"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/graph"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/version"
 )
@@ -97,7 +98,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	g, err := loadGraph(*attrsPath, *edgesPath)
+	g, err := graph.ReadDatasetFiles(*attrsPath, *edgesPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "scpm:", err)
 		return 1
@@ -414,20 +415,6 @@ func writeFile(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadGraph(attrsPath, edgesPath string) (*scpm.Graph, error) {
-	af, err := os.Open(attrsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	ef, err := os.Open(edgesPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ef.Close()
-	return scpm.ReadDataset(af, ef)
 }
 
 // modelOption resolves the -model flag into a Miner option (nil for the

@@ -290,34 +290,10 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// DifferenceWith replaces s with s \ o.
-func (s *Set) DifferenceWith(o *Set) {
-	s.mustMatch(o)
-	a := s.words
-	b := o.words[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i] &^= b[i]
-		a[i+1] &^= b[i+1]
-		a[i+2] &^= b[i+2]
-		a[i+3] &^= b[i+3]
-	}
-	for ; i < len(a); i++ {
-		a[i] &^= b[i]
-	}
-}
-
 // Intersect returns a new set s ∩ o.
 func (s *Set) Intersect(o *Set) *Set {
 	r := s.Clone()
 	r.IntersectWith(o)
-	return r
-}
-
-// Union returns a new set s ∪ o.
-func (s *Set) Union(o *Set) *Set {
-	r := s.Clone()
-	r.UnionWith(o)
 	return r
 }
 
@@ -364,19 +340,6 @@ func (s *Set) AndInto(a, b *Set) {
 	for i := range s.words {
 		s.words[i] = a.words[i] & b.words[i]
 	}
-}
-
-// AndWithCount replaces s with s ∩ o and returns the resulting count in
-// the same word-at-a-time pass.
-func (s *Set) AndWithCount(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i := range s.words {
-		w := s.words[i] & o.words[i]
-		s.words[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // ContainsAll reports whether o ⊆ s.

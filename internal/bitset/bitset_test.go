@@ -116,18 +116,14 @@ func TestQuickAgainstMapReference(t *testing.T) {
 		sb, rb := refFromBytes(n, bs)
 
 		inter := sa.Intersect(sb)
-		union := sa.Union(sb)
-		diff := sa.Clone()
-		diff.DifferenceWith(sb)
+		union := sa.Clone()
+		union.UnionWith(sb)
 
 		for v := 0; v < n; v++ {
 			if inter.Contains(v) != (ra[v] && rb[v]) {
 				return false
 			}
 			if union.Contains(v) != (ra[v] || rb[v]) {
-				return false
-			}
-			if diff.Contains(v) != (ra[v] && !rb[v]) {
 				return false
 			}
 		}
@@ -230,11 +226,6 @@ func TestWordBoundarySizes(t *testing.T) {
 		if got := s.IntersectCount(other); got != 1 {
 			t.Fatalf("n=%d: IntersectCount = %d, want 1", n, got)
 		}
-		inv := s.Clone()
-		inv.DifferenceWith(s)
-		if !inv.IsEmpty() {
-			t.Fatalf("n=%d: s \\ s not empty: %v", n, inv)
-		}
 	}
 }
 
@@ -260,7 +251,6 @@ func TestEmptySetOps(t *testing.T) {
 		}
 		a.IntersectWith(b)
 		a.UnionWith(b)
-		a.DifferenceWith(b)
 		if !a.IsEmpty() {
 			t.Fatalf("n=%d: set ops dirtied an empty set", n)
 		}

@@ -21,14 +21,6 @@ func BenchmarkIntersectWith64k(bm *testing.B) {
 	}
 }
 
-func BenchmarkDifferenceWith64k(bm *testing.B) {
-	a, b := benchPair(1 << 16)
-	bm.ReportAllocs()
-	for i := 0; i < bm.N; i++ {
-		a.DifferenceWith(b)
-	}
-}
-
 func BenchmarkCount64k(bm *testing.B) {
 	a, _ := benchPair(1 << 16)
 	var sink int

@@ -56,30 +56,6 @@ func TestIntersectCount2AgainstNaive(t *testing.T) {
 	}
 }
 
-func TestAndWithCountAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		s, o := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				s.Add(i)
-			}
-			if rng.Intn(2) == 0 {
-				o.Add(i)
-			}
-		}
-		want := s.IntersectCount(o)
-		ref := s.Intersect(o)
-		if got := s.AndWithCount(o); got != want {
-			t.Fatalf("n=%d AndWithCount = %d, want %d", n, got, want)
-		}
-		if !s.Equal(ref) {
-			t.Fatalf("n=%d AndWithCount left %v, want %v", n, s, ref)
-		}
-	}
-}
-
 func TestNewSlab(t *testing.T) {
 	slab := NewSlab(130, 5)
 	if len(slab) != 5 {

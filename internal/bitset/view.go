@@ -8,29 +8,15 @@ import "fmt"
 // the caller must not modify the slice.
 func (s *Set) Words() []uint64 { return s.words }
 
-// View wraps an existing word array as a set of capacity n without
-// copying. The words are used by reference: a view over a read-only
-// mapped region must never be passed to a mutating kernel (the
-// dynamic-graph layer upholds this by cloning with Grown before any
-// mutation). It rejects arrays of the wrong length and stray bits at
-// or beyond n, so a corrupted snapshot section cannot produce a set
-// whose Count disagrees with its elements.
-func View(n int, words []uint64) (*Set, error) {
-	need := (n + wordBits - 1) / wordBits
-	if len(words) != need {
-		return nil, fmt.Errorf("bitset: view of %d words, capacity %d needs %d", len(words), n, need)
-	}
-	if need > 0 && n%wordBits != 0 && words[need-1]>>uint(n%wordBits) != 0 {
-		return nil, fmt.Errorf("bitset: view has bits ≥ capacity %d", n)
-	}
-	return &Set{words: words, n: n}, nil
-}
-
 // ViewsOver carves k sets of capacity n out of one contiguous word
 // arena — the read-side mirror of NewSlab, sharing its layout: set i
-// occupies arena[i*stride : (i+1)*stride] with stride = ⌈n/64⌉. Like
-// View it validates the arena length and every set's tail bits, and
-// the returned sets alias the arena (read-only for mapped regions).
+// occupies arena[i*stride : (i+1)*stride] with stride = ⌈n/64⌉. The
+// words are used by reference, not copied: a view over a read-only
+// mapped region must never be passed to a mutating kernel (the
+// dynamic-graph layer upholds this by cloning with Grown before any
+// mutation). It rejects an arena of the wrong length and stray bits at
+// or beyond n in any set, so a corrupted snapshot section cannot
+// produce a set whose Count disagrees with its elements.
 func ViewsOver(n, k int, arena []uint64) ([]Set, error) {
 	if n < 0 || k < 0 {
 		return nil, fmt.Errorf("bitset: negative view dimensions %d x %d", n, k)

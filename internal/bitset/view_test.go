@@ -2,6 +2,16 @@ package bitset
 
 import "testing"
 
+// view wraps words as the single set of capacity n that ViewsOver
+// carves from them.
+func view(n int, words []uint64) (*Set, error) {
+	sets, err := ViewsOver(n, 1, words)
+	if err != nil {
+		return nil, err
+	}
+	return &sets[0], nil
+}
+
 func TestViewRoundTrip(t *testing.T) {
 	src := New(130)
 	for _, v := range []int{0, 63, 64, 100, 129} {
@@ -9,7 +19,7 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 	words := make([]uint64, len(src.Words()))
 	copy(words, src.Words())
-	v, err := View(130, words)
+	v, err := view(130, words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,19 +32,19 @@ func TestViewRoundTrip(t *testing.T) {
 }
 
 func TestViewRejectsBadShapes(t *testing.T) {
-	if _, err := View(130, make([]uint64, 2)); err == nil {
-		t.Fatal("View accepted short word array")
+	if _, err := view(130, make([]uint64, 2)); err == nil {
+		t.Fatal("ViewsOver accepted short word array")
 	}
-	if _, err := View(130, make([]uint64, 4)); err == nil {
-		t.Fatal("View accepted long word array")
+	if _, err := view(130, make([]uint64, 4)); err == nil {
+		t.Fatal("ViewsOver accepted long word array")
 	}
 	bad := make([]uint64, 3)
 	bad[2] = 1 << 10 // bit 138 ≥ capacity 130
-	if _, err := View(130, bad); err == nil {
-		t.Fatal("View accepted stray tail bits")
+	if _, err := view(130, bad); err == nil {
+		t.Fatal("ViewsOver accepted stray tail bits")
 	}
-	if v, err := View(0, nil); err != nil || v.Count() != 0 {
-		t.Fatalf("View(0, nil) = %v, %v", v, err)
+	if v, err := view(0, nil); err != nil || v.Count() != 0 {
+		t.Fatalf("ViewsOver(0, 1, nil) = %v, %v", v, err)
 	}
 }
 

@@ -68,15 +68,3 @@ func DedupPatterns(pats []Pattern, numVertices int, threshold float64) []Pattern
 	}
 	return out
 }
-
-// PatternCoverage returns the set of vertices covered by any of the
-// given patterns (as a bitset over the parent graph).
-func PatternCoverage(pats []Pattern, numVertices int) *bitset.Set {
-	out := bitset.New(numVertices)
-	for _, p := range pats {
-		for _, v := range p.Vertices {
-			out.Add(int(v))
-		}
-	}
-	return out
-}

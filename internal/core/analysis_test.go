@@ -98,18 +98,6 @@ func TestDedupPatterns(t *testing.T) {
 	}
 }
 
-func TestPatternCoverage(t *testing.T) {
-	g, res := mineExample(t, nil)
-	cov := PatternCoverage(res.Patterns, g.NumVertices())
-	// Table 1 patterns cover vertices 3..11 (ids 2..10)
-	if cov.Count() != 9 {
-		t.Fatalf("coverage = %v", cov)
-	}
-	if cov.Contains(0) || cov.Contains(1) {
-		t.Fatal("vertices 1,2 should be uncovered")
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	g, res := mineExample(t, nil)
 	var buf bytes.Buffer

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -81,32 +80,4 @@ func TopSets(sets []AttributeSet, r Ranking, n int) []AttributeSet {
 		out = out[:n]
 	}
 	return out
-}
-
-// FormatSetsTable renders attribute sets as an aligned text table with
-// the σ/ε/δ columns of the paper's case-study tables.
-func FormatSetsTable(sets []AttributeSet) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-42s %8s %8s %12s\n", "S", "σ", "ε", "δ")
-	for _, s := range sets {
-		fmt.Fprintf(&sb, "%-42s %8d %8.3f %12.4g\n",
-			strings.Join(s.Names, " "), s.Support, s.Epsilon, s.Delta)
-	}
-	return sb.String()
-}
-
-// FormatPatternsTable renders patterns like Table 1.
-func FormatPatternsTable(pats []Pattern) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-52s %6s %6s\n", "pattern", "size", "γ")
-	for _, p := range pats {
-		fmt.Fprintf(&sb, "({%s},%v) %*d %6.2f\n",
-			strings.Join(p.Names, ","), p.Vertices,
-			52-len(patternPrefix(p))+6, p.Size(), p.Density())
-	}
-	return sb.String()
-}
-
-func patternPrefix(p Pattern) string {
-	return fmt.Sprintf("({%s},%v)", strings.Join(p.Names, ","), p.Vertices)
 }

@@ -84,28 +84,3 @@ func (r *TopSetsResult) Format() string {
 	fmt.Fprintf(&sb, "mining time: %v (sets evaluated: %d)\n", r.Stats.Duration, r.Stats.SetsEvaluated)
 	return sb.String()
 }
-
-// MeanEps returns the average ε of a ranking block (used by the tests
-// to verify the paper's qualitative claims).
-func MeanEps(sets []core.AttributeSet) float64 {
-	if len(sets) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range sets {
-		s += x.Epsilon
-	}
-	return s / float64(len(sets))
-}
-
-// MeanSupport returns the average σ of a ranking block.
-func MeanSupport(sets []core.AttributeSet) float64 {
-	if len(sets) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range sets {
-		s += float64(x.Support)
-	}
-	return s / float64(len(sets))
-}

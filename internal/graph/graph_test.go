@@ -300,14 +300,6 @@ func TestWriteDatasetRejectsWhitespaceNames(t *testing.T) {
 	}
 }
 
-func TestSortedAttrNames(t *testing.T) {
-	g := PaperExample()
-	names := SortedAttrNames(g)
-	if names[0] != "A" || names[1] != "B" {
-		t.Fatalf("top attrs = %v", names[:2])
-	}
-}
-
 // randomGraph builds a deterministic Erdős–Rényi-ish graph for property
 // tests.
 func randomGraph(seed int64, n int, p float64) *Graph {

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"os"
 	"strings"
 )
 
@@ -34,6 +34,22 @@ func ReadDataset(attrsR, edgesR io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return b.Build()
+}
+
+// ReadDatasetFiles opens the attribute file and the edge file at the
+// given paths and parses them with ReadDataset.
+func ReadDatasetFiles(attrsPath, edgesPath string) (*Graph, error) {
+	af, err := os.Open(attrsPath)
+	if err != nil {
+		return nil, err
+	}
+	defer af.Close()
+	ef, err := os.Open(edgesPath)
+	if err != nil {
+		return nil, err
+	}
+	defer ef.Close()
+	return ReadDataset(af, ef)
 }
 
 func readAttrLines(b *Builder, r io.Reader) error {
@@ -123,23 +139,4 @@ func WriteDataset(g *Graph, attrsW, edgesW io.Writer) error {
 		}
 	}
 	return ew.Flush()
-}
-
-// SortedAttrNames returns all attribute names sorted by descending
-// support (ties broken by name); handy for dataset summaries.
-func SortedAttrNames(g *Graph) []string {
-	names := make([]string, g.NumAttributes())
-	for a := range names {
-		names[a] = g.AttrName(int32(a))
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ai, _ := g.AttrID(names[i])
-		aj, _ := g.AttrID(names[j])
-		si, sj := g.AttrSupport(ai), g.AttrSupport(aj)
-		if si != sj {
-			return si > sj
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

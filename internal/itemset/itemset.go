@@ -34,12 +34,6 @@ func NewDatabase(numTx int) *Database {
 	return &Database{numTx: numTx, seen: make(map[int32]bool)}
 }
 
-// NumTransactions returns the number of transactions.
-func (d *Database) NumTransactions() int { return d.numTx }
-
-// NumItems returns the number of distinct items added.
-func (d *Database) NumItems() int { return len(d.items) }
-
 // AddItem registers an item with its tidset. The tidset is used by
 // reference and must not be modified afterwards; its capacity must match
 // the database's transaction count.

@@ -29,7 +29,8 @@ type Engine struct {
 	found *bitset.Set  // vertices proven covered, in relabeled ids
 
 	// component decomposition, built lazily on the first query that can
-	// use it (γ ≥ 0.5 and the split enabled)
+	// use it (γ ≥ 0.5 without the distance-2 index); comps are views
+	// into the retained engine's arena, which is never reset
 	compsBuilt bool
 	compOf     []int32 // component index per vertex, -1 when dead
 	comps      [][]int32
@@ -128,7 +129,7 @@ func (q *Engine) CoversVertex(v int32) (bool, error) {
 // N₂(v) — the engine's precomputed distance-2 set — which shrinks the
 // candidates from v's whole component to a degree-squared-sized
 // neighborhood. Otherwise the candidates are v's component (or the
-// whole peeled set when the split is unsound or disabled). The slice is
+// whole peeled set when γ < 0.5 makes the split unsound). The slice is
 // a per-Engine buffer (refinement filters the root's candidates in
 // place, and each query's search completes before the next begins).
 func (q *Engine) candsFor(v int32) []int32 {
@@ -136,12 +137,12 @@ func (q *Engine) candsFor(v int32) []int32 {
 		q.candsBuf = q.e.n2[v].AppendTo(q.candsBuf[:0])
 		return dropSorted(q.candsBuf, v)
 	}
-	if q.e.p.Gamma < 0.5 || q.e.o.DisableComponentSplit {
+	if q.e.p.Gamma < 0.5 {
 		q.candsBuf = q.e.alive.AppendTo(q.candsBuf[:0])
 		return dropSorted(q.candsBuf, v)
 	}
 	if !q.compsBuilt {
-		q.comps = q.e.g.components(q.e.alive)
+		q.comps = q.e.components()
 		q.compOf = make([]int32, q.e.g.n)
 		for i := range q.compOf {
 			q.compOf[i] = -1

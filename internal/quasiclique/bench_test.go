@@ -58,17 +58,6 @@ func BenchmarkCoverageBFS(b *testing.B) {
 	}
 }
 
-func BenchmarkCoverageNoComponentSplit(b *testing.B) {
-	g := benchGraph(1, 2000, 40, 10, 4, 0.75)
-	p := benchParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Coverage(g, p, Options{DisableComponentSplit: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEnumerateMaximal(b *testing.B) {
 	g := benchGraph(2, 800, 16, 10, 3, 0.75)
 	p := benchParams()
@@ -93,8 +82,10 @@ func BenchmarkTopK(b *testing.B) {
 
 func BenchmarkPeel(b *testing.B) {
 	g := benchGraph(3, 5000, 50, 10, 4, 0.75)
+	e := newEngine(g, benchParams(), Options{})
+	defer e.release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Peel(3)
+		e.peel(3)
 	}
 }

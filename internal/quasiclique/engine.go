@@ -178,7 +178,12 @@ func (e *engine) reset(g *Graph, p Params, o Options) {
 	}
 }
 
-// peel is Graph.Peel running on the engine's recycled scratch.
+// peel iteratively removes vertices of degree < minDeg (counted within
+// the surviving set), leaving the survivors in e.alive. This is the
+// vertex pruning of Algorithm 1 line 4: a member of any γ-quasi-clique
+// of size ≥ min_size has at least ⌈γ(min_size−1)⌉ neighbors inside it,
+// so vertices below that threshold — transitively — can never be
+// members.
 func (e *engine) peel(minDeg int) {
 	g := e.g
 	e.aliveSet.Reset(g.n)
@@ -215,8 +220,11 @@ func (e *engine) peel(minDeg int) {
 	e.peelQueue = queue[:0]
 }
 
-// buildDistance2 is Graph.distance2 writing into the engine's recycled
-// row slab and pointer table.
+// buildDistance2 fills e.n2 with, for every alive vertex, the set of
+// alive vertices within distance ≤ 2 (the vertex itself included); rows
+// of dead vertices are nil. It backs the diameter pruning of refine,
+// valid for γ ≥ 0.5: such quasi-cliques have diameter ≤ 2. The rows
+// share one recycled slab, so they land contiguously for the AND-fold.
 func (e *engine) buildDistance2() {
 	g := e.g
 	rows := e.n2Slab.Carve(g.n, e.alive.Count())
@@ -247,9 +255,12 @@ func (e *engine) buildDistance2() {
 	}
 }
 
-// components is Graph.components running on the engine's recycled
-// scratch. The returned slices are views into engine-owned storage,
-// valid until the next reset.
+// components partitions the alive vertices into connected components
+// (edges restricted to alive endpoints), returned as sorted vertex
+// slices in ascending order of their smallest member. γ ≥ 0.5 forces
+// connectivity and diameter ≤ 2, so each component is an independent
+// sub-problem of the candidate search. The slices are views into one
+// engine-owned arena, valid until the next reset.
 func (e *engine) components() [][]int32 {
 	g, alive := e.g, e.alive
 	e.compSeen.Reset(g.n)
@@ -306,7 +317,7 @@ func (e *engine) run(h hooks) error {
 	if e.alive.Count() < e.p.MinSize {
 		return nil
 	}
-	if e.o.DisableComponentSplit || e.p.Gamma < 0.5 {
+	if e.p.Gamma < 0.5 {
 		e.rootBuf = e.alive.AppendTo(e.rootBuf[:0])
 		_, err := e.runFrontier(node{x: nil, cands: e.rootBuf, ext: -1}, h)
 		return err
@@ -538,7 +549,7 @@ func (e *engine) refineAndJump(x, cands []int32) (nx, ncands []int32, dead bool)
 // buffer: it is invalidated by the next forcedCandidates call, so
 // callers consume it before looping.
 func (e *engine) forcedCandidates(x, cands []int32) []int32 {
-	minNeedX := int(e.minDegTab[maxInt(e.p.MinSize, len(x))])
+	minNeedX := int(e.minDegTab[max(e.p.MinSize, len(x))])
 	for _, v := range x {
 		in, ex := int(e.degIn[v]), int(e.degEx[v])
 		if ex > 0 && in+ex == minNeedX {
@@ -656,8 +667,8 @@ func (e *engine) refine(x, cands []int32) ([]int32, bool) {
 		e.inC.CopyFrom(e.d2buf)
 	}
 
-	minNeedX := int(e.minDegTab[maxInt(e.p.MinSize, len(x))])
-	minNeedC := int(e.minDegTab[maxInt(e.p.MinSize, len(x)+1)])
+	minNeedX := int(e.minDegTab[max(e.p.MinSize, len(x))])
+	minNeedC := int(e.minDegTab[max(e.p.MinSize, len(x)+1)])
 
 	// Degrees are computed once with the fused AND+popcount kernel and
 	// then maintained incrementally: dropping a candidate decrements the
@@ -753,11 +764,4 @@ func (e *engine) splitDegree(v int32) (in, ex int) {
 		}
 	}
 	return in, ex
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -66,7 +66,7 @@ func FuzzEngineMatchesBrute(f *testing.F) {
 		for _, opts := range []Options{
 			{},
 			{Order: BFS},
-			{DisableLookahead: true, DisableDiameterPruning: true, DisableComponentSplit: true, DisableJumps: true},
+			{DisableLookahead: true, DisableDiameterPruning: true, DisableJumps: true},
 		} {
 			got, err := EnumerateMaximal(g, p, opts)
 			if err != nil {

@@ -76,124 +76,6 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	return ok
 }
 
-// Peel iteratively removes vertices of degree < minDeg (computed within
-// the surviving set) and returns the set of survivors. This is the
-// "vertex pruning" of Algorithm 1 line 4: a member of any γ-quasi-clique
-// of size ≥ min_size has at least ⌈γ(min_size−1)⌉ neighbors inside it,
-// so vertices below that threshold — transitively — can never be
-// members.
-func (g *Graph) Peel(minDeg int) *bitset.Set {
-	alive := bitset.New(g.n)
-	deg := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		alive.Add(v)
-		deg[v] = g.Degree(int32(v))
-	}
-	if minDeg <= 0 {
-		return alive
-	}
-	queue := make([]int32, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		if deg[v] < minDeg {
-			queue = append(queue, int32(v))
-			alive.Remove(v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, u := range g.neighbors(v) {
-			if !alive.Contains(int(u)) {
-				continue
-			}
-			deg[u]--
-			if deg[u] < minDeg {
-				alive.Remove(int(u))
-				queue = append(queue, u)
-			}
-		}
-	}
-	return alive
-}
-
-// components partitions the alive vertices into connected components
-// (edges restricted to alive endpoints), returned as sorted vertex
-// slices in ascending order of their smallest member. Quasi-cliques of
-// size ≥ 2 are connected, so the candidate search can treat each
-// component as an independent sub-problem.
-func (g *Graph) components(alive *bitset.Set) [][]int32 {
-	seen := bitset.New(g.n)
-	// All components share one arena sized by the alive count; the DFS
-	// appends each component's vertices contiguously and the result
-	// slices are views, so the allocation count is independent of how
-	// many components the graph splits into.
-	arena := make([]int32, 0, alive.Count())
-	var bounds []int
-	var stack []int32
-	for s := alive.NextSet(0); s >= 0; s = alive.NextSet(s + 1) {
-		if seen.Contains(s) {
-			continue
-		}
-		bounds = append(bounds, len(arena))
-		stack = append(stack[:0], int32(s))
-		seen.Add(s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			arena = append(arena, v)
-			for _, u := range g.neighbors(v) {
-				if alive.Contains(int(u)) && !seen.Contains(int(u)) {
-					seen.Add(int(u))
-					stack = append(stack, u)
-				}
-			}
-		}
-		slices.Sort(arena[bounds[len(bounds)-1]:])
-	}
-	out := make([][]int32, len(bounds))
-	for i, b := range bounds {
-		end := len(arena)
-		if i+1 < len(bounds) {
-			end = bounds[i+1]
-		}
-		out[i] = arena[b:end:end]
-	}
-	return out
-}
-
-// distance2 returns, for every alive vertex, the set of vertices within
-// distance ≤ 2 (including the vertex itself); entries for dead vertices
-// are nil. Used by the diameter pruning rule, which is valid for
-// γ ≥ 0.5.
-func (g *Graph) distance2(alive *bitset.Set) []*bitset.Set {
-	n2 := make([]*bitset.Set, g.n)
-	// One slab for all alive rows: 3 allocations instead of 2 per
-	// vertex, and the rows land contiguously for the AND-fold in refine.
-	slab := bitset.NewSlab(g.n, alive.Count())
-	next := 0
-	for v := 0; v < g.n; v++ {
-		if !alive.Contains(v) {
-			continue
-		}
-		s := &slab[next]
-		next++
-		s.Add(v)
-		for _, u := range g.neighbors(int32(v)) {
-			if !alive.Contains(int(u)) {
-				continue
-			}
-			s.Add(int(u))
-			for _, w := range g.neighbors(u) {
-				if alive.Contains(int(w)) {
-					s.Add(int(w))
-				}
-			}
-		}
-		n2[v] = s
-	}
-	return n2
-}
-
 // isQuasiClique reports whether the vertex set (given both as a sorted
 // slice and as a bitset) satisfies the degree constraint for its size.
 // It does NOT check min-size or maximality.

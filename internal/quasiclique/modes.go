@@ -201,7 +201,7 @@ func TopK(g *Graph, p Params, k int, o Options) ([]Pattern, error) {
 		return nil, err
 	}
 	out := col.finalize()
-	suppressed := maxInt(maxPruneNeed, col.maxTrimCut)
+	suppressed := max(maxPruneNeed, col.maxTrimCut)
 	if suppressed > 0 && (len(out) < k || out[len(out)-1].Size() < suppressed) {
 		all, err := EnumerateMaximal(g, p, o)
 		if err != nil {

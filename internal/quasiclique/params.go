@@ -93,12 +93,6 @@ type Options struct {
 	// DisableLookahead turns off the X ∪ cand quasi-clique shortcut.
 	// Exposed for the ablation study; normal callers keep it on.
 	DisableLookahead bool
-	// DisableComponentSplit turns off the connected-component
-	// decomposition that runs the search once per component of the
-	// peeled graph (γ ≥ 0.5 forces quasi-cliques to be connected, so
-	// components are independent sub-problems; for γ < 0.5 the split
-	// is unsound and skipped regardless). Ablation switch.
-	DisableComponentSplit bool
 	// DisableJumps turns off the critical-vertex and cover-vertex
 	// jumps (the Quick techniques that commit forced candidates in one
 	// step instead of branching on them). Ablation switch.

@@ -104,13 +104,19 @@ func TestMaxSizeFor(t *testing.T) {
 func TestPeel(t *testing.T) {
 	// path 0-1-2-3 plus triangle 4-5-6
 	g := buildGraph(7, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {4, 6}})
-	alive := g.Peel(2)
+	e := newEngine(g, Params{Gamma: 1, MinSize: 3}, Options{})
+	defer e.release()
 	want := []int32{4, 5, 6} // the path peels away entirely
-	if !reflect.DeepEqual(alive.Slice(), want) {
-		t.Fatalf("Peel = %v, want %v", alive.Slice(), want)
+	if got := e.alive.Slice(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("peel at reset = %v, want %v", got, want)
 	}
-	if got := g.Peel(0).Count(); got != 7 {
-		t.Fatalf("Peel(0) removed vertices: %d", got)
+	e.peel(2)
+	if got := e.alive.Slice(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("peel(2) = %v, want %v", got, want)
+	}
+	e.peel(0)
+	if got := e.alive.Count(); got != 7 {
+		t.Fatalf("peel(0) removed vertices: %d", got)
 	}
 }
 
@@ -284,9 +290,8 @@ func TestQuickEnumerateMatchesBrute(t *testing.T) {
 			{Order: BFS},
 			{DisableLookahead: true},
 			{DisableDiameterPruning: true},
-			{DisableComponentSplit: true},
 			{DisableJumps: true},
-			{Order: BFS, DisableLookahead: true, DisableDiameterPruning: true, DisableComponentSplit: true, DisableJumps: true},
+			{Order: BFS, DisableLookahead: true, DisableDiameterPruning: true, DisableJumps: true},
 		} {
 			got, err := EnumerateMaximal(g, p, opts)
 			if err != nil || !patternsEqual(got, want) {
@@ -312,7 +317,7 @@ func TestQuickCoverageMatchesBrute(t *testing.T) {
 			return false
 		}
 		for _, opts := range []Options{
-			{}, {Order: BFS}, {DisableJumps: true}, {DisableComponentSplit: true},
+			{}, {Order: BFS}, {DisableJumps: true}, {DisableDiameterPruning: true},
 		} {
 			res, err := Coverage(g, p, opts)
 			if err != nil || !res.Covered.Equal(want) {
@@ -407,38 +412,26 @@ func TestComponents(t *testing.T) {
 		{3, 4}, {4, 5}, {3, 5},
 		{6, 7},
 	})
-	alive := g.Peel(0)
-	comps := g.components(alive)
-	if len(comps) != 3 {
-		t.Fatalf("components = %v", comps)
-	}
+	// min_size 2 peels at degree 1, so every vertex survives.
+	e := newEngine(g, Params{Gamma: 0.5, MinSize: 2}, Options{})
+	defer e.release()
 	want := [][]int32{{0, 1, 2}, {3, 4, 5}, {6, 7}}
-	for i := range want {
-		if !reflect.DeepEqual(comps[i], want[i]) {
-			t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-		}
+	if got := e.components(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("components = %v, want %v", got, want)
 	}
-	// restricting alive hides vertices
-	alive.Remove(4)
-	comps = g.components(alive)
-	if len(comps) != 4 { // {0,1,2}, {3,5}, {6,7} — wait 3-5 edge keeps them together
-		// {3,5} stay connected through the 3-5 edge
-		t.Logf("components after removal: %v", comps)
-	}
-	found := false
-	for _, c := range comps {
-		if reflect.DeepEqual(c, []int32{3, 5}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected {3,5} component, got %v", comps)
+	// A dead vertex hides its edges: {3,5} stay connected through the
+	// 3-5 edge.
+	e.alive.Remove(4)
+	want = [][]int32{{0, 1, 2}, {3, 5}, {6, 7}}
+	if got := e.components(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("components after removing 4 = %v, want %v", got, want)
 	}
 }
 
 func TestCoverageAcrossComponents(t *testing.T) {
-	// two disjoint 4-cliques: both must be covered with and without
-	// component splitting
+	// two disjoint 4-cliques: both must be covered with component
+	// splitting (γ ≥ 0.5) and without it (γ < 0.5, where the union of
+	// both cliques is itself a 0.4-quasi-clique)
 	var edges [][2]int32
 	for base := int32(0); base <= 4; base += 4 {
 		for i := base; i < base+4; i++ {
@@ -448,14 +441,13 @@ func TestCoverageAcrossComponents(t *testing.T) {
 		}
 	}
 	g := buildGraph(8, edges)
-	p := Params{Gamma: 1, MinSize: 4}
-	for _, opts := range []Options{{}, {DisableComponentSplit: true}} {
-		res, err := Coverage(g, p, opts)
+	for _, gamma := range []float64{1, 0.4} {
+		res, err := Coverage(g, Params{Gamma: gamma, MinSize: 4}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Covered.Count() != 8 {
-			t.Fatalf("opts %+v: covered = %v", opts, res.Covered)
+			t.Fatalf("γ=%v: covered = %v", gamma, res.Covered)
 		}
 	}
 }

@@ -849,13 +849,15 @@ func intParam(q map[string][]string, name string, def int) (int, error) {
 }
 
 // floatParam parses an optional non-negative float query parameter.
+// NaN is rejected with the negatives: every comparison against it is
+// false, so as a threshold it would silently filter out every set.
 func floatParam(q map[string][]string, name string, def float64) (float64, error) {
 	vals := q[name]
 	if len(vals) == 0 || vals[0] == "" {
 		return def, nil
 	}
 	v, err := strconv.ParseFloat(vals[0], 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) {
 		return 0, fmt.Errorf("bad %s %q (want a non-negative number)", name, vals[0])
 	}
 	return v, nil

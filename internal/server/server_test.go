@@ -156,6 +156,10 @@ func TestSetsListingFiltersAndRanking(t *testing.T) {
 	get(t, s, "/sets?attrs=A&contains=B", http.StatusBadRequest, nil)
 	get(t, s, "/sets?rank=bogus", http.StatusBadRequest, nil)
 	get(t, s, "/sets?k=-1", http.StatusBadRequest, nil)
+	for _, bad := range []string{"-1", "NaN", "nan"} {
+		get(t, s, "/sets?min_eps="+bad, http.StatusBadRequest, nil)
+		get(t, s, "/sets?min_delta="+bad, http.StatusBadRequest, nil)
+	}
 }
 
 func TestSetByIDAndPatterns(t *testing.T) {

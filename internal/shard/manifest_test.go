@@ -187,7 +187,7 @@ func TestManifestSealedRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			merged, err := Merge(parts...)
+			merged, err := core.MergeResults(parts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestManifestV1Compat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := Merge(parts...)
+	merged, err := core.MergeResults(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}

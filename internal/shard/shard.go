@@ -92,11 +92,6 @@ type Partition struct {
 	owns map[int32]bool
 }
 
-// Owns reports whether this partition owns the subtree rooted at the
-// given attribute id (and with it every attribute set whose first
-// attribute in extension order it is).
-func (p *Partition) Owns(root int32) bool { return p.owns[root] }
-
 // Plan splits g's attribute-set lattice into n disjoint partitions.
 // The frequent singles (support ≥ sigmaMin) are ranked in extension
 // order — support ascending, id ascending — matching the order the
@@ -109,7 +104,7 @@ func (p *Partition) Owns(root int32) bool { return p.owns[root] }
 //
 // Every frequent single lands in exactly one partition. Shards may own
 // zero roots when n exceeds the number of frequent singles; they mine
-// (and serve) empty slices, which Merge handles.
+// (and serve) empty slices, which core.MergeResults handles.
 func Plan(g *graph.Graph, sigmaMin, n int) ([]Partition, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: plan needs n ≥ 1 shards, got %d", n)
@@ -246,7 +241,8 @@ func Owner(sigmaMin, k, n int) func(*graph.Graph, int32) bool {
 
 // Params returns p restricted to shard k of n: a copy with ShardOwner
 // installed (derived from p.SigmaMin). The result of mining with it is
-// shard k's slice; Merge over all n slices reproduces mining with p.
+// shard k's slice; core.MergeResults over all n slices reproduces
+// mining with p.
 func Params(p core.Params, k, n int) core.Params {
 	p.ShardOwner = Owner(p.SigmaMin, k, n)
 	return p
@@ -293,13 +289,5 @@ func MineAll(ctx context.Context, g *graph.Graph, p core.Params, n int) (*core.R
 			return nil, err
 		}
 	}
-	return Merge(parts...)
-}
-
-// Merge combines per-shard results into the single-process result —
-// core.MergeResults re-exported at the subsystem boundary. Sets,
-// patterns, stats counters and recorded lattices all merge; a merged
-// lattice feeds core.Remine exactly like a single-process one.
-func Merge(parts ...*core.Result) (*core.Result, error) {
 	return core.MergeResults(parts...)
 }

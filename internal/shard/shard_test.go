@@ -123,7 +123,7 @@ func requireEqualResults(t *testing.T, label string, got, want *core.Result) {
 
 // requireEqualStats asserts every counter except Duration and
 // ReusedVerdicts matches — the per-shard stats must SUM to the
-// single-process counters, which Merge produces, so sharding hides no
+// single-process counters, which core.MergeResults produces, so sharding hides no
 // work and double-counts none. ReusedVerdicts is pure accounting (how
 // the level-1 numbers were obtained, not what they are), so it is
 // excluded like Duration.
@@ -159,8 +159,8 @@ func TestOwnershipPartition(t *testing.T) {
 			for _, p := range parts {
 				for _, root := range p.Roots {
 					owners[root]++
-					if !p.Owns(root) {
-						t.Fatalf("partition %d lists root %d but Owns denies it", p.Shard, root)
+					if !p.owns[root] {
+						t.Fatalf("partition %d lists root %d but its ownership map denies it", p.Shard, root)
 					}
 				}
 			}
@@ -237,7 +237,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					merged, err := Merge(parts...)
+					merged, err := core.MergeResults(parts...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -298,7 +298,7 @@ func TestMineAll(t *testing.T) {
 	requireEqualResults(t, "MineAll n=3", got, want)
 }
 
-// TestMergeRejectsOverlap asserts Merge refuses overlapping
+// TestMergeRejectsOverlap asserts core.MergeResults refuses overlapping
 // partitions instead of silently double-reporting sets.
 func TestMergeRejectsOverlap(t *testing.T) {
 	ctx := context.Background()
@@ -311,8 +311,8 @@ func TestMergeRejectsOverlap(t *testing.T) {
 	if len(res.Sets) == 0 {
 		t.Fatal("test graph mined no sets")
 	}
-	if _, err := Merge(res, res); err == nil {
-		t.Fatal("Merge accepted the same result twice")
+	if _, err := core.MergeResults(res, res); err == nil {
+		t.Fatal("MergeResults accepted the same result twice")
 	}
 }
 

@@ -1,13 +1,10 @@
 // Package stats provides the small set of descriptive statistics the
-// experiment harness and null models need: means, standard deviations,
-// quantiles and integer histograms (degree distributions).
+// null models and graph summaries need: means, standard deviations and
+// integer histograms (degree distributions), plus the shared seed
+// mixer.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -41,77 +38,12 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return Mean(xs), StdDev(xs)
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It returns 0 for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Min returns the smallest value of xs, or 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value of xs, or 0 for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // IntHistogram counts occurrences of small non-negative integers. It is
 // used for degree distributions: Counts[d] is the number of vertices of
 // degree d.
 type IntHistogram struct {
 	Counts []int64
 	Total  int64
-}
-
-// NewIntHistogram builds a histogram from the given values. Negative
-// values are rejected with an error.
-func NewIntHistogram(values []int) (*IntHistogram, error) {
-	h := &IntHistogram{}
-	for _, v := range values {
-		if v < 0 {
-			return nil, fmt.Errorf("stats: negative histogram value %d", v)
-		}
-		h.Observe(v)
-	}
-	return h, nil
 }
 
 // Observe adds one occurrence of v (v ≥ 0) to the histogram.
@@ -129,17 +61,6 @@ func (h *IntHistogram) P(v int) float64 {
 		return 0
 	}
 	return float64(h.Counts[v]) / float64(h.Total)
-}
-
-// MaxValue returns the largest value with a non-zero count, or -1 when
-// the histogram is empty.
-func (h *IntHistogram) MaxValue() int {
-	for v := len(h.Counts) - 1; v >= 0; v-- {
-		if h.Counts[v] > 0 {
-			return v
-		}
-	}
-	return -1
 }
 
 // Mean returns the mean of the observed values.

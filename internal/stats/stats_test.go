@@ -23,52 +23,18 @@ func TestMeanStd(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Fatal("empty input should give zeros")
 	}
 	if StdDev([]float64{3}) != 0 {
 		t.Fatal("single sample stddev should be 0")
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// interpolation
-	if got := Quantile([]float64{0, 10}, 0.3); !almostEq(got, 3) {
-		t.Errorf("Quantile interp = %v, want 3", got)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	Quantile(xs, 0.5)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
 }
 
 func TestIntHistogram(t *testing.T) {
-	h, err := NewIntHistogram([]int{0, 1, 1, 3})
-	if err != nil {
-		t.Fatal(err)
+	h := &IntHistogram{}
+	for _, v := range []int{0, 1, 1, 3} {
+		h.Observe(v)
 	}
 	if h.Total != 4 {
 		t.Fatalf("Total = %d", h.Total)
@@ -79,42 +45,15 @@ func TestIntHistogram(t *testing.T) {
 	if h.P(-1) != 0 || h.P(100) != 0 {
 		t.Fatal("out of range P should be 0")
 	}
-	if h.MaxValue() != 3 {
-		t.Fatalf("MaxValue = %d", h.MaxValue())
-	}
 	if !almostEq(h.Mean(), 1.25) {
 		t.Fatalf("Mean = %v", h.Mean())
 	}
 }
 
-func TestIntHistogramNegative(t *testing.T) {
-	if _, err := NewIntHistogram([]int{1, -2}); err == nil {
-		t.Fatal("expected error for negative value")
-	}
-}
-
 func TestIntHistogramEmpty(t *testing.T) {
 	h := &IntHistogram{}
-	if h.MaxValue() != -1 || h.Mean() != 0 || h.P(0) != 0 {
+	if h.Mean() != 0 || h.P(0) != 0 {
 		t.Fatal("empty histogram invariants broken")
-	}
-}
-
-func TestQuickQuantileBounds(t *testing.T) {
-	f := func(raw []int8, qRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		q := float64(qRaw) / 255.0
-		got := Quantile(xs, q)
-		return got >= Min(xs)-1e-9 && got <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Command lintdoc fails when a package exports an identifier without a
-// doc comment. CI runs it over the algorithmic core — internal/graph,
-// internal/quasiclique, internal/core, internal/epsilon,
-// internal/nullmodel and internal/itemset — so those layers' contracts
-// (sorted views, no-mutate rules, estimator guarantees) stay written
-// down.
+// doc comment. CI runs it over every package under internal/ — the
+// algorithmic core, the index, snapshot, serving, sharding and
+// observability layers, and the bitset, stats, datagen and experiments
+// helpers — so their contracts (sorted views, no-mutate rules,
+// estimator guarantees, wire formats) stay written down.
 //
 // Usage:
 //
