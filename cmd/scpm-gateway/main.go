@@ -24,8 +24,10 @@
 // checksummed v2 manifest — plan plus sealed verdicts — that the
 // serving mode and scpm-serve -manifest consume; replicas booting from
 // it replay the sealed evaluations instead of repeating them. The
-// mining flags (-gamma, -minsize, -eps, …) must match what the
-// replicas will run with:
+// mining flags (-sigma, -gamma, -minsize, -eps, …) apply to plan mode
+// only and must match what the replicas will run with; scpm-serve
+// defines them in the same place (internal/cli), so passing both
+// commands the same mining arguments is enough:
 //
 //	scpm-gateway -plan 2 -attrs graph.attrs -edges graph.edges \
 //	             -sigma 100 -out manifest.json
@@ -47,8 +49,8 @@ import (
 	"syscall"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/cli"
 	"github.com/scpm/scpm/internal/gateway"
-	"github.com/scpm/scpm/internal/graph"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/server"
 	"github.com/scpm/scpm/internal/shard"
@@ -75,21 +77,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		attrsPath    = fs.String("attrs", "", "plan mode: vertex attribute file")
 		edgesPath    = fs.String("edges", "", "plan mode: edge list file")
 		example      = fs.String("example", "", `plan mode: use a built-in dataset ("paper")`)
-		sigmaMin     = fs.Int("sigma", 100, "plan mode: minimum support σmin the shards will mine with")
 		out          = fs.String("out", "manifest.json", "plan mode: manifest output path")
 		snapshots    = fs.String("snapshots", "", "plan mode: comma-separated per-shard snapshot paths to record in the manifest")
-		gamma        = fs.Float64("gamma", 0.5, "plan mode: quasi-clique density γmin the shards will mine with")
-		minSize      = fs.Int("minsize", 5, "plan mode: minimum quasi-clique size")
-		epsMin       = fs.Float64("eps", 0, "plan mode: minimum structural correlation εmin")
-		deltaMin     = fs.Float64("delta", 0, "plan mode: minimum normalized structural correlation δmin")
-		topK         = fs.Int("k", 5, "plan mode: top-k patterns per attribute set (0 = sets only)")
-		minAttrs     = fs.Int("minattrs", 1, "plan mode: report only sets with ≥ this many attributes")
-		maxAttrs     = fs.Int("maxattrs", 0, "plan mode: bound attribute-set size (0 = unbounded)")
-		budget       = fs.Int64("budget", 0, "plan mode: search-node budget per quasi-clique search (0 = unbounded)")
-		epsMode      = fs.String("eps-mode", "exact", "plan mode: ε computation the shards will mine with: exact or sampled")
-		sampleEps    = fs.Float64("sample-eps", 0, "plan mode: sampled mode ε̂ half-width bound (0 = default 0.1)")
-		sampleDel    = fs.Float64("sample-delta", 0, "plan mode: sampled mode per-set failure probability (0 = default 0.05)")
-		seed         = fs.Int64("seed", 0, "plan mode: sampled mode sampling seed")
+		mining       = cli.MiningFlags(fs)
 		showVer      = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -101,23 +91,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *planN > 0 {
-		popts := []scpm.Option{
-			scpm.WithSigmaMin(*sigmaMin),
-			scpm.WithGamma(*gamma),
-			scpm.WithMinSize(*minSize),
-			scpm.WithEpsMin(*epsMin),
-			scpm.WithDeltaMin(*deltaMin),
-			scpm.WithTopK(*topK),
-			scpm.WithMinAttrs(*minAttrs),
-			scpm.WithMaxAttrs(*maxAttrs),
-			scpm.WithSearchBudget(*budget),
-		}
-		switch strings.ToLower(*epsMode) {
-		case "exact":
-		case "sampled":
-			popts = append(popts, scpm.WithEpsilonSampling(*sampleEps, *sampleDel), scpm.WithSeed(*seed))
-		default:
-			fmt.Fprintf(stderr, "scpm-gateway: unknown -eps-mode %q (want exact or sampled)\n", *epsMode)
+		popts, err := mining.Options()
+		if err != nil {
+			fmt.Fprintln(stderr, "scpm-gateway:", err)
 			return 2
 		}
 		miner, err := scpm.NewMiner(popts...)
@@ -186,7 +162,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // runPlan loads the dataset, partitions its lattice and writes the
 // sealed v2 manifest with every level-1 verdict baked in.
 func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p scpm.Params, out, snapshots string, stdout, stderr io.Writer) int {
-	g, err := loadGraph(attrsPath, edgesPath, example)
+	g, err := cli.LoadGraph(attrsPath, edgesPath, example)
+	if errors.Is(err, cli.ErrNoDataset) {
+		err = errors.New("plan mode needs -attrs and -edges (or -example paper)")
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "scpm-gateway:", err)
 		return 2
@@ -215,21 +194,4 @@ func runPlan(ctx context.Context, n int, attrsPath, edgesPath, example string, p
 	fmt.Fprintf(stdout, "scpm-gateway: sealed %d level-1 verdicts (%s)\n", len(man.Level1.Verdicts), man.Format)
 	fmt.Fprintf(stdout, "scpm-gateway: wrote manifest %s\n", out)
 	return 0
-}
-
-// loadGraph resolves the plan-mode dataset selection.
-func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
-	if example != "" && (attrsPath != "" || edgesPath != "") {
-		return nil, errors.New("-example cannot be combined with -attrs/-edges")
-	}
-	if example != "" {
-		if example != "paper" {
-			return nil, fmt.Errorf("unknown -example %q (want paper)", example)
-		}
-		return scpm.PaperExample(), nil
-	}
-	if attrsPath == "" || edgesPath == "" {
-		return nil, errors.New("plan mode needs -attrs and -edges (or -example paper)")
-	}
-	return graph.ReadDatasetFiles(attrsPath, edgesPath)
 }

@@ -7,7 +7,8 @@
 // /healthz — plus /epsilon, which answers structural-correlation
 // queries for any attribute set: indexed sets come straight from the
 // index, everything else is computed on demand by the ε-estimation
-// layer (exact or sampled, per -eps-mode) behind a singleflight-
+// layer (exact or sampled, per -eps-mode; -budget bounds each query's
+// search as it bounds the boot mine) behind a singleflight-
 // deduplicated LRU cache, so repeated hot queries cost a map lookup.
 //
 // The served data is live: POST /updates accepts NDJSON graph
@@ -38,8 +39,9 @@
 // instead, and a v2 manifest's sealed level-1 verdicts are replayed at
 // boot — the replica skips every level-1 coverage search while mining
 // byte-identical output. The mining flags must match the parameters
-// the manifest was sealed under (scpm-gateway -plan shares their
-// defaults); a mismatch fails loudly at boot.
+// the manifest was sealed under. scpm-serve and scpm-gateway -plan use
+// one definition of those flags (internal/cli), so passing both the
+// same mining arguments is enough; a mismatch fails loudly at boot.
 //
 // With -snapshot the graph and index are restored from the file when
 // it exists; otherwise the dataset is mined and the snapshot written
@@ -75,13 +77,12 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	scpm "github.com/scpm/scpm"
-	"github.com/scpm/scpm/internal/graph"
+	"github.com/scpm/scpm/internal/cli"
 	"github.com/scpm/scpm/internal/mmapio"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/server"
@@ -106,23 +107,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		metrics   = fs.String("metrics-addr", "", "additional listen address serving only /metrics and /debug/pprof (the main listener serves them too)")
 		cacheSize = fs.Int("cache", server.DefaultCacheSize, "epsilon cache capacity (entries)")
 		quiet     = fs.Bool("quiet", false, "disable request logging")
-		sigmaMin  = fs.Int("sigma", 100, "minimum support σmin")
-		gamma     = fs.Float64("gamma", 0.5, "quasi-clique density γmin (0,1]")
-		minSize   = fs.Int("minsize", 5, "minimum quasi-clique size")
-		epsMin    = fs.Float64("eps", 0, "minimum structural correlation εmin")
-		deltaMin  = fs.Float64("delta", 0, "minimum normalized structural correlation δmin")
-		k         = fs.Int("k", 5, "top-k patterns per attribute set (0 = sets only)")
-		minAttrs  = fs.Int("minattrs", 1, "report only sets with ≥ this many attributes")
-		maxAttrs  = fs.Int("maxattrs", 0, "bound attribute-set size (0 = unbounded)")
+		mining    = cli.MiningFlags(fs)
 		par       = fs.Int("parallel", runtime.NumCPU(), "mining worker goroutines")
 		shardSpec = fs.String("shard", "", `serve one slice of a sharded deployment, as "k/N" (e.g. 0/2): mine only the lattice partition shard k owns and serve it behind scpm-gateway`)
 		manifest  = fs.String("manifest", "", "shard manifest file (scpm-gateway -plan): drive -shard ownership from the manifest and replay its sealed level-1 verdicts (v2) instead of re-searching them")
 		noUpdates = fs.Bool("no-updates", false, "disable POST /updates (serve a frozen index)")
-		budget    = fs.Int64("budget", 0, "search-node budget per quasi-clique search, for startup mining and each on-demand ε query (0 = unbounded)")
-		epsMode   = fs.String("eps-mode", "exact", "on-demand ε computation: exact or sampled")
-		sampleEps = fs.Float64("sample-eps", 0, "sampled mode: ε̂ half-width bound (0 = default 0.1)")
-		sampleDel = fs.Float64("sample-delta", 0, "sampled mode: per-set failure probability (0 = default 0.05)")
-		seed      = fs.Int64("seed", 0, "sampled mode: sampling seed")
 		showVer   = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -191,7 +180,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if g == nil {
 		t0 := time.Now()
-		g, err = loadGraph(*attrsPath, *edgesPath, *example)
+		g, err = cli.LoadGraph(*attrsPath, *edgesPath, *example)
 		if err != nil {
 			fmt.Fprintln(stderr, "scpm-serve:", err)
 			return 2
@@ -199,18 +188,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		bootMS.With("graph_load").Set(float64(time.Since(t0).Milliseconds()))
 	}
 
-	opts := []scpm.Option{
-		scpm.WithSigmaMin(*sigmaMin),
-		scpm.WithGamma(*gamma),
-		scpm.WithMinSize(*minSize),
-		scpm.WithEpsMin(*epsMin),
-		scpm.WithDeltaMin(*deltaMin),
-		scpm.WithTopK(*k),
-		scpm.WithMinAttrs(*minAttrs),
-		scpm.WithMaxAttrs(*maxAttrs),
-		scpm.WithParallelism(*par),
-		scpm.WithSearchBudget(*budget),
+	opts, err := mining.Options()
+	if err != nil {
+		fmt.Fprintln(stderr, "scpm-serve:", err)
+		return 2
 	}
+	opts = append(opts, scpm.WithParallelism(*par))
 	if !*noUpdates {
 		// Record the search lattice so POST /updates re-mines
 		// incrementally from the boot result.
@@ -253,14 +236,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		opts = append(opts, scpm.WithShard(k, n))
 		fmt.Fprintf(stdout, "scpm-serve: serving shard %d/%d of the attribute-set lattice\n", k, n)
-	}
-	switch strings.ToLower(*epsMode) {
-	case "exact":
-	case "sampled":
-		opts = append(opts, scpm.WithEpsilonSampling(*sampleEps, *sampleDel), scpm.WithSeed(*seed))
-	default:
-		fmt.Fprintf(stderr, "scpm-serve: unknown -eps-mode %q (want exact or sampled)\n", *epsMode)
-		return 2
 	}
 	miner, err := scpm.NewMiner(opts...)
 	if err != nil {
@@ -376,24 +351,6 @@ func parseShard(spec string) (k, n int, err error) {
 	return k, n, nil
 }
 
-// loadGraph resolves the dataset selection: two files, or a built-in
-// example.
-func loadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
-	if example != "" && (attrsPath != "" || edgesPath != "") {
-		return nil, errors.New("-example cannot be combined with -attrs/-edges")
-	}
-	if example != "" && example != "paper" {
-		return nil, fmt.Errorf("unknown -example %q (want paper)", example)
-	}
-	if example == "" && (attrsPath == "" || edgesPath == "") {
-		return nil, errors.New("-attrs and -edges are required (or use -example paper)")
-	}
-	if example != "" {
-		return scpm.PaperExample(), nil
-	}
-	return graph.ReadDatasetFiles(attrsPath, edgesPath)
-}
-
 // buildIndex takes the index of the opened v3 snapshot when there is
 // one, otherwise mines the graph and (when a snapshot path is
 // configured) persists the result as a v3 snapshot for the next boot.
@@ -421,11 +378,7 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 	}
 	start := time.Now()
 	mm.Active.Set(1)
-	res, err := miner.MineWithProgress(ctx, g, scpm.SinkFuncs{Progress: func(st scpm.Stats) {
-		mm.ObserveProgress(st.SetsEvaluated, st.SetsEmitted, st.PatternsEmitted,
-			st.SearchNodes, st.SampledVertices, st.ReusedSets, st.RecomputedSets,
-			st.ReusedVerdicts)
-	}})
+	res, err := miner.MineWithProgress(ctx, g, scpm.SinkFuncs{Progress: func(st scpm.Stats) { cli.ObserveProgress(mm, st) }})
 	mm.Active.Set(0)
 	if err != nil {
 		return nil, nil, err

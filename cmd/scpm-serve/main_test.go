@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/cli"
+	"github.com/scpm/scpm/internal/shard"
 )
 
 // notifyingWriter forwards to an underlying buffer and signals each
@@ -452,6 +458,92 @@ func TestServeSharded(t *testing.T) {
 	}
 	if code := run(context.Background(), append([]string{"-shard", "bogus"}, paperArgs...), &stdout, &stderr); code != 2 {
 		t.Fatalf("-shard bogus accepted (exit %d)", code)
+	}
+}
+
+// TestServeManifest boots both shards of a sealed 2-shard manifest,
+// planned under the parameters internal/cli parses from paperArgs:
+// each replica replays the sealed level-1 verdicts, the two slices
+// together serve exactly the unsharded sets, and a replica whose mining
+// flags differ from the seal (-k 3) fails its boot.
+func TestServeManifest(t *testing.T) {
+	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
+	mining := cli.MiningFlags(fs)
+	fs.String("example", "", "")
+	if err := fs.Parse(paperArgs); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := mining.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	miner, err := scpm.NewMiner(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := shard.BuildManifestSealed(context.Background(), scpm.PaperExample(), miner.Params(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := shard.WriteManifest(man, path); err != nil {
+		t.Fatal(err)
+	}
+
+	type setsPayload struct {
+		Sets []struct {
+			ID string `json:"id"`
+		} `json:"sets"`
+	}
+	ids := func(base string) []string {
+		var p setsPayload
+		getJSON(t, base+"/sets", &p)
+		out := make([]string, len(p.Sets))
+		for i, s := range p.Sets {
+			out[i] = s.ID
+		}
+		return out
+	}
+	base, _, shutdown := startServe(t, paperArgs...)
+	whole := ids(base)
+	if code := shutdown(); code != 0 {
+		t.Fatalf("unsharded: exit %d", code)
+	}
+
+	var union []string
+	for k := 0; k < 2; k++ {
+		base, stdout, shutdown := startServe(t, append([]string{"-manifest", path, "-shard", fmt.Sprintf("%d/2", k)}, paperArgs...)...)
+		want := fmt.Sprintf("serving shard %d/2 from manifest %s (%d sealed level-1 verdicts)", k, path, len(man.Level1.Verdicts))
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("shard %d: stdout lacks %q:\n%s", k, want, stdout.String())
+		}
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if m := regexp.MustCompile(`(?m)^scpm_mining_reused_verdicts (\d+)$`).FindSubmatch(metrics); m == nil || string(m[1]) == "0" {
+			t.Fatalf("shard %d replayed no sealed verdicts:\n%s", k, metrics)
+		}
+		union = append(union, ids(base)...)
+		if code := shutdown(); code != 0 {
+			t.Fatalf("shard %d: exit %d", k, code)
+		}
+	}
+	slices.Sort(union)
+	slices.Sort(whole)
+	if len(whole) == 0 || !slices.Equal(union, whole) {
+		t.Fatalf("shards serve %v, unsharded serves %v", union, whole)
+	}
+
+	var stdout, stderr bytes.Buffer
+	args := append([]string{"-addr", "127.0.0.1:0", "-quiet", "-manifest", path, "-shard", "0/2"}, paperArgs...)
+	if code := run(context.Background(), append(args, "-k", "3"), &stdout, &stderr); code != 1 {
+		t.Fatalf("-k 3 against the sealed manifest: exit %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "level-1 verdicts sealed under parameters") {
+		t.Fatalf("stderr lacks the fingerprint mismatch:\n%s", stderr.String())
 	}
 }
 

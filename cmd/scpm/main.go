@@ -42,6 +42,8 @@ import (
 	"syscall"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/cli"
+	"github.com/scpm/scpm/internal/core"
 	"github.com/scpm/scpm/internal/graph"
 	"github.com/scpm/scpm/internal/obs"
 	"github.com/scpm/scpm/internal/version"
@@ -59,24 +61,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var (
 		attrsPath = fs.String("attrs", "", "vertex attribute file (required)")
 		edgesPath = fs.String("edges", "", "edge list file (required)")
-		sigmaMin  = fs.Int("sigma", 100, "minimum support σmin")
-		gamma     = fs.Float64("gamma", 0.5, "quasi-clique density γmin (0,1]")
-		minSize   = fs.Int("minsize", 5, "minimum quasi-clique size")
-		epsMin    = fs.Float64("eps", 0, "minimum structural correlation εmin")
-		deltaMin  = fs.Float64("delta", 0, "minimum normalized structural correlation δmin")
-		k         = fs.Int("k", 5, "top-k patterns per attribute set (0 = sets only)")
+		mining    = cli.MiningFlags(fs)
 		allPats   = fs.Bool("all-patterns", false, "SCORP mode: report every maximal pattern (ignores -k)")
-		minAttrs  = fs.Int("minattrs", 1, "report only sets with ≥ this many attributes")
-		maxAttrs  = fs.Int("maxattrs", 0, "bound attribute-set size (0 = unbounded)")
 		order     = fs.String("order", "dfs", "quasi-clique search order: dfs or bfs")
 		algo      = fs.String("algo", "scpm", "algorithm: scpm or naive")
 		par       = fs.Int("parallel", runtime.NumCPU(), "worker goroutines")
 		model     = fs.String("model", "analytical", "null model: analytical or sim:<r>:<seed>")
-		budget    = fs.Int64("budget", 0, "search-node budget per induced graph (0 = unbounded)")
-		epsMode   = fs.String("eps-mode", "exact", "ε computation: exact or sampled (Hoeffding-bounded vertex sampling)")
-		sampleEps = fs.Float64("sample-eps", 0, "sampled mode: ε̂ half-width bound (0 = default 0.1)")
-		sampleDel = fs.Float64("sample-delta", 0, "sampled mode: per-set failure probability (0 = default 0.05)")
-		seed      = fs.Int64("seed", 0, "sampled mode: sampling seed (same seed ⇒ same ε̂)")
 		rank      = fs.Int("rank", 0, "print top-N σ/ε/δ tables instead of the full output")
 		ndjson    = fs.Bool("ndjson", false, "stream results incrementally as NDJSON events")
 		jsonPath  = fs.String("json", "", "write the full result as JSON to this file")
@@ -108,18 +98,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			g.NumVertices(), g.NumEdges(), g.NumAttributes())
 	}
 
-	opts := []scpm.Option{
-		scpm.WithSigmaMin(*sigmaMin),
-		scpm.WithGamma(*gamma),
-		scpm.WithMinSize(*minSize),
-		scpm.WithEpsMin(*epsMin),
-		scpm.WithDeltaMin(*deltaMin),
-		scpm.WithTopK(*k),
-		scpm.WithMinAttrs(*minAttrs),
-		scpm.WithMaxAttrs(*maxAttrs),
-		scpm.WithParallelism(*par),
-		scpm.WithSearchBudget(*budget),
+	opts, err := mining.Options()
+	if err != nil {
+		fmt.Fprintln(stderr, "scpm:", err)
+		return 2
 	}
+	opts = append(opts, scpm.WithParallelism(*par))
 	if *allPats {
 		opts = append(opts, scpm.WithAllPatterns())
 	}
@@ -132,14 +116,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "scpm: unknown -order %q\n", *order)
 		return 2
 	}
-	switch strings.ToLower(*epsMode) {
-	case "exact":
-	case "sampled":
-		opts = append(opts, scpm.WithEpsilonSampling(*sampleEps, *sampleDel), scpm.WithSeed(*seed))
-	default:
-		fmt.Fprintf(stderr, "scpm: unknown -eps-mode %q (want exact or sampled)\n", *epsMode)
-		return 2
-	}
 	switch strings.ToLower(*algo) {
 	case "scpm":
 	case "naive":
@@ -148,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "scpm: unknown -algo %q\n", *algo)
 		return 2
 	}
-	modelOpt, err := modelOption(g, *model, *gamma, *minSize)
+	modelOpt, err := modelOption(g, *model, mining.Gamma, mining.MinSize)
 	if err != nil {
 		fmt.Fprintln(stderr, "scpm:", err)
 		return 2
@@ -194,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if mm != nil {
 		mm.Active.Set(1)
 		defer mm.Active.Set(0)
-		sink = scpm.SinkFuncs{Progress: func(st scpm.Stats) { observeProgress(mm, st) }}
+		sink = scpm.SinkFuncs{Progress: func(st scpm.Stats) { cli.ObserveProgress(mm, st) }}
 	}
 	res, err := miner.MineWithProgress(ctx, g, sink)
 	canceled := errors.Is(err, scpm.ErrCanceled)
@@ -257,7 +233,7 @@ type ndjsonEvent struct {
 	Attrs    []string `json:"attrs,omitempty"`
 	Support  int      `json:"support,omitempty"`
 	Epsilon  *float64 `json:"epsilon,omitempty"`
-	Delta    *float64 `json:"delta,omitempty"`
+	Delta    string   `json:"delta,omitempty"` // core.FormatDelta: "inf" when εexp = 0
 	Covered  *int     `json:"covered,omitempty"`
 	Vertices []string `json:"vertices,omitempty"`
 	Size     int      `json:"size,omitempty"`
@@ -277,14 +253,6 @@ type ndjsonEvent struct {
 	Canceled        bool    `json:"canceled,omitempty"`
 	Budget          bool    `json:"budget,omitempty"`
 	Error           string  `json:"error,omitempty"`
-}
-
-// observeProgress maps one progress snapshot onto the mining gauges
-// (nil-safe: mm may be nil when -metrics-addr is unset).
-func observeProgress(mm *obs.MiningMetrics, st scpm.Stats) {
-	mm.ObserveProgress(st.SetsEvaluated, st.SetsEmitted, st.PatternsEmitted,
-		st.SearchNodes, st.SampledVertices, st.ReusedSets, st.RecomputedSets,
-		st.ReusedVerdicts)
 }
 
 // streamNDJSON mines g pushing one JSON line per event to stdout as the
@@ -319,7 +287,7 @@ func streamNDJSON(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, mm *obs
 		AttributeSet: func(s scpm.AttributeSet) {
 			ev := ndjsonEvent{
 				Type: "set", ID: s.ID(), Attrs: s.Names, Support: s.Support,
-				Epsilon: f(s.Epsilon), Delta: f(s.Delta), Covered: n(s.Covered),
+				Epsilon: f(s.Epsilon), Delta: core.FormatDelta(s.Delta), Covered: n(s.Covered),
 			}
 			if s.Estimated {
 				ev.Estimated = true
@@ -337,7 +305,7 @@ func streamNDJSON(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, mm *obs
 		},
 		Progress: func(st scpm.Stats) {
 			lastStats = st
-			observeProgress(mm, st)
+			cli.ObserveProgress(mm, st)
 			emit(ndjsonEvent{
 				Type: "progress", SetsEvaluated: st.SetsEvaluated,
 				SetsEmitted: st.SetsEmitted, PatternsEmitted: st.PatternsEmitted,

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	scpm "github.com/scpm/scpm"
+	"github.com/scpm/scpm/internal/core"
 )
 
 // writeExampleDataset materializes the paper's Figure-1 graph to disk.
@@ -276,6 +278,43 @@ func TestCLINDJSONStreams(t *testing.T) {
 	}
 	if sets != 3 || pats != 7 || done != 1 {
 		t.Fatalf("got %d sets, %d patterns, %d done events:\n%s", sets, pats, done, out)
+	}
+}
+
+// TestCLINDJSONInfiniteDelta streams a run where a set's εexp is 0, so
+// its δ is +Inf: the stream encodes δ as core.FormatDelta does ("inf")
+// instead of failing on a JSON number that cannot hold it.
+func TestCLINDJSONInfiniteDelta(t *testing.T) {
+	attrs, edges := writeExampleDataset(t)
+	code, out, errOut := runCLI(t,
+		"-attrs", attrs, "-edges", edges,
+		"-sigma", "3", "-gamma", "0.6", "-minsize", "4", "-model", "sim:1:1", "-ndjson")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	sets, inf := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var ev struct {
+			Type  string `json:"type"`
+			Delta string `json:"delta"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if ev.Type != "set" {
+			continue
+		}
+		sets++
+		d, err := core.ParseDelta(ev.Delta)
+		if err != nil {
+			t.Fatalf("set line %q: δ does not parse: %v", line, err)
+		}
+		if math.IsInf(d, 1) {
+			inf++
+		}
+	}
+	if sets == 0 || inf == 0 {
+		t.Fatalf("%d set lines, %d with δ = +Inf; want some of each:\n%s", sets, inf, out)
 	}
 }
 

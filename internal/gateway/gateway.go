@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -471,7 +472,7 @@ func (gw *Gateway) handleList(field, limitParam string, rankable bool) http.Hand
 // its response is relayed verbatim; uniform 404 from every live shard
 // means the id does not exist.
 func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
-	path := "/sets/" + r.PathValue("id")
+	path := "/sets/" + url.PathEscape(r.PathValue("id"))
 	resps := gw.scatter(r.Context(), http.MethodGet, path, nil)
 	var notFound *shardResp
 	var down []int
@@ -504,7 +505,7 @@ func (gw *Gateway) handleSetByID(w http.ResponseWriter, r *http.Request) {
 // pattern lists; a vertex is known if any shard knows it.
 func (gw *Gateway) handleVertex(w http.ResponseWriter, r *http.Request) {
 	label := r.PathValue("v")
-	resps := gw.scatter(r.Context(), http.MethodGet, "/vertices/"+label, nil)
+	resps := gw.scatter(r.Context(), http.MethodGet, "/vertices/"+url.PathEscape(label), nil)
 	served, down, _ := partition(resps)
 	if len(served) == 0 {
 		if len(down) > 0 {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +28,12 @@ import (
 // v0 ahead of its random attributes, so they are interned first.
 func testGraph(t *testing.T, seed int64, firstAttrs ...string) *graph.Graph {
 	t.Helper()
+	return labeledGraph(t, seed, func(v int) string { return fmt.Sprintf("v%d", v) }, firstAttrs...)
+}
+
+// labeledGraph is testGraph with vertex v labeled label(v).
+func labeledGraph(t *testing.T, seed int64, label func(int) string, firstAttrs ...string) *graph.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n = 160
 	const numAttrs = 6
@@ -41,7 +48,7 @@ func testGraph(t *testing.T, seed int64, firstAttrs ...string) *graph.Graph {
 				attrs = append(attrs, fmt.Sprintf("a%d", a))
 			}
 		}
-		if _, err := b.AddVertex(fmt.Sprintf("v%d", v), attrs...); err != nil {
+		if _, err := b.AddVertex(label(v), attrs...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,6 +285,40 @@ func TestGatewayMatchesSingleProcess(t *testing.T) {
 	requireSame(t, gw, single, "/epsilon")
 	requireSame(t, gw, single, "/sets?rank=bogus")
 	requireSame(t, gw, single, "/sets/no-such-id")
+}
+
+// TestGatewayEscapesForwardedPaths: a vertex label or set id that is
+// not a plain path segment ("50%", "a?b", "a/b", "a #b") reaches the
+// shards escaped, so the gateway answers byte-for-byte what the single
+// process answers for the same escaped path.
+func TestGatewayEscapesForwardedPaths(t *testing.T) {
+	forms := []string{"%d%%", "a?%d", "a/%d", "a #%d"}
+	formOf := make(map[string]int)
+	g := labeledGraph(t, 41, func(v int) string {
+		l := fmt.Sprintf(forms[v%len(forms)], v)
+		formOf[l] = v % len(forms)
+		return l
+	})
+	gw, single, _, replicas := bootClusterOn(t, g, 2)
+	labels := patternVertices(t, single.URL)
+	for _, ts := range replicas {
+		for l := range patternVertices(t, ts.URL) {
+			if !labels[l] {
+				t.Fatalf("shard lists vertex %q the single process does not", l)
+			}
+		}
+	}
+	seen := make(map[int]bool)
+	for l := range labels {
+		seen[formOf[l]] = true
+		requireSame(t, gw, single, "/vertices/"+url.PathEscape(l))
+	}
+	if len(seen) != len(forms) {
+		t.Fatalf("patterns cover label forms %v of %v", seen, forms)
+	}
+	for _, p := range []string{"/vertices/no%25such", "/vertices/no%3Fsuch", "/sets/no%3Fsuch", "/sets/no%2Fsuch", "/sets/no%25such"} {
+		requireSame(t, gw, single, p)
+	}
 }
 
 // patternVertices collects the vertex labels of every pattern a

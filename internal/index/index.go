@@ -88,29 +88,17 @@ type Index struct {
 // Build constructs an Index from a mining result. The graph must be the
 // one res was mined from — it resolves pattern vertex ids to labels so
 // the index (and its snapshots) are self-contained. res.Sets must be in
-// canonical order, as Mine, Remine and MergeResults produce it. res is
-// not retained; its tables are copied.
+// canonical order, as Mine, Remine and MergeResults produce it. Build
+// is Rebuild from an empty index, so it takes res's row tables by
+// reference: the caller must not modify them afterwards.
 func Build(res *core.Result, g *graph.Graph) *Index {
-	x := &Index{
-		sets:         append([]core.AttributeSet(nil), res.Sets...),
-		patterns:     append([]core.Pattern(nil), res.Patterns...),
-		patVerts:     make([][]string, len(res.Patterns)),
-		mining:       res.Stats,
-		dsVertices:   g.NumVertices(),
-		dsEdges:      g.NumEdges(),
-		dsAttributes: g.NumAttributes(),
-	}
-	for i, p := range x.patterns {
-		x.patVerts[i] = p.VertexNames(g)
-	}
-	x.freeze()
-	return x
+	return new(Index).Rebuild(res, g)
 }
 
 // freeze rebuilds every derived structure from the canonical tables.
-// It runs after Build copies a Result and after Rebuild matches donor
-// content; both paths converge here, so
-// every index answers queries identically however it was constructed.
+// It runs after Rebuild matches donor content — Build included, whose
+// donor is empty — so every index answers queries identically however
+// it was constructed.
 // Pre-filled (non-empty) id entries are kept — that is how Rebuild
 // carries interned ids over — and only missing ones are hashed.
 // freeze may only run on a freshly constructed Index (its derivedOnce

@@ -192,11 +192,53 @@ func TestTopSetsRanking(t *testing.T) {
 	}
 }
 
-func TestBuildDoesNotRetainResult(t *testing.T) {
+// TestBuildSharesResultTables: Build takes the result's row tables by
+// reference, as Rebuild does, so a served result and its index hold one
+// copy of the sets and patterns.
+func TestBuildSharesResultTables(t *testing.T) {
 	_, res, x := buildExample(t)
-	id := res.Sets[0].ID()
-	res.Sets[0] = core.AttributeSet{} // mutate the source
-	if _, ok := x.SetByID(id); !ok {
-		t.Fatal("index must copy the result tables")
+	if &x.Sets()[0] != &res.Sets[0] || &x.Patterns()[0] != &res.Patterns[0] {
+		t.Fatal("Build copied the result's row tables")
 	}
+}
+
+// TestBuildEmptyResult indexes a run that emits nothing: every query
+// answers empty, and Rebuild goes from the empty index to a full one
+// and back exactly like a fresh Build.
+func TestBuildEmptyResult(t *testing.T) {
+	g, res, full := buildExample(t)
+	none, err := core.Mine(context.Background(), g, core.Params{SigmaMin: 100, Gamma: 0.6, MinSize: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(none.Sets) != 0 || len(none.Patterns) != 0 {
+		t.Fatalf("σmin 100 mined %d sets / %d patterns", len(none.Sets), len(none.Patterns))
+	}
+	x := Build(none, g)
+	if x.NumSets() != 0 || x.NumPatterns() != 0 || len(x.Sets()) != 0 || len(x.Patterns()) != 0 {
+		t.Fatalf("empty index holds %d sets / %d patterns", x.NumSets(), x.NumPatterns())
+	}
+	if st := x.Stats(); st.Sets != 0 || st.Patterns != 0 || st.Attributes != 0 || st.PatternVertices != 0 || st.Mining != none.Stats {
+		t.Fatalf("stats = %+v", st)
+	}
+	if _, ok := x.SetByID(res.Sets[0].ID()); ok || x.SetIndexByID(res.Sets[0].ID()) != -1 {
+		t.Fatal("empty index finds a set")
+	}
+	if _, ok := x.PatternByID(res.Patterns[0].ID()); ok || x.PatternsOfSet(res.Sets[0].ID()) != nil {
+		t.Fatal("empty index finds a pattern")
+	}
+	if x.Exact([]string{"A"}) != -1 || len(x.Supersets([]string{"A"})) != 0 || len(x.Supersets(nil)) != 0 ||
+		len(x.Subsets([]string{"A", "B"})) != 0 {
+		t.Fatal("empty index answers a set query")
+	}
+	if len(x.PatternsWithVertex("3")) != 0 || x.HasVertex("3") {
+		t.Fatal("empty index knows a vertex")
+	}
+	for _, r := range []core.Ranking{core.BySupport, core.ByEpsilon, core.ByDelta} {
+		if len(x.Ranked(r)) != 0 || len(x.TopSets(r, 5)) != 0 {
+			t.Fatalf("empty index ranks sets by %v", r)
+		}
+	}
+	requireSameAnswers(t, "empty to full", x.Rebuild(res, g), full)
+	requireSameAnswers(t, "full to empty", full.Rebuild(none, g), x)
 }

@@ -27,10 +27,10 @@ import (
 // across Graph.Apply — so a set or pattern with the same attribute ids
 // (and, for patterns, the same vertex ids) is the same content and
 // keeps the same id. g must be the graph res was mined from, and
-// res.Sets must be in canonical order, as Build requires. Unlike
-// Build, Rebuild takes res's row tables by reference, so the caller
-// must not modify them afterwards. The receiver is not modified, and
-// may be queried while Rebuild runs.
+// res.Sets must be in canonical order, as Build requires. Rebuild
+// takes res's row tables by reference, so the caller must not modify
+// them afterwards. The receiver is not modified, and may be queried
+// while Rebuild runs.
 func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 	x.derived() // hydrates lazy row tables and builds what a share hands over
 	nx := &Index{

@@ -25,7 +25,8 @@ type IndexStats = index.Stats
 
 // NewIndex builds an Index from a mining result. g must be the graph
 // the result was mined from; it resolves pattern vertex ids to labels
-// so the index and its snapshots are self-contained.
+// so the index and its snapshots are self-contained. The index takes
+// res.Sets and res.Patterns by reference: do not modify them afterwards.
 func NewIndex(res *Result, g *Graph) *Index { return index.Build(res, g) }
 
 // SwapEvent describes one live-update generation swap: the new graph

@@ -1,9 +1,10 @@
 // Command lintdoc fails when a package exports an identifier without a
 // doc comment. CI runs it over every package under internal/ — the
 // algorithmic core, the index, snapshot, serving, sharding and
-// observability layers, and the bitset, stats, datagen and experiments
-// helpers — so their contracts (sorted views, no-mutate rules,
-// estimator guarantees, wire formats) stay written down.
+// observability layers, the bitset, stats, datagen and experiments
+// helpers, and the commands' shared flag layer (cli) — so their
+// contracts (sorted views, no-mutate rules, estimator guarantees, wire
+// formats) stay written down.
 //
 // Usage:
 //
