@@ -378,7 +378,7 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 	}
 	start := time.Now()
 	mm.Active.Set(1)
-	res, err := miner.MineWithProgress(ctx, g, scpm.SinkFuncs{Progress: func(st scpm.Stats) { cli.ObserveProgress(mm, st) }})
+	res, err := miner.MineWithProgress(ctx, g, scpm.SinkFuncs{Progress: mm.ObserveProgress})
 	mm.Active.Set(0)
 	if err != nil {
 		return nil, nil, err

@@ -170,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if mm != nil {
 		mm.Active.Set(1)
 		defer mm.Active.Set(0)
-		sink = scpm.SinkFuncs{Progress: func(st scpm.Stats) { cli.ObserveProgress(mm, st) }}
+		sink = scpm.SinkFuncs{Progress: mm.ObserveProgress}
 	}
 	res, err := miner.MineWithProgress(ctx, g, sink)
 	canceled := errors.Is(err, scpm.ErrCanceled)
@@ -305,7 +305,7 @@ func streamNDJSON(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, mm *obs
 		},
 		Progress: func(st scpm.Stats) {
 			lastStats = st
-			cli.ObserveProgress(mm, st)
+			mm.ObserveProgress(st)
 			emit(ndjsonEvent{
 				Type: "progress", SetsEvaluated: st.SetsEvaluated,
 				SetsEmitted: st.SetsEmitted, PatternsEmitted: st.PatternsEmitted,

@@ -5,8 +5,7 @@
 // register those flags from the one definition here: the same
 // arguments give every command the same parameters, and a manifest
 // sealed by the planner boots the replicas that parse them. The package
-// also resolves the -attrs/-edges/-example dataset selection and maps
-// mining progress onto the mining gauges.
+// also resolves the -attrs/-edges/-example dataset selection.
 package cli
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	scpm "github.com/scpm/scpm"
 	"github.com/scpm/scpm/internal/graph"
-	"github.com/scpm/scpm/internal/obs"
 )
 
 // Mining holds the values of the shared mining flags once the flag set
@@ -93,12 +91,4 @@ func LoadGraph(attrsPath, edgesPath, example string) (*scpm.Graph, error) {
 		return nil, ErrNoDataset
 	}
 	return graph.ReadDatasetFiles(attrsPath, edgesPath)
-}
-
-// ObserveProgress stores one progress snapshot on the mining gauges; mm
-// may be nil.
-func ObserveProgress(mm *obs.MiningMetrics, st scpm.Stats) {
-	mm.ObserveProgress(st.SetsEvaluated, st.SetsEmitted, st.PatternsEmitted,
-		st.SearchNodes, st.SampledVertices, st.ReusedSets, st.RecomputedSets,
-		st.ReusedVerdicts)
 }

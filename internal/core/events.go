@@ -30,7 +30,8 @@ type Sink interface {
 }
 
 // SinkFuncs adapts plain functions to the Sink interface; nil fields
-// are skipped.
+// are skipped. With neither an AttributeSet nor a Pattern func it is a
+// progress-only sink, and a run skips streaming sets to it altogether.
 type SinkFuncs struct {
 	AttributeSet func(AttributeSet)
 	Pattern      func(Pattern)
@@ -66,6 +67,9 @@ type emitter struct {
 	sink  Sink
 	every int64
 	start time.Time
+	// streams reports that the sink takes sets and patterns; a
+	// progress-only sink is never handed a set.
+	streams bool
 
 	evaluated atomic.Int64
 	emitted   atomic.Int64
@@ -82,7 +86,20 @@ func newEmitter(sink Sink, every int, start time.Time) *emitter {
 	if every <= 0 {
 		every = 64
 	}
-	return &emitter{sink: sink, every: int64(every), start: start}
+	return &emitter{sink: sink, every: int64(every), start: start, streams: takesSets(sink)}
+}
+
+// takesSets reports whether sink wants each set and pattern: any sink
+// but nil and a SinkFuncs with neither an AttributeSet nor a Pattern
+// func.
+func takesSets(sink Sink) bool {
+	switch s := sink.(type) {
+	case nil:
+		return false
+	case SinkFuncs:
+		return s.AttributeSet != nil || s.Pattern != nil
+	}
+	return true
 }
 
 // snapshot builds a Stats view of the run so far.
@@ -164,9 +181,9 @@ func (e *emitter) noteEmitted(sets, pats int64) {
 }
 
 // deliver streams one qualifying set and its patterns to the sink, if
-// any, as an atomic burst.
+// it takes them, as an atomic burst.
 func (e *emitter) deliver(set *AttributeSet, pats []Pattern) {
-	if e.sink == nil {
+	if !e.streams {
 		return
 	}
 	e.mu.Lock()

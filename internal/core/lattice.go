@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/scpm/scpm/internal/bitset"
 	"github.com/scpm/scpm/internal/epsilon"
@@ -316,79 +318,204 @@ func (m *miner) expMoved(l *Lattice) bool {
 	return false
 }
 
+// carryChunk is how many rows mergeRows copies at once: 64 sets are
+// 7 KB, so a chunk is still in cache when fix rewrites its rows.
+const carryChunk = 64
+
+// carrier is what mergeCarried needs per carried row: which attributes
+// are dirty, and the id arena of this generation that the carried
+// sets' ids move into.
+type carrier struct {
+	m *miner
+	// dirty[a] reports attribute a dirty, one load per id.
+	dirty []bool
+	// ids is what is left of the arena, and moved counts the ids
+	// moved into it.
+	ids   []int32
+	moved int
+	// pats is the old result's patterns and next the first of them a
+	// streamed carried set has not passed.
+	pats []Pattern
+	next int
+}
+
+// newCarrier returns the carrier of a Remine from old.
+func (m *miner) newCarrier(old *Result) *carrier {
+	c := &carrier{m: m, dirty: make([]bool, m.g.NumAttributes()), ids: make([]int32, old.numIDs), pats: old.Patterns}
+	m.changes.DirtyAttrs.ForEach(func(a int) bool {
+		c.dirty[a] = true
+		return true
+	})
+	return c
+}
+
 // carries reports whether a Remine carries old's row for attrs: a set
 // of two or more attributes (singles come from the verdict table), none
 // of them dirty, below a root this run owns. A subtree's root is its
 // set's first attribute in the Eclat order.
-func (m *miner) carries(attrs []int32) bool {
-	if len(attrs) < 2 || m.changes.Touches(attrs) {
+func (c *carrier) carries(attrs []int32) bool {
+	if len(attrs) < 2 {
 		return false
 	}
-	if m.owner == nil {
+	for _, a := range attrs {
+		if c.dirty[a] {
+			return false
+		}
+	}
+	if c.m.owner == nil {
 		return true
 	}
+	g := c.m.g
 	root := attrs[0]
 	for _, a := range attrs[1:] {
-		if m.g.AttrSupport(a) < m.g.AttrSupport(root) {
+		if g.AttrSupport(a) < g.AttrSupport(root) {
 			root = a
 		}
 	}
-	return m.owns(root)
+	return c.m.owns(root)
+}
+
+// fix moves a chunk of carried rows into this generation: their ids
+// into its arena, and ExpEps and δ to this run's null model where
+// εexp moved at their support. With a sink that takes sets it then
+// streams each row and its patterns.
+func (c *carrier) fix(rows []AttributeSet) {
+	n := 0
+	for i := range rows {
+		n += len(rows[i].Attrs)
+	}
+	if n > len(c.ids) { // old.numIDs undercounts only if its Sets were modified
+		c.ids = make([]int32, n)
+	}
+	ids := c.ids[:n:n]
+	c.ids, c.moved = c.ids[n:], c.moved+n
+	for i := range rows {
+		s := &rows[i]
+		k := copy(ids, s.Attrs)
+		s.Attrs, ids = ids[:k:k], ids[k:]
+		if e := c.m.exp.at(s.Support); e != s.ExpEps {
+			s.ExpEps, s.Delta = e, NormalizeDelta(s.Epsilon, e)
+		}
+	}
+	if !c.m.em.streams {
+		return
+	}
+	for i := range rows {
+		s := &rows[i]
+		for c.next < len(c.pats) && CompareAttrs(c.pats[c.next].Attrs, s.Attrs) < 0 {
+			c.next++
+		}
+		lo := c.next
+		for c.next < len(c.pats) && CompareAttrs(c.pats[c.next].Attrs, s.Attrs) == 0 {
+			c.next++
+		}
+		c.m.em.deliver(s, c.pats[lo:c.next])
+	}
 }
 
 // mergeCarried merges the rows of old a Remine carried into res, which
-// holds the rows its walk collected, and streams them to the sink. A
-// carried row keeps its evaluation and its Names; only ExpEps and δ
-// follow the null model. Both sides are in canonical order and hold
-// disjoint sets, so one linear pass merges them. The merged sets' ids
-// are then copied into one arena of this generation, so no result keeps
-// an older generation's arena alive.
+// holds the rows its walk collected, and streams the carried sets to
+// the sink in canonical order. A carried row keeps its evaluation and
+// its Names; its ids move to an arena of this generation, so no result
+// keeps an older generation's ids alive, and ExpEps and δ change only
+// where εexp moved at its support. When the rows old drops are exactly
+// the walked ones, res holds old's set and pattern lists and takes
+// old's list id.
 func (m *miner) mergeCarried(res, old *Result) {
+	c := m.newCarrier(old)
 	walked, walkedPats := res.Sets, res.Patterns
 	res.Sets = make([]AttributeSet, 0, len(old.Sets)+len(walked))
 	res.Patterns = make([]Pattern, 0, len(old.Patterns)+len(walkedPats))
-	i, pi, op := 0, 0, 0
-	var sets, pats int64
-	for k := range old.Sets {
-		s := &old.Sets[k]
-		for op < len(old.Patterns) && CompareAttrs(old.Patterns[op].Attrs, s.Attrs) < 0 {
-			op++
-		}
-		lo := op
-		for op < len(old.Patterns) && CompareAttrs(old.Patterns[op].Attrs, s.Attrs) == 0 {
-			op++
-		}
-		if !m.carries(s.Attrs) {
-			continue
-		}
-		for ; i < len(walked) && CompareAttrs(walked[i].Attrs, s.Attrs) < 0; i++ {
-			res.Sets = append(res.Sets, walked[i])
-		}
-		for ; pi < len(walkedPats) && CompareAttrs(walkedPats[pi].Attrs, s.Attrs) < 0; pi++ {
-			res.Patterns = append(res.Patterns, walkedPats[pi])
-		}
-		set := *s
-		set.ExpEps = m.exp.at(set.Support)
-		set.Delta = NormalizeDelta(set.Epsilon, set.ExpEps)
-		res.Sets = append(res.Sets, set)
-		res.Patterns = append(res.Patterns, old.Patterns[lo:op]...)
-		sets, pats = sets+1, pats+int64(op-lo)
-		m.em.deliver(&set, old.Patterns[lo:op])
+	var sameSets, samePats bool
+	res.Sets, sameSets = mergeRows(res.Sets, old.Sets, walked, c.carries, c.fix)
+	res.Patterns, samePats = mergeRows(res.Patterns, old.Patterns, walkedPats, c.carries, nil)
+	res.numIDs += c.moved
+	m.em.noteEmitted(int64(len(res.Sets)-len(walked)), int64(len(res.Patterns)-len(walkedPats)))
+	if sameSets && samePats {
+		res.list = old.list
 	}
-	res.Sets = append(res.Sets, walked[i:]...)
-	res.Patterns = append(res.Patterns, walkedPats[pi:]...)
-	m.em.noteEmitted(sets, pats)
-	n := 0
-	for k := range res.Sets {
-		n += len(res.Sets[k].Attrs)
+}
+
+// resultRow is the constraint of the rows mergeRows merges: a result's sets
+// and patterns, each in canonical order by attribute set.
+type resultRow interface{ AttributeSet | Pattern }
+
+// attrsOf returns the attribute ids of a set or a pattern's set.
+func attrsOf[T resultRow](r *T) []int32 {
+	switch r := any(r).(type) {
+	case *AttributeSet:
+		return r.Attrs
+	case *Pattern:
+		return r.Attrs
 	}
-	arena := make([]int32, 0, n)
-	for k := range res.Sets {
-		s := &res.Sets[k]
-		at := len(arena)
-		arena = append(arena, s.Attrs...)
-		s.Attrs = arena[at:len(arena):len(arena)]
+	panic("unreachable")
+}
+
+// mergeRows appends to dst the rows of old that keep carries merged
+// with walked; both are in canonical order and hold disjoint attribute
+// sets, so the merge is too. Between two walked rows the carried rows
+// are copied in chunks of carryChunk, and fix, when non-nil, rewrites
+// each chunk while it is in cache. It also reports whether the rows old
+// drops are the walked rows, pairwise: then dst holds old's rows, in
+// old's order.
+func mergeRows[T resultRow](dst, old, walked []T, keep func([]int32) bool, fix func([]T)) ([]T, bool) {
+	w, dropped, equal := 0, 0, true
+	for k := 0; k < len(old); {
+		end := len(old)
+		if w < len(walked) {
+			end = k + gallop(old[k:], attrsOf(&walked[w]))
+		}
+		for k < end {
+			lo := k
+			for k < end && k-lo < carryChunk && keep(attrsOf(&old[k])) {
+				k++
+			}
+			if k == lo {
+				equal = equal && dropped < len(walked) && sameRow(&old[k], &walked[dropped])
+				dropped++
+				k++
+				continue
+			}
+			at := len(dst)
+			dst = append(dst, old[lo:k]...)
+			if fix != nil {
+				fix(dst[at:])
+			}
+		}
+		if w < len(walked) {
+			dst = append(dst, walked[w])
+			w++
+		}
 	}
+	return append(dst, walked[w:]...), equal && dropped == len(walked)
+}
+
+// gallop returns the index of the first row of rows at or after
+// attrs in canonical order, probing 1, 2, 4, … rows ahead before it
+// bisects: consecutive walked rows, the singles above all, mostly land
+// a few rows apart.
+func gallop[T resultRow](rows []T, attrs []int32) int {
+	lo, step := 0, 1
+	for lo+step <= len(rows) && CompareAttrs(attrsOf(&rows[lo+step-1]), attrs) < 0 {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(rows))
+	return lo + sort.Search(hi-lo, func(j int) bool { return CompareAttrs(attrsOf(&rows[lo+j]), attrs) >= 0 })
+}
+
+// sameRow reports whether a and b are the same set, or the same
+// pattern: the same ids and names, and the same vertices.
+func sameRow[T resultRow](a, b *T) bool {
+	switch a := any(a).(type) {
+	case *AttributeSet:
+		b := any(b).(*AttributeSet)
+		return slices.Equal(a.Attrs, b.Attrs) && slices.Equal(a.Names, b.Names)
+	case *Pattern:
+		b := any(b).(*Pattern)
+		return slices.Equal(a.Attrs, b.Attrs) && slices.Equal(a.Names, b.Names) && slices.Equal(a.Vertices, b.Vertices)
+	}
+	panic("unreachable")
 }
 
 // Remine incrementally re-mines g — a graph obtained from a previous
@@ -409,7 +536,8 @@ func (m *miner) mergeCarried(res, old *Result) {
 //     re-derived (the null model follows the degree distribution), and
 //     the walk visits a clean set only when a dirty sibling follows it,
 //     to reach its dirty children. A subtree whose root changed shard
-//     ownership is mined afresh;
+//     ownership is mined afresh. When the update changed neither the
+//     set nor the pattern list, the result keeps old's ListID;
 //   - otherwise every clean set is replayed: re-scored from its
 //     recorded evaluation without a coverage search.
 //

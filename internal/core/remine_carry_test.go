@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/scpm/scpm/internal/datagen"
 	"github.com/scpm/scpm/internal/graph"
@@ -326,6 +327,73 @@ func TestRemineSinkSeesEverySet(t *testing.T) {
 				g = ng
 			}
 		})
+	}
+}
+
+// TestProgressOnlySink checks that a SinkFuncs with only a Progress
+// func is handed no set, and that skipping per-set delivery changes
+// nothing it sees: a Mine and a chain of Remines report the same
+// progress snapshots, and return the same results, as with a sink that
+// takes every set and pattern.
+func TestProgressOnlySink(t *testing.T) {
+	if newEmitter(SinkFuncs{Progress: func(Stats) {}}, 0, time.Now()).streams {
+		t.Fatal("a progress-only SinkFuncs is streamed sets")
+	}
+	ctx := context.Background()
+	p := remineParams()["exact"]
+	p.ProgressEvery = 7
+	// run mines (old == nil) or remines with a progress-only sink and a
+	// full one, requires equal results and snapshots, and returns the
+	// first result.
+	run := func(label string, g *graph.Graph, old *Result, cs *graph.ChangeSet) *Result {
+		t.Helper()
+		var only, full []Stats
+		var sets int
+		sinks := []Sink{
+			SinkFuncs{Progress: func(st Stats) { only = append(only, st) }},
+			SinkFuncs{
+				AttributeSet: func(AttributeSet) { sets++ },
+				Pattern:      func(Pattern) {},
+				Progress:     func(st Stats) { full = append(full, st) },
+			},
+		}
+		var res [2]*Result
+		for i, sink := range sinks {
+			var err error
+			if old == nil {
+				res[i], err = Mine(ctx, g, p, sink)
+			} else {
+				res[i], err = Remine(ctx, g, p, old, cs, sink)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireEqualResults(t, label, res[0], res[1])
+		if sets != len(res[1].Sets) {
+			t.Fatalf("%s: the full sink saw %d sets of %d", label, sets, len(res[1].Sets))
+		}
+		if len(only) != len(full) || len(only) < 2 {
+			t.Fatalf("%s: %d progress snapshots, want %d (at least 2)", label, len(only), len(full))
+		}
+		for i := range only {
+			only[i].Duration, full[i].Duration = 0, 0
+			if only[i] != full[i] {
+				t.Fatalf("%s: snapshot %d\nprogress only: %+v\nfull sink:     %+v", label, i, only[i], full[i])
+			}
+		}
+		return res[0]
+	}
+	g := remineGraph(t, 71)
+	res := run("mine", g, nil, nil)
+	rng := rand.New(rand.NewSource(72))
+	for step := 0; step < 4; step++ {
+		ng, cs, err := g.Apply(randomRemineDelta(t, g, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = run(fmt.Sprintf("remine %d", step), ng, res, cs)
+		g = ng
 	}
 }
 

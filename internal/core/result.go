@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/scpm/scpm/internal/graph"
@@ -222,7 +223,26 @@ type Result struct {
 	// evaluations. nil otherwise.
 	lattice *Lattice
 	level1  *Level1Verdicts
+	// list identifies the content of Sets and Patterns; see ListID.
+	list uint64
+	// numIDs counts the attribute ids of Sets, which a Remine from
+	// this result copies at most.
+	numIDs int
 }
+
+// lists numbers the list ids of mining runs.
+var lists atomic.Uint64
+
+// ListID identifies the content of r's set and pattern lists: two
+// results with the same non-zero ListID hold the same sets (ids and
+// names) and patterns (sets and vertices), in the same order. A mining
+// run takes a new id; a Remine whose update changed neither list takes
+// its predecessor's, so an index built from one can tell in O(1) that
+// it serves the other's lists, and holds nothing of the predecessor
+// to know it. 0 means unknown: a Result not returned by a mining run.
+// It is a function, not a method, so it stays out of the public API
+// that aliases Result.
+func ListID(r *Result) uint64 { return r.list }
 
 // HasLattice reports whether the result carries the memoized search
 // lattice Remine needs for incremental re-mining (recorded when
@@ -319,7 +339,7 @@ func (b *bucket) emit(em *emitter, g *graph.Graph, r *row, attrs []int32, pats [
 	ids := b.add(r, attrs)
 	b.pats = append(b.pats, pats...)
 	em.noteEmitted(1, int64(len(pats)))
-	if em.sink == nil {
+	if !em.streams {
 		return
 	}
 	names := b.names.carve(len(ids))
@@ -424,6 +444,7 @@ func (r *Result) gather(buckets []*bucket, name func(int32) string) {
 		nSets, nIDs, largest = nSets+c, nIDs+s*c, max(largest, c)
 	}
 	arena := make([]int32, nIDs)
+	r.numIDs = nIDs
 	rows := make([]*row, nSets)
 	var top int32
 	eachRow(buckets, func(b *bucket, rw *row) {

@@ -253,7 +253,8 @@ func newMiner(ctx context.Context, g *graph.Graph, p Params, sink Sink) (*miner,
 
 // finalizeResult gathers a run's buckets over g into res in canonical
 // order, lets carry (when non-nil) merge in the rows a Remine carried,
-// and stamps the final counters. Cancellation and budget
+// and stamps the final counters and, unless carry kept its
+// predecessor's, a new list id. Cancellation and budget
 // exhaustion surface the partial result alongside the error; any other
 // error discards it.
 func finalizeResult(res *Result, buckets []*bucket, g *graph.Graph, em *emitter, err error, carry func(*Result)) (*Result, error) {
@@ -266,6 +267,9 @@ func finalizeResult(res *Result, buckets []*bucket, g *graph.Graph, em *emitter,
 	res.gather(buckets, g.AttrName)
 	if carry != nil {
 		carry(res)
+	}
+	if res.list == 0 {
+		res.list = lists.Add(1)
 	}
 	res.Stats = em.snapshot()
 	return res, err

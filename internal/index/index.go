@@ -54,6 +54,9 @@ type Index struct {
 	dsVertices   int
 	dsEdges      int
 	dsAttributes int
+	// list is the core.ListID of the result the index was built from,
+	// 0 for one assembled by FromParts.
+	list uint64
 
 	// Derived structures, rebuilt deterministically on Build.
 	setIDs    []string // setIDs[i] = sets[i].ID()

@@ -16,11 +16,15 @@ import (
 // and δ of every set), so the new index takes the new rows and shares
 // every derived structure — ids, postings, id indexes, pattern lists —
 // with this one, but not the ranked permutations (Ranked),
-// which the new rows reorder. Otherwise both canonical lists are
-// merge-joined, which are in core.CompareAttrs order, and stable set
-// and pattern id strings and resolved pattern vertex-label slices of
-// unchanged content are carried over instead of being re-hashed and
-// re-resolved; the derived structures are rebuilt.
+// which the new rows reorder. A Remine that changed neither list keeps
+// its predecessor's core.ListID, so when res has the list id of the
+// result this index was built from, that is known in O(1). An index
+// assembled by FromParts, or built from a result res was not remined
+// from, compares the lists set by set instead. Otherwise both
+// canonical lists are merge-joined, which are in core.CompareAttrs
+// order, and stable set and pattern id strings and resolved pattern
+// vertex-label slices of unchanged content are carried over instead of
+// being re-hashed and re-resolved; the derived structures are rebuilt.
 //
 // Reuse is keyed on identity the update path guarantees stable —
 // attribute ids, attribute names and vertex ids/labels are append-only
@@ -40,8 +44,9 @@ func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
 		dsVertices:   g.NumVertices(),
 		dsEdges:      g.NumEdges(),
 		dsAttributes: g.NumAttributes(),
+		list:         core.ListID(res),
 	}
-	if x.sameContent(res) {
+	if nx.list != 0 && nx.list == x.list || x.sameContent(res) {
 		nx.nSets, nx.nPatterns = x.nSets, x.nPatterns
 		nx.patVerts, nx.setIDs, nx.patIDs, nx.patSetIDs = x.patVerts, x.setIDs, x.patIDs, x.patSetIDs
 		nx.attrPost, nx.vertPost = x.attrPost, x.vertPost
@@ -108,8 +113,9 @@ func (x *Index) sameContent(res *core.Result) bool {
 }
 
 // sameSlice reports whether a and b hold the same elements. A Remine
-// carries a row's attribute lists over by reference, so most calls
-// decide on the shared backing array alone.
+// carries a row's Names and its patterns' slices over by reference, so
+// those calls mostly decide on the shared backing array alone; a
+// carried set's Attrs are a copy, so they are compared.
 func sameSlice[T comparable](a, b []T) bool {
 	if len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] {
 		return true

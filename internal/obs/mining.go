@@ -1,15 +1,14 @@
 package obs
 
+import "github.com/scpm/scpm/internal/core"
+
 // MiningMetrics exports the mining progress counters — the paper's own
 // cost model (search nodes per coverage DFS, evaluated sets, reuse
 // rates) — as live gauges, updated from Sink.OnProgress snapshots
 // while a mine or Remine runs. They are gauges, not counters: each
 // run's snapshot replaces the last, so a scrape during a long mine
-// shows where that run stands right now.
-//
-// The package deliberately does not import internal/core; callers map
-// a core.Stats snapshot onto ObserveProgress field by field, keeping
-// obs dependency-free at the bottom of the package graph.
+// shows where that run stands right now. ObserveProgress is the one
+// mapping of a core.Stats onto them.
 type MiningMetrics struct {
 	// Active is 1 while a mine or remine is running, 0 otherwise.
 	Active *Gauge
@@ -51,18 +50,17 @@ func NewMiningMetrics(reg *Registry) *MiningMetrics {
 	}
 }
 
-// ObserveProgress stores one progress snapshot (the fields of a
-// core.Stats, in its declaration order).
-func (m *MiningMetrics) ObserveProgress(evaluated, emitted, patterns, nodes, sampled, reused, recomputed, verdicts int64) {
+// ObserveProgress stores one progress snapshot; m may be nil.
+func (m *MiningMetrics) ObserveProgress(st core.Stats) {
 	if m == nil {
 		return
 	}
-	m.SetsEvaluated.Set(float64(evaluated))
-	m.SetsEmitted.Set(float64(emitted))
-	m.PatternsEmitted.Set(float64(patterns))
-	m.SearchNodes.Set(float64(nodes))
-	m.SampledVertices.Set(float64(sampled))
-	m.ReusedSets.Set(float64(reused))
-	m.RecomputedSets.Set(float64(recomputed))
-	m.ReusedVerdicts.Set(float64(verdicts))
+	m.SetsEvaluated.Set(float64(st.SetsEvaluated))
+	m.SetsEmitted.Set(float64(st.SetsEmitted))
+	m.PatternsEmitted.Set(float64(st.PatternsEmitted))
+	m.SearchNodes.Set(float64(st.SearchNodes))
+	m.SampledVertices.Set(float64(st.SampledVertices))
+	m.ReusedSets.Set(float64(st.ReusedSets))
+	m.RecomputedSets.Set(float64(st.RecomputedSets))
+	m.ReusedVerdicts.Set(float64(st.ReusedVerdicts))
 }

@@ -1,4 +1,4 @@
-// Package obs is the dependency-free observability layer: a metrics
+// Package obs is the observability layer: a metrics
 // registry (counters, gauges, histograms — all with lock-free hot
 // paths) rendered in the Prometheus text exposition format v0.0.4 on
 // GET /metrics, plus helpers that mount /metrics and net/http/pprof on
@@ -14,7 +14,9 @@
 // not a runtime condition.
 //
 // All instrument methods are safe on nil receivers (they no-op), so
-// optional wiring needs no branching at call sites.
+// optional wiring needs no branching at call sites. The only package of
+// the repo obs imports is internal/core, for the Stats snapshot the
+// mining gauges read.
 package obs
 
 import (

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/scpm/scpm/internal/core"
 )
 
 // TestExpositionGolden pins the exact text exposition rendering:
@@ -106,7 +108,7 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	cv.With("x").Inc()
 	gv.With("x").Set(1)
 	hv.With("x").Observe(1)
-	m.ObserveProgress(1, 2, 3, 4, 5, 6, 7, 8)
+	m.ObserveProgress(core.Stats{SetsEvaluated: 1, SearchNodes: 4})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}

@@ -53,17 +53,9 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 }
 
-// observeMiningStats maps a core progress snapshot onto the live
-// mining gauges.
-func observeMiningStats(m *obs.MiningMetrics, st core.Stats) {
-	m.ObserveProgress(st.SetsEvaluated, st.SetsEmitted, st.PatternsEmitted,
-		st.SearchNodes, st.SampledVertices, st.ReusedSets, st.RecomputedSets,
-		st.ReusedVerdicts)
-}
-
 // miningSink builds the progress sink a remine runs with: every
 // OnProgress snapshot lands in the mining gauges, so a scrape during a
 // long remine shows it advancing.
 func (s *Server) miningSink() core.Sink {
-	return core.SinkFuncs{Progress: func(st core.Stats) { observeMiningStats(s.metrics.mining, st) }}
+	return core.SinkFuncs{Progress: s.metrics.mining.ObserveProgress}
 }

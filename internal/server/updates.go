@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -76,8 +77,27 @@ type SwapEvent struct {
 	RemineDuration time.Duration
 }
 
+// opsError is why parseUpdateOps rejected a body: the 1-based line at
+// fault, or 0 for the body as a whole.
+type opsError struct {
+	line int
+	err  error
+}
+
+// Error renders the error as the 400 answer quotes it.
+func (e *opsError) Error() string {
+	if e.line == 0 {
+		return e.err.Error()
+	}
+	return fmt.Sprintf("line %d: %v", e.line, e.err)
+}
+
+// Unwrap returns the decoder's or the scanner's error.
+func (e *opsError) Unwrap() error { return e.err }
+
 // parseUpdateOps decodes an NDJSON op stream, rejecting blank-ops and
-// malformed lines with their line number.
+// malformed lines with their line number. Every error it returns is an
+// *opsError.
 func parseUpdateOps(r io.Reader) ([]UpdateOp, error) {
 	var ops []UpdateOp
 	sc := bufio.NewScanner(r)
@@ -93,15 +113,15 @@ func parseUpdateOps(r io.Reader) ([]UpdateOp, error) {
 		dec := json.NewDecoder(strings.NewReader(text))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&op); err != nil {
-			return nil, fmt.Errorf("line %d: %v", line, err)
+			return nil, &opsError{line, err}
 		}
 		ops = append(ops, op)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, &opsError{0, err}
 	}
 	if len(ops) == 0 {
-		return nil, fmt.Errorf("empty update batch")
+		return nil, &opsError{0, errors.New("empty update batch")}
 	}
 	return ops, nil
 }
@@ -270,7 +290,7 @@ func (s *Server) nextGeneration(g *graph.Graph, cs *graph.ChangeSet) (*generatio
 	if err != nil {
 		return nil, err
 	}
-	observeMiningStats(s.metrics.mining, res.Stats)
+	s.metrics.mining.ObserveProgress(res.Stats)
 	return &generation{
 		version: g.Version(),
 		g:       g,
