@@ -354,10 +354,12 @@ func parseShard(spec string) (k, n int, err error) {
 // buildIndex takes the index of the opened v3 snapshot when there is
 // one, otherwise mines the graph and (when a snapshot path is
 // configured) persists the result as a v3 snapshot for the next boot.
-// It also returns the mining result backing the index — reconstructed from the snapshot tables
-// when one was restored — which is what the live-update path re-mines
-// from. A boot mine streams its progress into mm, so /metrics shows it
-// advancing; phase wall times land on bootMS.
+// It also returns the mining result the live-update path re-mines
+// from. A restored snapshot carries no search lattice, so the first
+// update re-mines in full and reads nothing of that result but its
+// counters: it is returned without rows, and the booted index never
+// fills its row table for it. A boot mine streams its progress into
+// mm, so /metrics shows it advancing; phase wall times land on bootMS.
 func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.SnapshotBoot, snapshot string, stdout io.Writer, mm *obs.MiningMetrics, bootMS *obs.GaugeVec) (*scpm.Index, *scpm.Result, error) {
 	if v3 != nil {
 		// The graph and index both came out of the same v3 file, so they
@@ -373,8 +375,7 @@ func buildIndex(ctx context.Context, miner *scpm.Miner, g *scpm.Graph, v3 *scpm.
 		// A snapshot carries no search lattice, so the first update
 		// triggers a full (rather than incremental) remine; later ones
 		// chain incrementally.
-		res := &scpm.Result{Sets: idx.Sets(), Patterns: idx.Patterns(), Stats: idx.MiningStats()}
-		return idx, res, nil
+		return idx, &scpm.Result{Stats: idx.MiningStats()}, nil
 	}
 	start := time.Now()
 	mm.Active.Set(1)

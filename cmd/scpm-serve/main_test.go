@@ -265,6 +265,82 @@ func TestServeSnapshotMatchesMinedBoot(t *testing.T) {
 	}
 }
 
+// TestServeSnapshotUpdateMatchesMinedBoot posts the same update batch
+// to a snapshot boot, whose mining result carries no rows, and to a
+// mined boot, and requires both to serve the same answers once the
+// update is live.
+func TestServeSnapshotUpdateMatchesMinedBoot(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "paper.scpmidx")
+	_, _, shutdown := startServe(t, append([]string{"-snapshot", snap, "-no-updates"}, paperArgs...)...)
+	if code := shutdown(); code != 0 {
+		t.Fatalf("snapshot-writing boot exit %d", code)
+	}
+
+	batch := `{"op":"add_vertex","vertex":"12","attrs":["A","B"]}` + "\n" +
+		`{"op":"add_edge","u":"12","v":"1"}` + "\n" + `{"op":"add_edge","u":"12","v":"2"}` + "\n"
+	paths := []string{
+		"/sets?rank=epsilon", "/sets?rank=delta", "/sets?attrs=A,B", "/sets?contains=A", "/patterns",
+		"/healthz", "/epsilon?attrs=A,B", "/epsilon?attrs=C", "/vertices/12", "/vertices/1",
+	}
+	updated := func(boot string, args ...string) []string {
+		base, stdout, shutdown := startServe(t, args...)
+		defer shutdown()
+		if restored := strings.Contains(stdout.String(), "restored graph+index from v3 snapshot"); restored != (boot == "snapshot") {
+			t.Fatalf("%s boot: restored from snapshot = %v:\n%s", boot, restored, stdout.String())
+		}
+		resp, err := http.Post(base+"/updates", "application/x-ndjson", strings.NewReader(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s boot: POST /updates = %d: %s", boot, resp.StatusCode, raw)
+		}
+		deadline := time.After(30 * time.Second)
+		for {
+			var ver struct {
+				Served   float64 `json:"served_version"`
+				Remining bool    `json:"remine_in_progress"`
+			}
+			getJSON(t, base+"/version", &ver)
+			if ver.Served == 2 && !ver.Remining {
+				break
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("%s boot: the update was never served", boot)
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		bodies := make([]string, len(paths))
+		for i, p := range paths {
+			resp, err := http.Get(base + p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = fmt.Sprintf("%d %s", resp.StatusCode, b)
+		}
+		return bodies
+	}
+
+	// The remine after an update runs with the boot's flags, so both
+	// boots take the same ones.
+	restored := updated("snapshot", append([]string{"-snapshot", snap}, paperArgs...)...)
+	mined := updated("mining", paperArgs...)
+	for i, p := range paths {
+		if mined[i] != restored[i] {
+			t.Fatalf("GET %s after the update differs between boots:\nmined:    %s\nsnapshot: %s", p, mined[i], restored[i])
+		}
+	}
+}
+
 // TestServeLiveUpdates drives the dynamic path over real HTTP: POST an
 // update batch, wait for the background remine to swap, check the
 // version endpoints and the re-served set, then restart from the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -45,7 +46,8 @@ func checkDerived(t *testing.T, sets []core.AttributeSet, ids []string) {
 	for _, q := range tableQueries(rng, table, 50) {
 		checkLookups(t, x, q)
 	}
-	got, want := newIDIndex(ids), newIDIndexRef(ids)
+	idOf := func(i int) string { return ids[i] }
+	got, want := newIDIndex(len(ids), idOf), newIDIndexRef(ids)
 	if !slices.Equal(got, want) {
 		t.Fatalf("newIDIndex differs from the reference over %d ids:\n got %v\nwant %v", len(ids), got, want)
 	}
@@ -54,11 +56,11 @@ func checkDerived(t *testing.T, sets []core.AttributeSet, ids []string) {
 		last[id] = int32(i)
 	}
 	for id, row := range last {
-		if r := got.find(ids, id); r != row {
+		if r := got.find(idOf, id); r != row {
 			t.Fatalf("find(%q) = %d, want the last row %d", id, r, row)
 		}
 	}
-	if _, ok := last["absent"]; !ok && got.find(ids, "absent") != -1 {
+	if _, ok := last["absent"]; !ok && got.find(idOf, "absent") != -1 {
 		t.Fatal("find of an absent id is not -1")
 	}
 }
@@ -197,4 +199,38 @@ func FuzzDerivedTables(f *testing.F) {
 		}
 		checkDerived(t, sets, ids)
 	})
+}
+
+// TestRankedMatchesCompare checks the radix-sorted rankings against a
+// stable sort by core.Ranking.Compare, on tables whose numbers mix
+// NaN, ±0, ±Inf, negative supports, many ties and values that share
+// their top bits.
+func TestRankedMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), -1.5, 0.5, 1}
+	for _, n := range []int{0, 1, 7, 300, 5000} {
+		sets := canonical(randomSets(rng, n, 60, 4))
+		for i := range sets {
+			s := &sets[i]
+			s.Support = rng.Intn(40) - 3
+			s.Epsilon, s.Delta = rng.Float64(), 0.5+rng.Float64()*1e-9
+			if rng.Intn(3) == 0 {
+				s.Epsilon = floats[rng.Intn(len(floats))]
+			}
+			if rng.Intn(3) == 0 {
+				s.Delta = floats[rng.Intn(len(floats))]
+			}
+		}
+		x := tableIndex(sets)
+		for r := core.BySupport; r <= core.ByDelta; r++ {
+			want := make([]int32, len(sets))
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortStableFunc(want, func(a, b int32) int { return r.Compare(&sets[a], &sets[b]) })
+			if got := x.Ranked(r); !slices.Equal(got, want) {
+				t.Fatalf("%d sets, Ranked(%v) = %v, want %v", len(sets), r, got, want)
+			}
+		}
+	}
 }

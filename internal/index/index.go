@@ -6,10 +6,11 @@
 // over inverted postings, or as a top-k ranking.
 //
 // The Index is self-contained: every name it serves (attribute names,
-// vertex labels) is resolved at build time, so it answers every lookup
-// without consulting the originating graph. Derived structures
-// (postings, id indexes) are rebuilt deterministically from the
-// canonical set/pattern tables.
+// vertex labels) is resolved at build time or, on an index booted from
+// a snapshot, read from the snapshot's own name tables, so it answers
+// every lookup without consulting the originating graph. Derived
+// structures (postings, id indexes) are rebuilt deterministically from
+// the canonical set/pattern tables.
 package index
 
 import (
@@ -24,17 +25,15 @@ import (
 )
 
 // Index is an immutable, concurrently-queryable view of one mining
-// run's output. Build one with Build, or assemble one from a v3
-// snapshot's tables with FromParts; all methods are safe for concurrent
-// use.
+// run's output. Build one with Build, or assemble one over a v3
+// snapshot's columns with FromParts; all methods are safe for
+// concurrent use.
 type Index struct {
 	// Canonical tables, in Result order (sets strictly ascending by
 	// core.CompareAttrs — size, then ascending ids — each set's ids
 	// ascending; patterns grouped per set). Exact and Subsets search
-	// the set table in that order. When hydrate is non-nil they start
-	// empty and are filled exactly once, on first access — route every
-	// read through tables(). nSets and nPatterns always hold the table
-	// sizes, hydrated or not.
+	// the set table in that order. nSets and nPatterns always hold the
+	// table sizes.
 	sets      []core.AttributeSet
 	patterns  []core.Pattern
 	nSets     int
@@ -42,9 +41,12 @@ type Index struct {
 	// patVerts[i] holds the resolved vertex labels of patterns[i],
 	// aligned with Pattern.Vertices.
 	patVerts [][]string
-	// hydrate defers the row-table fill for lazily assembled indexes
-	// (Parts.Rows); nil everywhere else.
-	hydrate  func() Rows
+	// cols is the row source of an index booted by FromParts; nil on a
+	// built one. Every method but Sets, Patterns and Rebuild reads a
+	// booted index's rows from cols, one row at a time. The row and id
+	// tables above stay empty until one of those three fills them,
+	// exactly once (tables).
+	cols     Columns
 	rowsOnce sync.Once
 	// mining carries the run counters of the producing Result.
 	mining core.Stats
@@ -58,23 +60,25 @@ type Index struct {
 	// 0 for one assembled by FromParts.
 	list uint64
 
-	// Derived structures, rebuilt deterministically on Build.
-	setIDs    []string // setIDs[i] = sets[i].ID()
-	patIDs    []string // patIDs[i] = patterns[i].ID()
-	patSetIDs []string // patSetIDs[i] = patterns[i].SetID()
+	// Id tables and attribute ids, rebuilt deterministically on Build;
+	// a booted index reads its ids from cols and takes attrIDs from
+	// Parts.
+	setIDs    []string         // setIDs[i] = sets[i].ID()
+	patIDs    []string         // patIDs[i] = patterns[i].ID()
+	patSetIDs []string         // patSetIDs[i] = patterns[i].SetID()
+	attrIDs   map[string]int32 // attribute name → id (for set table searches)
 
-	// Lookup structures, built from the canonical tables by
-	// buildDerived. Build pays for them up front; an index assembled
-	// by FromParts (the snapshot boot path) defers them to the first
-	// query that needs one, so opening a snapshot stays O(sections)
-	// instead of O(sets). Access only through derived().
+	// Lookup structures, built from the ids by buildDerived. Build pays
+	// for them up front; an index assembled by FromParts (the snapshot
+	// boot path) defers them to the first query that needs one, so
+	// opening a snapshot stays O(sections) instead of O(sets). Access
+	// only through derived().
 	derivedOnce sync.Once
 	byID        idIndex // set id → sets index
 	patByID     idIndex // pattern id → patterns index
 	// The patterns of set i are patOrder[patStart[i]:patStart[i+1]],
 	// in order.
 	patOrder, patStart []int32
-	attrIDs            map[string]int32 // attribute name → id (for set table searches)
 
 	// Inverted postings on the shared bitset machinery.
 	attrPost map[string]*bitset.Set // attribute name → set indices
@@ -113,6 +117,7 @@ func (x *Index) freeze() {
 		x.setIDs = make([]string, len(x.sets))
 	}
 	x.attrPost = make(map[string]*bitset.Set)
+	x.attrIDs = make(map[string]int32)
 	var byAttr []*bitset.Set // the postings by attribute id
 	for i := range x.sets {
 		s := &x.sets[i]
@@ -125,6 +130,7 @@ func (x *Index) freeze() {
 				post = bitset.New(len(x.sets))
 				byAttr[a] = post
 				x.attrPost[s.Names[j]] = post
+				x.attrIDs[s.Names[j]] = a
 			}
 			post.Add(i)
 		}
@@ -205,69 +211,110 @@ func setIDs(sets []core.AttributeSet, ids []string, nAttrs int) {
 	}
 }
 
-// derived builds the lookup structures (id indexes, attribute ids,
-// per-set pattern lists) exactly once. Build and Rebuild call it
-// eagerly; a lazily assembled index pays on the first lookup that needs
-// one.
+// derived builds the lookup structures (id indexes, per-set pattern
+// lists) exactly once. Build and Rebuild call it eagerly; a booted
+// index pays on the first lookup that needs one.
 // Safe for concurrent use — callers may race on a cold index and block
 // behind one build.
 func (x *Index) derived() { x.derivedOnce.Do(x.buildDerived) }
 
-// tables fills the canonical row tables of a lazily assembled index on
-// first use. A no-op (one nil check) everywhere else. Safe for
-// concurrent use.
-func (x *Index) tables() {
-	if x.hydrate == nil {
-		return
-	}
-	x.rowsOnce.Do(func() {
-		r := x.hydrate()
-		x.sets = r.Sets
-		x.patterns = r.Patterns
-		x.patVerts = r.PatVerts
-		x.setIDs = r.SetIDs
-		x.patIDs = r.PatIDs
-		x.patSetIDs = r.PatSetIDs
-	})
-}
-
 func (x *Index) buildDerived() {
-	x.tables()
-	x.byID = newIDIndex(x.setIDs)
-	x.attrIDs = make(map[string]int32)
-	var seen []bool // by attribute id
-	for i := range x.sets {
-		s := &x.sets[i]
-		for j, a := range s.Attrs {
-			if int(a) >= len(seen) {
-				seen = slices.Grow(seen, int(a)+1-len(seen))[:a+1]
-			}
-			if !seen[a] {
-				seen[a] = true
-				x.attrIDs[s.Names[j]] = a
-			}
-		}
-	}
+	x.byID = newIDIndex(x.nSets, x.SetID)
+	x.patByID = newIDIndex(x.nPatterns, x.PatternID)
 	// A counting sort groups the pattern indices by set, in order.
-	x.patByID = newIDIndex(x.patIDs)
-	owner := make([]int32, len(x.patterns))
-	x.patStart = make([]int32, len(x.sets)+1)
-	for i := range x.patterns {
-		if owner[i] = x.byID.find(x.setIDs, x.patSetIDs[i]); owner[i] >= 0 {
+	owner := make([]int32, x.nPatterns)
+	x.patStart = make([]int32, x.nSets+1)
+	for i := range owner {
+		if owner[i] = x.byID.find(x.SetID, x.PatternSetID(i)); owner[i] >= 0 {
 			x.patStart[owner[i]+1]++
 		}
 	}
-	for i := range x.sets {
+	for i := range x.nSets {
 		x.patStart[i+1] += x.patStart[i]
 	}
-	x.patOrder = make([]int32, x.patStart[len(x.sets)])
-	next := slices.Clone(x.patStart[:len(x.sets)])
+	x.patOrder = make([]int32, x.patStart[x.nSets])
+	next := slices.Clone(x.patStart[:x.nSets])
 	for i, si := range owner {
 		if si >= 0 {
 			x.patOrder[next[si]] = int32(i)
 			next[si]++
 		}
 	}
+}
+
+// tables fills the row and id tables of a booted index from its
+// columns, once, for the callers that need them whole: Sets, Patterns
+// and Rebuild. A no-op (one nil check) on a built index. Safe for
+// concurrent use.
+func (x *Index) tables() {
+	if x.cols == nil {
+		return
+	}
+	x.rowsOnce.Do(x.fill)
+}
+
+// fill materializes the row tables over the columns: attribute names
+// and vertex labels resolved exactly once, into arenas the per-row
+// slices alias, and id strings as the columns give them. It is the
+// O(sets) part of a snapshot boot.
+func (x *Index) fill() {
+	c := x.cols
+	sets := make([]core.AttributeSet, x.nSets)
+	setIDs := make([]string, x.nSets)
+	n := 0
+	for i := range sets {
+		sets[i], setIDs[i] = c.Set(i), c.SetID(i)
+		n += len(sets[i].Attrs)
+	}
+	setNames := make([]string, 0, n)
+	for i := range sets {
+		sets[i].Names, setNames = resolve(setNames, sets[i].Attrs, c.AttrName)
+	}
+
+	pats := make([]core.Pattern, x.nPatterns)
+	patVerts := make([][]string, x.nPatterns)
+	patIDs := make([]string, x.nPatterns)
+	patSetIDs := make([]string, x.nPatterns)
+	na, nv := 0, 0
+	for i := range pats {
+		pats[i], patIDs[i], patSetIDs[i] = c.Pattern(i), c.PatternID(i), c.PatternSetID(i)
+		na += len(pats[i].Attrs)
+		nv += len(pats[i].Vertices)
+	}
+	patNames := make([]string, 0, na)
+	patLabels := make([]string, 0, nv)
+	for i := range pats {
+		pats[i].Names, patNames = resolve(patNames, pats[i].Attrs, c.AttrName)
+		patVerts[i], patLabels = resolve(patLabels, pats[i].Vertices, c.VertexName)
+	}
+	x.sets, x.setIDs = sets, setIDs
+	x.patterns, x.patVerts, x.patIDs, x.patSetIDs = pats, patVerts, patIDs, patSetIDs
+}
+
+// resolve appends the name of every id to arena and returns the
+// appended part, capped, with the grown arena.
+func resolve(arena []string, ids []int32, name func(int32) string) (names, grown []string) {
+	lo := len(arena)
+	for _, id := range ids {
+		arena = append(arena, name(id))
+	}
+	return arena[lo:len(arena):len(arena)], arena
+}
+
+// row returns the i-th indexed set. On a booted index it is decoded
+// from the columns without its Names — the read of every lookup that
+// needs only attribute ids and numbers.
+func (x *Index) row(i int) core.AttributeSet {
+	if x.cols != nil {
+		return x.cols.Set(i)
+	}
+	return x.sets[i]
+}
+
+// resolveAll returns the name of every id, in a slice of its own.
+func resolveAll(ids []int32, name func(int32) string) []string {
+	names, _ := resolve(make([]string, 0, len(ids)), ids, name)
+	return names
 }
 
 // patsOf returns the pattern indices of set i, in order; nil when it
@@ -297,28 +344,71 @@ func (x *Index) DatasetShape() (vertices, edges, attributes int) {
 }
 
 // Sets returns the indexed attribute sets in canonical order. The
-// caller must not modify the returned slice.
+// caller must not modify the returned slice. On a booted index the
+// first call materializes the whole row table; a caller that reads a
+// few rows should use Set.
 func (x *Index) Sets() []core.AttributeSet {
 	x.tables()
 	return x.sets
 }
 
 // Patterns returns the indexed patterns in canonical order. The caller
-// must not modify the returned slice.
+// must not modify the returned slice. On a booted index the first call
+// materializes the whole row table; a caller that reads a few rows
+// should use Pattern.
 func (x *Index) Patterns() []core.Pattern {
 	x.tables()
 	return x.patterns
 }
 
+// Set returns the i-th indexed set. On a booted index the row is read
+// from the snapshot's columns and its Names slice, the read's only
+// allocation, is resolved anew on every call. The caller must not
+// modify the returned slices.
+func (x *Index) Set(i int) core.AttributeSet {
+	if x.cols == nil {
+		return x.sets[i]
+	}
+	s := x.cols.Set(i)
+	s.Names = resolveAll(s.Attrs, x.cols.AttrName)
+	return s
+}
+
+// Scores returns the numbers of the i-th indexed set that a ranking
+// compares (core.Ranking.Compare) and the /sets thresholds filter on.
+// It never allocates: a booted index decodes them alone.
+func (x *Index) Scores(i int) (support int, epsilon, delta float64) {
+	if x.cols != nil {
+		return x.cols.Scores(i)
+	}
+	s := &x.sets[i]
+	return s.Support, s.Epsilon, s.Delta
+}
+
+// Pattern returns the i-th indexed pattern, read like Set. The caller
+// must not modify the returned slices.
+func (x *Index) Pattern(i int) core.Pattern {
+	if x.cols == nil {
+		return x.patterns[i]
+	}
+	p := x.cols.Pattern(i)
+	p.Names = resolveAll(p.Attrs, x.cols.AttrName)
+	return p
+}
+
 // SetID returns the stable id of the i-th indexed set.
 func (x *Index) SetID(i int) string {
-	x.tables()
+	if x.cols != nil {
+		return x.cols.SetID(i)
+	}
 	return x.setIDs[i]
 }
 
 // PatternID returns the stable id of the i-th indexed pattern.
 func (x *Index) PatternID(i int) string {
-	x.tables()
+	if x.cols != nil {
+		return x.cols.PatternID(i)
+	}
 	return x.patIDs[i]
 }
 
@@ -326,7 +416,9 @@ func (x *Index) PatternID(i int) string {
 // indexed pattern, precomputed at build time so render paths never
 // re-hash per request.
 func (x *Index) PatternSetID(i int) string {
-	x.tables()
+	if x.cols != nil {
+		return x.cols.PatternSetID(i)
+	}
 	return x.patSetIDs[i]
 }
 
@@ -334,7 +426,7 @@ func (x *Index) PatternSetID(i int) string {
 // or -1.
 func (x *Index) SetIndexByID(id string) int {
 	x.derived()
-	return int(x.byID.find(x.setIDs, id))
+	return int(x.byID.find(x.SetID, id))
 }
 
 // PatternsOfSetByIndex returns the pattern indices of the i-th indexed
@@ -346,31 +438,34 @@ func (x *Index) PatternsOfSetByIndex(i int) []int32 {
 }
 
 // PatternVertexNames returns the resolved vertex labels of the i-th
-// indexed pattern, aligned with its Vertices. The caller must not
-// modify the returned slice.
+// indexed pattern, aligned with its Vertices; on a booted index they
+// are resolved anew on every call. The caller must not modify the
+// returned slice.
 func (x *Index) PatternVertexNames(i int) []string {
-	x.tables()
-	return x.patVerts[i]
+	if x.cols == nil {
+		return x.patVerts[i]
+	}
+	return resolveAll(x.cols.Pattern(i).Vertices, x.cols.VertexName)
 }
 
 // SetByID finds an attribute set by its stable id.
 func (x *Index) SetByID(id string) (core.AttributeSet, bool) {
 	x.derived()
-	i := x.byID.find(x.setIDs, id)
+	i := x.byID.find(x.SetID, id)
 	if i < 0 {
 		return core.AttributeSet{}, false
 	}
-	return x.sets[i], true
+	return x.Set(int(i)), true
 }
 
 // PatternByID finds a pattern by its stable id.
 func (x *Index) PatternByID(id string) (core.Pattern, bool) {
 	x.derived()
-	i := x.patByID.find(x.patIDs, id)
+	i := x.patByID.find(x.PatternID, id)
 	if i < 0 {
 		return core.Pattern{}, false
 	}
-	return x.patterns[i], true
+	return x.Pattern(int(i)), true
 }
 
 // PatternsOfSet returns the indices of the patterns mined for the set
@@ -378,7 +473,7 @@ func (x *Index) PatternByID(id string) (core.Pattern, bool) {
 // modify the returned slice.
 func (x *Index) PatternsOfSet(id string) []int32 {
 	x.derived()
-	i := x.byID.find(x.setIDs, id)
+	i := x.byID.find(x.SetID, id)
 	if i < 0 {
 		return nil
 	}
@@ -389,7 +484,6 @@ func (x *Index) PatternsOfSet(id string) []int32 {
 // false when any name never occurs in an indexed set — no indexed set
 // can match it, whatever the relation.
 func (x *Index) attrSet(names []string) (attrs []int32, ok bool) {
-	x.derived()
 	attrs = make([]int32, 0, len(names))
 	for _, n := range names {
 		id, found := x.attrIDs[n]
@@ -416,7 +510,7 @@ func (x *Index) Exact(names []string) int {
 	if !ok {
 		return -1
 	}
-	i, found := slices.BinarySearchFunc(x.sets, attrs, func(s core.AttributeSet, q []int32) int { return core.CompareAttrs(s.Attrs, q) })
+	i, found := sort.Find(x.nSets, func(i int) int { return core.CompareAttrs(attrs, x.row(i).Attrs) })
 	if !found {
 		return -1
 	}
@@ -430,8 +524,7 @@ func (x *Index) Supersets(names []string) []int { return members(x.Containing(na
 
 // Containing returns the sets that contain all of the given attribute
 // names as a bitset over set indices: the AND of the names' attribute
-// postings, so it works on a snapshot-booted index before its row
-// tables and lookup structures are built. It is nil when some name
+// postings, so it reads no row and needs no lookup structure. It is nil when some name
 // occurs in no indexed set; an empty query yields every set. A
 // one-name query returns the index's own posting, so the caller must
 // not modify the result.
@@ -463,7 +556,6 @@ func (x *Index) Containing(names []string) *bitset.Set {
 // canonical set table, where the sets of each size k ≤ |query| are one
 // contiguous run.
 func (x *Index) Subsets(names []string) []int {
-	x.derived()
 	attrs := make([]int32, 0, len(names))
 	for _, n := range names {
 		// Names the index has never seen simply cannot contribute
@@ -474,8 +566,8 @@ func (x *Index) Subsets(names []string) []int {
 	}
 	sortDedup(&attrs)
 	var out []int
-	for k, lo := 0, 0; k <= len(attrs) && lo < len(x.sets); k++ {
-		hi := lo + sort.Search(len(x.sets)-lo, func(i int) bool { return len(x.sets[lo+i].Attrs) > k })
+	for k, lo := 0, 0; k <= len(attrs) && lo < x.nSets; k++ {
+		hi := lo + sort.Search(x.nSets-lo, func(i int) bool { return len(x.row(lo+i).Attrs) > k })
 		out = x.subsetsIn(out, lo, hi, 0, k, attrs)
 		lo = hi
 	}
@@ -509,7 +601,7 @@ func (x *Index) subsetsIn(out []int, lo, hi, d, k int, q []int32) []int {
 // canonical order (a corrupt snapshot opened without full
 // verification), where they answer wrongly but never panic.
 func (x *Index) idAt(i, d int) int32 {
-	if a := x.sets[i].Attrs; d < len(a) {
+	if a := x.row(i).Attrs; d < len(a) {
 		return a[d]
 	}
 	return -1
@@ -534,12 +626,13 @@ func members(post *bitset.Set) []int {
 func (x *Index) HasVertex(label string) bool { return x.vertPost[label] != nil }
 
 // TopSets returns the n best indexed sets under the given ranking
-// (σ, ε or δ), like the paper's case-study tables.
+// (σ, ε or δ), like the paper's case-study tables. It reads only the n
+// rows it returns.
 func (x *Index) TopSets(r core.Ranking, n int) []core.AttributeSet {
 	perm := x.Ranked(r)
 	out := make([]core.AttributeSet, min(n, len(perm)))
 	for i := range out {
-		out[i] = x.sets[perm[i]]
+		out[i] = x.Set(int(perm[i]))
 	}
 	return out
 }
@@ -549,18 +642,45 @@ func (x *Index) TopSets(r core.Ranking, n int) []core.AttributeSet {
 // first call per ranking and shared by every later one. Build and
 // Rebuild never pay for it, and a Rebuild never carries it over: an
 // update moves εexp and δ of every set, and ε of some, even when the
-// set list stays. The caller must not modify the returned slice.
+// set list stays. The sort reads the ranked numbers of each set once
+// into pointer-free keys and orders them with stable radix passes,
+// first by support and then by the ranked metric, so a booted index
+// never materializes its rows for it. The caller must not modify the
+// returned slice.
 func (x *Index) Ranked(r core.Ranking) []int32 {
 	rk := &x.ranked[r]
 	rk.once.Do(func() {
-		x.tables()
-		perm := make([]int32, len(x.sets))
-		for i := range perm {
-			perm[i] = int32(i)
+		// Keys of r.Compare: support descending, and for ε and δ the
+		// metric descending before it. The entries start in canonical
+		// order, which the stable sorts keep among ties.
+		t := make([]idEntry, x.nSets)
+		var metric []uint64
+		if r != core.BySupport {
+			metric = make([]uint64, x.nSets)
 		}
-		// The identity is in canonical order, so the stable sort breaks
-		// ties canonically.
-		slices.SortStableFunc(perm, func(a, b int32) int { return r.Compare(&x.sets[a], &x.sets[b]) })
+		for i := range t {
+			support, eps, delta := x.Scores(i)
+			t[i] = idEntry{descInt(support), int32(i)}
+			switch r {
+			case core.ByEpsilon:
+				metric[i] = descFloat(eps)
+			case core.ByDelta:
+				metric[i] = descFloat(delta)
+			}
+		}
+		t = sortByKey(t, 64)
+		if metric != nil {
+			for k := range t {
+				t[k].h = metric[t[k].row]
+			}
+			// Sets sharing the top bits of the metric mostly share
+			// its value too, so their runs are already in order.
+			t = sortByKey(t, 2*radixDigit)
+		}
+		perm := make([]int32, len(t))
+		for k, e := range t {
+			perm[k] = e.row
+		}
 		rk.perm = perm
 	})
 	return rk.perm

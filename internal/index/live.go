@@ -20,7 +20,8 @@ import (
 // its predecessor's core.ListID, so when res has the list id of the
 // result this index was built from, that is known in O(1). An index
 // assembled by FromParts, or built from a result res was not remined
-// from, compares the lists set by set instead. Otherwise both
+// from, compares the lists set by set instead; a booted index
+// materializes its row tables for that first. Otherwise both
 // canonical lists are merge-joined, which are in core.CompareAttrs
 // order, and stable set and pattern id strings and resolved pattern
 // vertex-label slices of unchanged content are carried over instead of
@@ -36,7 +37,8 @@ import (
 // them afterwards. The receiver is not modified, and may be queried
 // while Rebuild runs.
 func (x *Index) Rebuild(res *core.Result, g *graph.Graph) *Index {
-	x.derived() // hydrates lazy row tables and builds what a share hands over
+	x.tables()  // a booted index's rows, which the merge reads and a share hands over
+	x.derived() // what a share hands over
 	nx := &Index{
 		sets:         res.Sets,
 		patterns:     res.Patterns,

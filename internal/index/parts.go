@@ -7,16 +7,15 @@ import (
 	"github.com/scpm/scpm/internal/core"
 )
 
-// Parts is the raw material of an Index with its expensive derived
-// state precomputed: the stable ids and inverted postings that freeze
-// would otherwise re-hash and re-scan on every load. The v3 snapshot
-// stores all of it verbatim, so a boot skips the id hashing (FNV over
-// every set and pattern) and the posting construction (a pass over
-// every set name and pattern vertex). The row tables arrive through
-// the deferred Rows callback, and the remaining lookup structures —
-// id indexes, attribute ids, per-set pattern lists — are built on the
-// first lookup that needs them, so assembly stays O(postings), not
-// O(sets).
+// Parts is the raw material of an Index booted from a v3 snapshot: the
+// snapshot's columns, which it reads its rows from one at a time, plus
+// the derived state the snapshot stores precomputed — the stable ids
+// (inside the columns) and the inverted postings that freeze would
+// otherwise re-hash and re-scan on every load. The remaining lookup
+// structures — id indexes and per-set pattern lists — are built on the
+// first lookup that needs them, and the row tables only when Sets,
+// Patterns or Rebuild needs them whole, so assembly stays
+// O(postings), not O(sets).
 type Parts struct {
 	Mining core.Stats
 	// Dataset shape of the producing graph (DatasetShape).
@@ -29,35 +28,47 @@ type Parts struct {
 	// NPatterns).
 	AttrPost map[string]*bitset.Set
 	VertPost map[string]*bitset.Set
+	// AttrIDs maps every attribute name keying AttrPost to its
+	// attribute id.
+	AttrIDs map[string]int32
 
-	// Rows produces the canonical row tables; it is invoked exactly
-	// once, on the first access to any of them. The callback must be
-	// infallible — the caller validates the underlying bytes before
-	// constructing the index — and its output must be aligned, fully
-	// populated (every id non-empty) and sized NSets/NPatterns, the
-	// table sizes that let postings be capacity-checked without
-	// hydrating. Sets should be in canonical order, as Build requires;
-	// Exact and Subsets on a table out of order stay in bounds but may
-	// answer wrongly.
-	Rows             func() Rows
+	// Columns reads the rows of the NSets sets and NPatterns patterns,
+	// the table sizes that let postings be capacity-checked without
+	// reading a row. Sets should be in canonical order, as Build
+	// requires; Exact and Subsets on a table out of order stay in bounds
+	// but may answer wrongly.
+	Columns          Columns
 	NSets, NPatterns int
 }
 
-// Rows is the canonical row-table bundle produced by Parts.Rows.
-// PatVerts[i] holds the resolved vertex labels of Patterns[i]; the id
-// tables are aligned with Sets and Patterns.
-type Rows struct {
-	Sets      []core.AttributeSet
-	Patterns  []core.Pattern
-	PatVerts  [][]string
-	SetIDs    []string
-	PatIDs    []string
-	PatSetIDs []string
+// Columns reads single rows of a set and a pattern table straight from
+// column views. Its methods must be infallible for every set index
+// below Parts.NSets and pattern index below Parts.NPatterns — the
+// caller validates the underlying bytes before constructing the index
+// — must not allocate, and must be safe for concurrent use.
+type Columns interface {
+	// Set returns set i without its Names.
+	Set(i int) core.AttributeSet
+	// Scores returns the numbers of set i that a ranking compares
+	// (core.Ranking.Compare), without decoding the rest of the row.
+	Scores(i int) (support int, epsilon, delta float64)
+	// SetID returns the stable id of set i.
+	SetID(i int) string
+	// Pattern returns pattern i without its Names.
+	Pattern(i int) core.Pattern
+	// PatternID returns the stable id of pattern i.
+	PatternID(i int) string
+	// PatternSetID returns the stable id of the set owning pattern i.
+	PatternSetID(i int) string
+	// AttrName resolves an attribute id of a row.
+	AttrName(a int32) string
+	// VertexName resolves a vertex id of a pattern.
+	VertexName(v int32) string
 }
 
-// FromParts assembles an Index from precomputed tables, validating
-// posting capacities. Slices and sets are used by reference — views
-// over a read-only mapping must outlive the index.
+// FromParts assembles an Index over a snapshot's columns, validating
+// posting capacities. Slices, sets and the columns are used by
+// reference — views over a read-only mapping must outlive the index.
 func FromParts(p Parts) (*Index, error) {
 	for name, post := range p.AttrPost {
 		if post.Len() != p.NSets {
@@ -76,9 +87,10 @@ func FromParts(p Parts) (*Index, error) {
 		dsAttributes: p.DSAttributes,
 		attrPost:     p.AttrPost,
 		vertPost:     p.VertPost,
+		attrIDs:      p.AttrIDs,
 		nSets:        p.NSets,
 		nPatterns:    p.NPatterns,
-		hydrate:      p.Rows,
+		cols:         p.Columns,
 	}, nil
 }
 

@@ -66,7 +66,9 @@ type Config struct {
 	// Result is the mining result Index was built from. Together with
 	// Params it enables POST /updates: the server re-mines
 	// incrementally from it after each accepted update batch. Mine it
-	// with RecordLattice for incremental (rather than full) remines.
+	// with RecordLattice for incremental (rather than full) remines. A
+	// result without a lattice is re-mined in full, which reads only
+	// its Stats, so a snapshot boot passes one without rows.
 	Result *core.Result
 	// Params is the parameter block the result was mined with; the
 	// update path re-mines with it (RecordLattice is forced on so
@@ -409,7 +411,7 @@ type EpsilonAnswer struct {
 
 // setDTOOf renders set i of the index as its response DTO.
 func setDTOOf(idx *index.Index, i int) setDTO {
-	set := idx.Sets()[i]
+	set := idx.Set(i)
 	return setDTO{
 		ID:              idx.SetID(i),
 		Attrs:           set.Names,
@@ -427,7 +429,7 @@ func setDTOOf(idx *index.Index, i int) setDTO {
 
 // patternDTOOf renders pattern i of the index as its response DTO.
 func patternDTOOf(idx *index.Index, i int) patternDTO {
-	p := idx.Patterns()[i]
+	p := idx.Pattern(i)
 	return patternDTO{
 		ID:          idx.PatternID(i),
 		Set:         idx.PatternSetID(i),
@@ -537,9 +539,9 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sets := idx.Sets()
 	keep := func(i int) bool {
-		return sets[i].Support >= minSupport && sets[i].Epsilon >= minEps && sets[i].Delta >= minDelta
+		support, eps, delta := idx.Scores(i)
+		return support >= minSupport && eps >= minEps && delta >= minDelta
 	}
 	var idxs []int
 	switch {
@@ -561,7 +563,12 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if rank != nil {
-			slices.SortStableFunc(idxs, func(a, b int) int { return rank.Compare(&sets[a], &sets[b]) })
+			slices.SortStableFunc(idxs, func(a, b int) int {
+				var sa, sb core.AttributeSet
+				sa.Support, sa.Epsilon, sa.Delta = idx.Scores(a)
+				sb.Support, sb.Epsilon, sb.Delta = idx.Scores(b)
+				return rank.Compare(&sa, &sb)
+			})
 		}
 		if k > 0 && len(idxs) > k {
 			idxs = idxs[:k]
@@ -657,10 +664,9 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if minSize > 0 {
-		pats := idx.Patterns()
 		kept := idxs[:0]
 		for _, i := range idxs {
-			if pats[i].Size() >= minSize {
+			if idx.Pattern(i).Size() >= minSize {
 				kept = append(kept, i)
 			}
 		}
@@ -724,7 +730,7 @@ func (s *Server) handleEpsilon(w http.ResponseWriter, r *http.Request) {
 
 	// Fast path: the mining run already scored this exact set.
 	if i := gen.idx.Exact(names); i >= 0 {
-		set := gen.idx.Sets()[i]
+		set := gen.idx.Set(i)
 		s.epsilonQueries.Add(1)
 		s.epsilonIndexed.Add(1)
 		exp := set.ExpEps

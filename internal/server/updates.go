@@ -95,8 +95,9 @@ func (e *opsError) Error() string {
 // Unwrap returns the decoder's or the scanner's error.
 func (e *opsError) Unwrap() error { return e.err }
 
-// parseUpdateOps decodes an NDJSON op stream, rejecting blank-ops and
-// malformed lines with their line number. Every error it returns is an
+// parseUpdateOps decodes an NDJSON op stream, rejecting blank-ops,
+// malformed lines and lines holding more than one JSON value with
+// their line number. Every error it returns is an
 // *opsError.
 func parseUpdateOps(r io.Reader) ([]UpdateOp, error) {
 	var ops []UpdateOp
@@ -114,6 +115,11 @@ func parseUpdateOps(r io.Reader) ([]UpdateOp, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&op); err != nil {
 			return nil, &opsError{line, err}
+		}
+		// One op per line: anything after the first value, another
+		// value or garbage, is an error rather than silently dropped.
+		if dec.InputOffset() != int64(len(text)) {
+			return nil, &opsError{line, errors.New("trailing data after the op")}
 		}
 		ops = append(ops, op)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -232,6 +233,30 @@ func TestUpdatesValidation(t *testing.T) {
 	get(t, s, "/version", http.StatusOK, &ver)
 	if ver["data_version"].(float64) != 1 {
 		t.Fatalf("rejected batch advanced the data version: %v", ver)
+	}
+}
+
+// TestParseUpdateOpsOneValuePerLine pins that a line holding anything
+// after its op — a second value or garbage — is rejected with its line
+// number instead of being read as the first op alone.
+func TestParseUpdateOpsOneValuePerLine(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		line int
+	}{
+		{`{"op":"add_vertex","vertex":"a"} {"op":"explode"}`, 1},
+		{`{"op":"add_edge","u":"1","v":"2"}garbage`, 1},
+		{`{"op":"add_vertex","vertex":"a"}` + "\n" + `{"op":"add_edge","u":"1","v":"2"}}`, 2},
+	} {
+		ops, err := parseUpdateOps(strings.NewReader(tc.body))
+		var oe *opsError
+		if !errors.As(err, &oe) || oe.line != tc.line {
+			t.Fatalf("parseUpdateOps(%q) = %v, %v; want an *opsError on line %d", tc.body, ops, err, tc.line)
+		}
+	}
+	// Blank space around an op is not trailing data.
+	if ops, err := parseUpdateOps(strings.NewReader("  {\"op\":\"add_vertex\",\"vertex\":\"a\"}\t \n")); err != nil || len(ops) != 1 {
+		t.Fatalf("padded op: %v, %v", ops, err)
 	}
 }
 

@@ -361,11 +361,12 @@ func buildGraph(fp *fileParts, full bool) (*graph.Graph, error) {
 	return g, nil
 }
 
-// buildIndex assembles the index from the carved views. The row
-// tables and the lookup structures (id indexes, attribute ids, per-set
-// pattern lists) are deferred to the first access that needs them,
-// keeping the open path free of any O(sets) construction. With
-// checkOrder it also checks the set table's canonical order.
+// buildIndex assembles the index over the carved views. The index
+// reads its rows from them one at a time and builds its lookup
+// structures (id indexes, per-set pattern lists) on the first access
+// that needs them, keeping the open path free of any O(sets)
+// construction. With checkOrder it also checks the set table's
+// canonical order.
 func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, error) {
 	if err := checkOffsets("set-attr", fp.setAttrOff, len(fp.setAttrs)); err != nil {
 		return nil, err
@@ -384,7 +385,7 @@ func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, e
 
 	// Every referenced attribute and vertex id is range-checked up
 	// front — corrupt files must fail at open with a typed error — so
-	// the row fill below is infallible and can be deferred.
+	// the row reads of the index are infallible and can be deferred.
 	if err := checkIDs("set attribute", fp.setAttrs, g.NumAttributes()); err != nil {
 		return nil, err
 	}
@@ -395,68 +396,15 @@ func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, e
 		return nil, err
 	}
 
-	// fill materializes the canonical row tables: name arenas resolved
-	// through the graph exactly once (the per-set/pattern slices alias
-	// them), struct rows over the numeric views, id strings over the
-	// fixed-width id records. It is the O(sets) part of an index boot
-	// and runs on first row access.
-	fill := func() index.Rows {
-		setNames := attrNames(fp.setAttrs, g)
-		patNames := attrNames(fp.patAttrs, g)
-		patLabels := make([]string, len(fp.patVerts))
-		for k, v := range fp.patVerts {
-			patLabels[k] = g.VertexName(v)
-		}
-
-		sets := make([]core.AttributeSet, fp.nS)
-		setIDs := make([]string, fp.nS)
-		for i := range sets {
-			lo, hi := fp.setAttrOff[i], fp.setAttrOff[i+1]
-			num := fp.setNum[i*setSlots : (i+1)*setSlots]
-			sets[i] = core.AttributeSet{
-				Attrs:           fp.setAttrs[lo:hi:hi],
-				Names:           setNames[lo:hi:hi],
-				Support:         int(num[setSupport]),
-				Covered:         int(num[setCovered]),
-				SampledVertices: int(num[setSampled]),
-				Estimated:       num[setEstimated] != 0,
-				Epsilon:         math.Float64frombits(num[setEpsilon]),
-				ExpEps:          math.Float64frombits(num[setExpEps]),
-				Delta:           math.Float64frombits(num[setDelta]),
-				EpsilonErr:      math.Float64frombits(num[setEpsErr]),
-			}
-			setIDs[i] = mmapio.ViewString(fp.setIDs[i*idLen : (i+1)*idLen])
-		}
-
-		pats := make([]core.Pattern, fp.nP)
-		patVerts := make([][]string, fp.nP)
-		patIDs := make([]string, fp.nP)
-		patSetIDs := make([]string, fp.nP)
-		for i := range pats {
-			alo, ahi := fp.patAttrOff[i], fp.patAttrOff[i+1]
-			vlo, vhi := fp.patVertOff[i], fp.patVertOff[i+1]
-			num := fp.patNum[i*patSlots : (i+1)*patSlots]
-			pats[i] = core.Pattern{
-				Attrs:    fp.patAttrs[alo:ahi:ahi],
-				Names:    patNames[alo:ahi:ahi],
-				Vertices: fp.patVerts[vlo:vhi:vhi],
-				MinDeg:   int(num[patMinDeg]),
-				Edges:    int(num[patEdges]),
-			}
-			patVerts[i] = patLabels[vlo:vhi:vhi]
-			patIDs[i] = mmapio.ViewString(fp.patIDs[i*idLen : (i+1)*idLen])
-			patSetIDs[i] = mmapio.ViewString(fp.patSetIDs[i*idLen : (i+1)*idLen])
-		}
-		return index.Rows{
-			Sets: sets, Patterns: pats, PatVerts: patVerts,
-			SetIDs: setIDs, PatIDs: patIDs, PatSetIDs: patSetIDs,
-		}
-	}
-
+	// The attribute-posting keys are the attribute ids of the indexed
+	// sets, so they also give the name → id map the set table searches
+	// need.
+	attrIDs := make(map[string]int32, len(fp.attrPostKeys))
 	attrPost, err := postingMap(fp.attrPostKeys, fp.attrPost, fp.nS, "attr-post", func(id int32) (string, error) {
 		if id < 0 || int(id) >= g.NumAttributes() {
 			return "", fmt.Errorf("%w: attr-post key %d out of range [0,%d)", ErrCorrupt, id, g.NumAttributes())
 		}
+		attrIDs[g.AttrName(id)] = id
 		return g.AttrName(id), nil
 	})
 	if err != nil {
@@ -479,7 +427,8 @@ func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, e
 		DSAttributes: fp.nA,
 		AttrPost:     attrPost,
 		VertPost:     vertPost,
-		Rows:         fill,
+		AttrIDs:      attrIDs,
+		Columns:      &columns{fp, g},
 		NSets:        fp.nS,
 		NPatterns:    fp.nP,
 		Mining: core.Stats{
@@ -502,7 +451,7 @@ func buildIndex(fp *fileParts, g *graph.Graph, checkOrder bool) (*index.Index, e
 }
 
 // checkIDs rejects any id outside [0,n) — the eager validation pass
-// that makes the deferred row fill infallible.
+// that makes the index's row reads infallible.
 func checkIDs(what string, ids []int32, n int) error {
 	for _, v := range ids {
 		if v < 0 || int(v) >= n {
@@ -531,14 +480,72 @@ func checkSetOrder(offs []int64, attrs []int32) error {
 	return nil
 }
 
-// attrNames resolves pre-validated attribute ids into one shared
-// string arena.
-func attrNames(ids []int32, g *graph.Graph) []string {
-	out := make([]string, len(ids))
-	for k, a := range ids {
-		out[k] = g.AttrName(a)
+// columns reads index rows straight from the carved views: the
+// attribute and vertex lists are views of the id arenas, the numbers
+// are decoded from the numeric slots, the ids are views of the
+// fixed-width id records and names come from the graph's name tables.
+// buildIndex validates every offset table and id before it hands the
+// columns to the index, so no read fails or leaves the views.
+type columns struct {
+	*fileParts
+	g *graph.Graph
+}
+
+// Set decodes set i without its Names.
+func (c *columns) Set(i int) core.AttributeSet {
+	lo, hi := c.setAttrOff[i], c.setAttrOff[i+1]
+	num := c.setNum[i*setSlots : (i+1)*setSlots]
+	return core.AttributeSet{
+		Attrs:           c.setAttrs[lo:hi:hi],
+		Support:         int(num[setSupport]),
+		Covered:         int(num[setCovered]),
+		SampledVertices: int(num[setSampled]),
+		Estimated:       num[setEstimated] != 0,
+		Epsilon:         math.Float64frombits(num[setEpsilon]),
+		ExpEps:          math.Float64frombits(num[setExpEps]),
+		Delta:           math.Float64frombits(num[setDelta]),
+		EpsilonErr:      math.Float64frombits(num[setEpsErr]),
 	}
-	return out
+}
+
+// Scores decodes the ranked numbers of set i.
+func (c *columns) Scores(i int) (support int, epsilon, delta float64) {
+	num := c.setNum[i*setSlots : (i+1)*setSlots]
+	return int(num[setSupport]), math.Float64frombits(num[setEpsilon]), math.Float64frombits(num[setDelta])
+}
+
+// SetID views the id record of set i.
+func (c *columns) SetID(i int) string { return idAt(c.setIDs, i) }
+
+// Pattern decodes pattern i without its Names.
+func (c *columns) Pattern(i int) core.Pattern {
+	alo, ahi := c.patAttrOff[i], c.patAttrOff[i+1]
+	vlo, vhi := c.patVertOff[i], c.patVertOff[i+1]
+	num := c.patNum[i*patSlots : (i+1)*patSlots]
+	return core.Pattern{
+		Attrs:    c.patAttrs[alo:ahi:ahi],
+		Vertices: c.patVerts[vlo:vhi:vhi],
+		MinDeg:   int(num[patMinDeg]),
+		Edges:    int(num[patEdges]),
+	}
+}
+
+// PatternID views the id record of pattern i.
+func (c *columns) PatternID(i int) string { return idAt(c.patIDs, i) }
+
+// PatternSetID views the owning-set id record of pattern i.
+func (c *columns) PatternSetID(i int) string { return idAt(c.patSetIDs, i) }
+
+// AttrName resolves an attribute id through the graph.
+func (c *columns) AttrName(a int32) string { return c.g.AttrName(a) }
+
+// VertexName resolves a vertex id through the graph.
+func (c *columns) VertexName(v int32) string { return c.g.VertexName(v) }
+
+// idAt returns the i-th fixed-width id record of an id section as a
+// view.
+func idAt(records []byte, i int) string {
+	return mmapio.ViewString(records[i*idLen : (i+1)*idLen])
 }
 
 // postingMap rebuilds a posting map from its sorted key ids and bitset
